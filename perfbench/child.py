@@ -10,9 +10,11 @@ reading at which it was ready, runs the workload's calls into the public API,
 and writes timings, outputs and the program's own counters to
 ``result.json``.  ``run.py`` checks them.
 
-When ``PERFBENCH_TRACE_DIR`` is set the timing wrappers are installed at
-import of this module.  Spawned pool workers re-import the parent's main
-module, so they install the same wrappers and write their own spans.
+When ``PERFBENCH_PROBE_DIR`` is set a ``speed.Probe`` samples the host's
+speed from import to the end of the work, and when ``PERFBENCH_TRACE_DIR`` is
+set the timing wrappers are installed, both at import of this module.
+Spawned pool workers re-import the parent's main module, so they sample too,
+install the same wrappers and write their own spans.
 """
 from __future__ import annotations
 
@@ -22,13 +24,17 @@ import os
 import sys
 import time
 
+import speed
 import tracer
 
+_probe = speed.start_from_env()
 tracer.install_from_env()
 
 _clock = time.perf_counter
 
 ALGORITHM = "shibata-visibility2"
+#: Robots per configuration in build-census and explore-ssync.
+SIZE = 8
 
 
 def _counters() -> dict:
@@ -39,7 +45,7 @@ def _counters() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# build-census: cold n=9 shard-store build, then the exhaustive FSYNC census.
+# build-census: cold n=8 shard-store build, then the exhaustive FSYNC census.
 # ---------------------------------------------------------------------------
 
 def setup_build_census() -> dict:
@@ -54,8 +60,9 @@ def run_build_census(state: dict) -> dict:
     from repro.core.sharded_tables import sharded_successor_table
 
     t0 = _clock()
-    # The store goes under REPRO_TABLE_CACHE, an empty directory per rep.
-    table = sharded_successor_table(state["algorithm"], 9)
+    # The store goes under REPRO_TABLE_CACHE, an empty directory per rep, in
+    # shards of REPRO_TABLE_SHARD_ROWS rows (set by run.py).
+    table = sharded_successor_table(state["algorithm"], SIZE)
     t1 = _clock()
     census = table.fsync_verdict(np.arange(table.view.count)).root_census
     t2 = _clock()
@@ -66,7 +73,7 @@ def run_build_census(state: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# explore-ssync: what `repro explore --size 9 --mode ssync --kernel table
+# explore-ssync: what `repro explore --size 8 --mode ssync --kernel table
 # --workers 2` calls, minus witness extraction.
 # ---------------------------------------------------------------------------
 
@@ -74,7 +81,7 @@ def setup_explore_ssync() -> dict:
     from repro.enumeration.polyhex import enumerate_canonical_node_sets
     from repro.explore import build_transition_graph, classify  # noqa: F401
 
-    return {"roots": enumerate_canonical_node_sets(9)}
+    return {"roots": enumerate_canonical_node_sets(SIZE)}
 
 
 def run_explore_ssync(state: dict) -> dict:
@@ -99,7 +106,7 @@ def run_explore_ssync(state: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# synth-cegis: the default `repro synth --base shibata-visibility2` run.
+# synth-cegis: `repro synth --base shibata-visibility2 --max-iterations 1`.
 # ---------------------------------------------------------------------------
 
 def setup_synth_cegis() -> dict:
@@ -112,11 +119,11 @@ def run_synth_cegis(state: dict) -> dict:
     from repro.synth import synthesize
 
     t0 = _clock()
-    # The CLI's defaults, spelled out.
+    # The CLI's defaults, spelled out, but for one CEGIS iteration.
     result = synthesize(
         base_name=ALGORITHM,
         size=7,
-        max_iterations=8,
+        max_iterations=1,
         chain_budget=600,
         max_depth=30,
         branch=6,
@@ -160,6 +167,8 @@ def main(argv) -> int:
         record.update(run(state))
         record["work_end"] = _clock()
         record.update(_counters())
+    if _probe is not None:
+        _probe.stop()
     tracer.dump()
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(record, handle)

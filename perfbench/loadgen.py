@@ -3,7 +3,7 @@
 Usage (from ``run.py``)::
 
     python perfbench/loadgen.py --port P --seed S --rates 150,300,330,... \
-        --out result.json [--stop-at-failure]
+        --out result.json
 
 Requests arrive as a seeded Poisson process at each offered rate and go out
 over two keep-alive connections.  Each request is timed from the moment it
@@ -224,8 +224,7 @@ async def run_step(port: int, rate: float, rng: random.Random, inputs: Dict,
     return step
 
 
-async def run_ladder(port: int, seed: int, rates: List[float], stop_at_failure: bool,
-                     algorithms: List[str]) -> Dict:
+async def run_ladder(port: int, seed: int, rates: List[float], algorithms: List[str]) -> Dict:
     inputs = make_inputs(seed, algorithms)
     rng = random.Random(seed * 7919 + 1)
     steps = []
@@ -234,7 +233,7 @@ async def run_ladder(port: int, seed: int, rates: List[float], stop_at_failure: 
         steps.append(step)
         # r1 and r2 always run (their latencies are metrics); the ladder
         # above r2 ends at its first failing step, r2 included.
-        if stop_at_failure and index >= 1 and not step["passed"]:
+        if index >= 1 and not step["passed"]:
             break
     return {"steps": steps}
 
@@ -246,11 +245,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rates", required=True)
     parser.add_argument("--algorithms", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--stop-at-failure", action="store_true")
     args = parser.parse_args(argv)
     rates = [float(r) for r in args.rates.split(",")]
     result = asyncio.run(
-        run_ladder(args.port, args.seed, rates, args.stop_at_failure, args.algorithms.split(","))
+        run_ladder(args.port, args.seed, rates, args.algorithms.split(","))
     )
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result, handle)

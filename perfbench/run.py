@@ -2,13 +2,14 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload build-census --seed 1 --seconds 30 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload build-census --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 0
 
 Every rep of a batch workload runs in a fresh child process (``child.py``)
-against the checkout's ``src``; ``serve-mixed`` starts ``python -m repro
-serve`` and drives it from a separate load-generator process
-(``loadgen.py``).  The last line of standard output is one JSON object with
+against the checkout's ``src``; ``serve-mixed`` starts the CLI's ``serve``
+entry point (through ``serve_launcher.py``) and drives it from a separate
+load-generator process (``loadgen.py``).  ``speed.py`` explains why most
+times are reported at probe speed.  The last line of standard output is one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``: the end-to-end metrics
 with ``--trace 0``, the per-layer metrics of a traced run with ``--trace 1``.
 The lines before it name every metric with its unit, and a traced run prints
@@ -32,6 +33,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 import harness
+import speed
 import tracer as tracer_module
 from loadgen import LATENCY_LIMIT_MS
 
@@ -46,19 +48,27 @@ CHILD_TIMEOUT_S = 170.0
 
 #: Extra set-up-only children per untraced run, on top of each rep's own
 #: set-up, so ``setup_s`` is a median of several start-ups.
-EXTRA_SETUPS = {"build-census": 2, "explore-ssync": 1, "synth-cegis": 4, "serve-mixed": 1}
+EXTRA_SETUPS = {"build-census": 2, "explore-ssync": 2, "synth-cegis": 3, "serve-mixed": 4}
+
+#: Rows per shard of the build-census store: five shards at n=8, so the
+#: multi-shard paths run as they do at n=10.
+SHARD_ROWS = 4096
+
+#: ``algorithm.compute`` calls of one n=8 table build.
+COMPUTE_CALLS_N8 = 12381
 
 #: What every rep must compute (work-equality): identical on every rep,
 #: traced or not.  ``compute_calls`` is the program's own
 #: ``decision_cache.misses`` counter, which every table build bumps once per
 #: ``algorithm.compute`` call.
 EXPECTED_WORK = {
-    "build-census": {"shapes": 77359, "compute_calls": 26112},
-    "explore-ssync": {"shapes": 77359, "compute_calls": 26112, "vertices": 77359, "edges": 232375},
-    "synth-cegis": {"candidates": 662, "explores": 306},
+    "build-census": {"shapes": 16689, "compute_calls": COMPUTE_CALLS_N8},
+    "explore-ssync": {"shapes": 16689, "compute_calls": COMPUTE_CALLS_N8,
+                      "vertices": 16689, "edges": 42407},
+    "synth-cegis": {"candidates": 309, "explores": 117},
 }
-SYNTH_RESULT = {"final_ok": 3223, "extend_rules": 42, "validated": True,
-                "ruleset_sha256": "2e044112c13ab19a214e3480c36dd64ad304d9c97af498d08614cb959aa457bd"}
+SYNTH_RESULT = {"final_ok": 2652, "extend_rules": 7, "validated": True,
+                "ruleset_sha256": "a1fd7d748d596ae8c036034d416c42cc2a1f68049b4bdbc25d9f71a2eb442926"}
 
 R1, R2 = 150.0, 300.0
 LADDER_CEILING = 4000.0
@@ -111,15 +121,20 @@ class Child:
             self.wait(10.0)
 
 
-def child_env(tmp: str, table_cache: Optional[str], trace_dir: Optional[str]) -> Dict[str, str]:
+def child_env(tmp: str, table_cache: Optional[str], trace_dir: Optional[str],
+              probe_dir: Optional[str] = None) -> Dict[str, str]:
     env = {k: v for k, v in os.environ.items()
-           if k not in ("REPRO_TABLE_CACHE", tracer_module.TRACE_DIR_ENV, "PYTHONPATH")}
+           if k not in ("REPRO_TABLE_CACHE", "REPRO_TABLE_SHARD_ROWS", speed.PROBE_DIR_ENV,
+                        tracer_module.TRACE_DIR_ENV, "PYTHONPATH")}
     env["PYTHONPATH"] = SRC
     env["TMPDIR"] = tmp
     if table_cache is not None:
         env["REPRO_TABLE_CACHE"] = table_cache
+        env["REPRO_TABLE_SHARD_ROWS"] = str(SHARD_ROWS)
     if trace_dir is not None:
         env[tracer_module.TRACE_DIR_ENV] = trace_dir
+    if probe_dir is not None:
+        env[speed.PROBE_DIR_ENV] = probe_dir
     return env
 
 
@@ -141,21 +156,21 @@ def log_tail(path: str, limit: int = 800) -> str:
 
 def check_batch(workload: str, record: Dict) -> List[str]:
     """Correctness and work-equality problems of one rep's record."""
-    from repro.analysis.census_pins import PINNED_CENSUS_N9
+    from repro.analysis.census_pins import PINNED_CENSUS_N8
 
     out = record["outputs"]
     counters = record["counters"]
     problems = []
     work = {"compute_calls": counters.get("decision_cache.misses", 0)}
     if workload == "build-census":
-        want = PINNED_CENSUS_N9[(ALGORITHM, "fsync")]
+        want = PINNED_CENSUS_N8[(ALGORITHM, "fsync")]
         if out["census"] != want:
-            problems.append(f"n=9 FSYNC census {out['census']} != pinned {want}")
+            problems.append(f"n=8 FSYNC census {out['census']} != pinned {want}")
         work["shapes"] = out["rows"]
     elif workload == "explore-ssync":
-        want = PINNED_CENSUS_N9[(ALGORITHM, "ssync")]
+        want = PINNED_CENSUS_N8[(ALGORITHM, "ssync")]
         if out["census"] != want:
-            problems.append(f"n=9 SSYNC census {out['census']} != pinned {want}")
+            problems.append(f"n=8 SSYNC census {out['census']} != pinned {want}")
         work.update(shapes=out["roots"], vertices=out["vertices"], edges=out["edges"])
     else:
         work.update(candidates=out["candidates"], explores=out["explores"])
@@ -174,8 +189,9 @@ def run_batch_child(workload: str, work_dir: str, index: int, setup_only: bool,
     rep_dir = os.path.join(work_dir, f"rep{index}")
     tmp = os.path.join(rep_dir, "tmp")
     cache = os.path.join(rep_dir, "table-cache")
-    os.makedirs(tmp)
-    os.makedirs(cache)
+    probe_dir = os.path.join(rep_dir, "probe")
+    for directory in (tmp, cache, probe_dir):
+        os.makedirs(directory)
     out_path = os.path.join(rep_dir, "result.json")
     cmd = [sys.executable, os.path.join(BENCH_DIR, "child.py"), workload, out_path]
     if setup_only:
@@ -183,7 +199,7 @@ def run_batch_child(workload: str, work_dir: str, index: int, setup_only: bool,
     before = shm_segments()
     child = Child(
         cmd,
-        child_env(tmp, cache if workload == "build-census" else None, trace_dir),
+        child_env(tmp, cache if workload == "build-census" else None, trace_dir, probe_dir),
         os.path.join(rep_dir, "log.txt"),
     )
     status = child.wait(CHILD_TIMEOUT_S)
@@ -194,11 +210,13 @@ def run_batch_child(workload: str, work_dir: str, index: int, setup_only: bool,
     else:
         with open(out_path, encoding="utf-8") as handle:
             record = json.load(handle)
-        record["setup_s"] = record["ready_at"] - child.spawned_at
+        record["setup_wall_s"] = record["ready_at"] - child.spawned_at
         record["peak_rss_mb"] = child.maxrss_kb / 1024.0
         record["cpu_s"] = child.cpu_s
         if not setup_only:
+            record["latency_wall_s"] = sum(record["timings"].values())
             problems += check_batch(workload, record)
+        at_probe_speed(record, speed.load_samples(probe_dir))
     leaked = shm_segments() - before
     if leaked:
         problems.append(f"leaked shared-memory segments: {sorted(leaked)}")
@@ -206,8 +224,22 @@ def run_batch_child(workload: str, work_dir: str, index: int, setup_only: bool,
     return record, problems
 
 
+def at_probe_speed(record: Dict, samples: List[Tuple[float, float]]) -> None:
+    """The rep's reported ``setup_s`` and ``latency_s``: its wall times at
+    probe speed (``speed.py``), each scaled by the samples of every process
+    of the rep taken while it ran."""
+    setup_spin = speed.median_between(samples, float("-inf"), record["ready_at"])
+    record["setup_s"] = speed.scale(record["setup_wall_s"], setup_spin)
+    record["spin_s"] = setup_spin
+    if "work_end" in record:
+        work_spin = speed.median_between(samples, record["ready_at"], record["work_end"])
+        record["latency_s"] = speed.scale(record["latency_wall_s"], work_spin)
+        record["spin_s"] = work_spin
+
+
 def run_batch(workload: str, seconds: float, trace: bool, work_dir: str) -> Dict:
-    setups: List[float] = []
+    """Children one after another."""
+    setups: List[Dict] = []
     reps: List[Dict] = []
     problems: List[str] = []
     attempted = failed = 0
@@ -222,7 +254,7 @@ def run_batch(workload: str, seconds: float, trace: bool, work_dir: str) -> Dict
             failed += 1
             problems.extend(issues)
             return None
-        setups.append(record["setup_s"])
+        setups.append(record)
         return record
 
     if not trace:
@@ -240,26 +272,32 @@ def run_batch(workload: str, seconds: float, trace: bool, work_dir: str) -> Dict
         return {"setups": setups, "reps": reps, "problems": problems,
                 "attempted": attempted, "failed": failed}
 
+    # An untraced rep right before the traced one: the tracing overhead.
+    untraced = one(False)
     trace_dir = os.path.join(work_dir, "spans")
     os.makedirs(trace_dir)
     record = one(False, trace_dir)
-    if record is not None:
+    if record is not None and untraced is not None:
         reps.append(record)
     return {"setups": setups, "reps": reps, "problems": problems, "attempted": attempted,
-            "failed": failed, "trace_dir": trace_dir}
+            "failed": failed, "trace_dir": trace_dir, "untraced": untraced}
 
 
 def batch_metrics(result: Dict) -> Tuple[Dict, List[Tuple[str, float, str]]]:
-    reps = result["reps"]
+    reps, setups = result["reps"], result["setups"]
     lines: List[Tuple[str, float, str]] = []
-    setup = statistics.median(result["setups"])
-    peak = max([r["peak_rss_mb"] for r in reps])
-    latency = statistics.median([sum(r["timings"].values()) * 1e3 for r in reps])
+    setup = statistics.median([r["setup_s"] for r in setups])
+    peak = statistics.median([r["peak_rss_mb"] for r in reps])
+    latency = statistics.median([r["latency_s"] for r in reps]) * 1e3
     lines.append(("setup_s", setup, "s"))
+    lines.append(("latency_ms", latency, "ms"))
     lines.append(("peak_rss_mb", peak, "MB"))
     lines.append(("error_rate", harness.error_rate(result["attempted"], result["failed"]), "ratio"))
+    # As measured: the wall times a user of this host saw.
+    lines.append(("setup_wall_s", statistics.median([r["setup_wall_s"] for r in setups]), "s"))
     for key in reps[0]["timings"]:
         lines.append((key, statistics.median([r["timings"][key] for r in reps]), "s"))
+    lines.append(("probe_spin_us", statistics.median([r["spin_s"] for r in reps]) * 1e6, "us"))
     lines.append(("reps", len(reps), "count"))
     metrics = {
         "setup_s": (setup, "s"),
@@ -290,24 +328,29 @@ def http_get(port: int, path: str, timeout: float = 5.0) -> Tuple[int, bytes]:
 
 
 class Server:
-    """``python -m repro serve`` (or the traced launcher) in its own process."""
+    """``python -m repro serve``, entered through ``serve_launcher.py``, in its
+    own process.
+
+    The launcher samples the host's speed (``speed.py``) until ``wait_ready``
+    signals it with SIGUSR1, so ``setup_s`` can be reported at probe speed
+    and no sample interrupts the server under load.
+    """
 
     def __init__(self, work_dir: str, name: str, trace_dir: Optional[str]) -> None:
         self.port = free_port()
-        tmp = os.path.join(work_dir, name)
-        os.makedirs(tmp)
-        if trace_dir is None:
-            cmd = [sys.executable, "-m", "repro", "serve", "--port", str(self.port)]
-        else:
-            cmd = [sys.executable, os.path.join(BENCH_DIR, "serve_launcher.py"),
-                   "serve", "--port", str(self.port)]
+        self.tmp = tmp = os.path.join(work_dir, name)
+        self.probe_dir = os.path.join(tmp, "probe")
+        os.makedirs(self.probe_dir)
+        cmd = [sys.executable, os.path.join(BENCH_DIR, "serve_launcher.py"),
+               "serve", "--port", str(self.port)]
         self.log_path = os.path.join(tmp, "log.txt")
         self.shm_before = shm_segments()
-        self.child = Child(cmd, child_env(tmp, None, trace_dir), self.log_path)
+        self.child = Child(cmd, child_env(tmp, None, trace_dir, self.probe_dir), self.log_path)
         self.health: Dict = {}
+        self.ready_at = 0.0
 
-    def wait_ready(self, timeout: float = 120.0) -> float:
-        """Seconds from spawn to the first ``/healthz`` 200."""
+    def wait_ready(self, timeout: float = 120.0) -> None:
+        """Wait for the first ``/healthz`` 200, then end the launcher's probe."""
         deadline = _clock() + timeout
         while _clock() < deadline:
             if self.child.proc.poll() is not None:
@@ -318,9 +361,10 @@ class Server:
                 time.sleep(0.01)
                 continue
             if status == 200:
-                ready = _clock()
+                self.ready_at = _clock()
                 self.health = json.loads(body)
-                return ready - self.child.spawned_at
+                self.child.proc.send_signal(signal.SIGUSR1)
+                return
             time.sleep(0.01)
         raise RuntimeError("no /healthz 200 within the timeout")
 
@@ -338,71 +382,85 @@ class Server:
         return problems
 
 
+def drive(server: Server, seed: int, rates: List[float]) -> List[Dict]:
+    """Run the load generator against ``server`` over ``rates``; its steps."""
+    out_path = os.path.join(server.tmp, "load.json")
+    log_path = os.path.join(server.tmp, "loadgen.txt")
+    cmd = [sys.executable, os.path.join(BENCH_DIR, "loadgen.py"),
+           "--port", str(server.port), "--seed", str(seed),
+           "--rates", ",".join(f"{r:g}" for r in rates),
+           "--algorithms", ",".join(server.health["algorithms"]),
+           "--out", out_path]
+    generator = Child(cmd, child_env(server.tmp, None, None), log_path)
+    if generator.wait(CHILD_TIMEOUT_S - 20) != 0:
+        raise RuntimeError(f"load generator failed: {log_tail(log_path)}")
+    with open(out_path, encoding="utf-8") as handle:
+        return json.load(handle)["steps"]
+
+
 def run_serve(seed: int, trace: bool, work_dir: str) -> Dict:
-    setups: List[float] = []
-    problems: List[str] = []
-    attempted = failed = 0
-    servers: List[Server] = []
-    try:
-        if not trace:
-            for i in range(EXTRA_SETUPS["serve-mixed"]):
-                server = Server(work_dir, f"setup{i}", None)
-                servers.append(server)
-                attempted += 1
-                setups.append(server.wait_ready())
-                issues = server.stop()
-                failed += bool(issues)
-                problems += issues
-        trace_dir = None
-        if trace:
-            trace_dir = os.path.join(work_dir, "spans")
-            os.makedirs(trace_dir)
-        server = Server(work_dir, "main", trace_dir)
-        servers.append(server)
-        attempted += 1
-        setups.append(server.wait_ready())
-        rates = [R1, R2] if trace else [R1, R2] + harness.ladder_rates(R2, LADDER_CEILING)
-        out_path = os.path.join(work_dir, "load.json")
-        cmd = [sys.executable, os.path.join(BENCH_DIR, "loadgen.py"),
-               "--port", str(server.port), "--seed", str(seed),
-               "--rates", ",".join(f"{r:g}" for r in rates),
-               "--algorithms", ",".join(server.health["algorithms"]),
-               "--out", out_path]
-        if not trace:
-            cmd.append("--stop-at-failure")
-        generator = Child(cmd, child_env(os.path.join(work_dir, "main"), None, None),
-                          os.path.join(work_dir, "loadgen.txt"))
-        if generator.wait(CHILD_TIMEOUT_S - 20) != 0:
-            raise RuntimeError(f"load generator failed: "
-                               f"{log_tail(os.path.join(work_dir, 'loadgen.txt'))}")
-        with open(out_path, encoding="utf-8") as handle:
-            steps = json.load(handle)["steps"]
-        status, body = http_get(server.port, "/v1/telemetry")
-        telemetry = json.loads(body) if status == 200 else {}
-        issues = server.stop()
-        failed += bool(issues)
-        problems += issues
-    finally:
-        for server in servers:
+    """Server sessions one after another; a session that fails ends the run.
+
+    Untraced: set-up-only starts, then one session over r1, r2 and the
+    ladder.  Traced: an untraced session over r1 and r2, then a traced one,
+    back to back, so the tracing overhead compares runs of the same seed.
+    """
+    result: Dict = {"setups": [], "steps": [], "untraced_steps": [], "problems": [],
+                    "attempted": 0, "failed": 0, "telemetry": {}, "peak_rss_mb": 0.0,
+                    "trace_dir": None}
+    if trace:
+        result["trace_dir"] = os.path.join(work_dir, "spans")
+        os.makedirs(result["trace_dir"])
+        plan = [("untraced", [R1, R2], None), ("traced", [R1, R2], result["trace_dir"])]
+    else:
+        plan = [(f"setup{i}", [], None) for i in range(EXTRA_SETUPS["serve-mixed"])]
+        plan.append(("main", [R1, R2] + harness.ladder_rates(R2, LADDER_CEILING), None))
+    for name, rates, trace_dir in plan:
+        result["attempted"] += 1
+        server = Server(work_dir, name, trace_dir)
+        steps: List[Dict] = []
+        try:
+            server.wait_ready()
+            if rates:
+                steps = drive(server, seed, rates)
+                status, body = http_get(server.port, "/v1/telemetry")
+                result["telemetry"] = json.loads(body) if status == 200 else {}
+            issues = server.stop()
+        except (RuntimeError, OSError, ValueError) as exc:
+            issues = [f"server session {name}: {exc}"]
+        finally:
             server.child.kill()
-    for step in steps:
-        attempted += step["sent"]
-        failed += step["failed"]
-        problems += [f"rate {step['rate']:g}: {f}" for f in step["failures"]]
-    return {"setups": setups, "steps": steps, "problems": problems, "attempted": attempted,
-            "failed": failed, "telemetry": telemetry, "peak_rss_mb": server.child.maxrss_kb / 1024.0,
-            "trace_dir": trace_dir}
+        for step in steps:
+            result["attempted"] += step["sent"]
+            result["failed"] += step["failed"]
+            result["problems"] += [f"rate {step['rate']:g}: {f}" for f in step["failures"]]
+        if issues:
+            result["failed"] += 1
+            result["problems"] += issues
+            break
+        # The probe's samples are all written once the server has exited.
+        samples = speed.load_samples(server.probe_dir)
+        wall = server.ready_at - server.child.spawned_at
+        setup_spin = speed.median_between(samples, float("-inf"), server.ready_at)
+        result["setups"].append((speed.scale(wall, setup_spin), wall))
+        if rates:
+            result["untraced_steps" if name == "untraced" else "steps"] = steps
+            result["peak_rss_mb"] = server.child.maxrss_kb / 1024.0
+    return result
 
 
 def serve_metrics(result: Dict) -> Tuple[Dict, List[Tuple[str, float, str]]]:
     steps = result["steps"]
     r1, r2 = steps[0], steps[1]
-    setup = statistics.median(result["setups"])
+    setup = statistics.median([scaled for scaled, _ in result["setups"]])
+    latency = r1["verify_p50_ms"]
     # The ladder starts at r2; r1 is a fixed light-load point outside it.
     max_rate = harness.max_passing_rate(steps[1:], LATENCY_LIMIT_MS) or 0.0
     lines = [
         ("setup_s", setup, "s"),
+        ("latency_ms", latency, "ms"),
         ("peak_rss_mb", result["peak_rss_mb"], "MB"),
+        ("setup_wall_s", statistics.median([wall for _, wall in result["setups"]]), "s"),
         ("error_rate", harness.error_rate(result["attempted"], result["failed"]), "ratio"),
         ("verify_p50_ms.r1", r1["verify_p50_ms"], "ms"),
         (f"verify_p{r1['verify_tail_p']:g}_ms.r1", r1["verify_tail_ms"], "ms"),
@@ -414,7 +472,7 @@ def serve_metrics(result: Dict) -> Tuple[Dict, List[Tuple[str, float, str]]]:
     ]
     metrics = {
         "setup_s": (setup, "s"),
-        "latency_ms": (r1["verify_p50_ms"], "ms"),
+        "latency_ms": (latency, "ms"),
         "peak_rss_mb": (result["peak_rss_mb"], "MB"),
     }
     return metrics, lines
@@ -552,11 +610,11 @@ def layer_values(spans, aggregates, counters: Dict, gauges: Dict, client: Dict) 
 
 def print_stage_table(title: str, spans: List[tuple], aggregates: Dict,
                       window: Optional[Tuple[int, float, float]], traced_s: float,
-                      overhead: Tuple[str, float, Optional[float]]) -> None:
+                      overhead: Tuple[str, float, float]) -> None:
     """Per span name: calls, total, self; then how the stages add up.
 
     ``traced_s`` is the traced end-to-end time the shares refer to;
-    ``overhead`` is (what is compared, traced value, untraced median).
+    ``overhead`` is (what is compared, traced value, untraced value).
     """
     totals = harness.layer_totals(spans)
     print(f"\nstage table: {title}")
@@ -575,32 +633,12 @@ def print_stage_table(title: str, spans: List[tuple], aggregates: Dict,
               "core.runner.chunk_wait and are not added to the total.")
     what, traced_value, untraced_value = overhead
     calls = len(spans) + sum(int(c) for c, _ in aggregates.values())
-    if untraced_value is not None:
-        delta = traced_value - untraced_value
-        print(f"tracing overhead on {what}: traced {traced_value:.4f} s - untraced "
-              f"{untraced_value:.4f} s = {delta:+.4f} s ({100.0 * delta / untraced_value:+.1f}%); "
-              f"the stages account for the untraced median up to this gap, which is the "
-              f"cost of {calls} wrapped calls plus run-to-run noise")
-    else:
-        print("no untraced run of this workload recorded in this checkout yet: "
-              "tracing overhead not computed")
-
-
-def state_path(workload: str) -> str:
-    return os.path.join(WORK_ROOT, f"untraced-{workload}.json")
-
-
-def save_untraced(workload: str, value: float) -> None:
-    with open(state_path(workload), "w", encoding="utf-8") as handle:
-        json.dump({"end_to_end_s": value}, handle)
-
-
-def load_untraced(workload: str) -> Optional[float]:
-    try:
-        with open(state_path(workload), encoding="utf-8") as handle:
-            return float(json.load(handle)["end_to_end_s"])
-    except (OSError, ValueError, KeyError):
-        return None
+    delta = traced_value - untraced_value
+    print(f"tracing overhead on {what}: traced {traced_value:.4f} s - untraced "
+          f"{untraced_value:.4f} s (run right before it) = {delta:+.4f} s "
+          f"({100.0 * delta / untraced_value:+.1f}%); the stages account for the untraced "
+          f"time up to this gap, which is the cost of {calls} wrapped calls plus "
+          "run-to-run noise")
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +675,10 @@ def _run_workload(workload: str, seed: int, seconds: float, trace: bool, work_di
            "failed": result["failed"] if complete else max(1, result["failed"]), "metrics": {}}
     if not complete:
         return out
-    if workload == "serve-mixed":
-        metrics, lines = serve_metrics(result)
-        end_to_end_s = result["steps"][1]["verify_p50_ms"] / 1e3
-    else:
-        metrics, lines = batch_metrics(result)
-        end_to_end_s = metrics["latency_ms"][0] / 1e3
     if not trace:
+        metrics, lines = (serve_metrics if workload == "serve-mixed" else batch_metrics)(result)
         for name, value, unit in lines:
             print(f"metric {name} = {value:.6g} {unit}")
-        if correct:
-            save_untraced(workload, end_to_end_s)
         out["metrics"] = {name: {"value": value, "unit": unit}
                           for name, (value, unit) in metrics.items()}
         return out
@@ -673,13 +704,15 @@ def _run_workload(workload: str, seed: int, seconds: float, trace: bool, work_di
         print(f"\nclient-observed latency, summed over {client['sent']} requests: {traced_s:.4f} s; "
               f"server-side request spans {server_request:.4f} s; the rest is network, client "
               "queueing and the generator")
-        overhead = ("verify p50 at r2", end_to_end_s, load_untraced(workload))
+        overhead = ("verify p50 at r2", steps[1]["verify_p50_ms"] / 1e3,
+                    result["untraced_steps"][1]["verify_p50_ms"] / 1e3)
     else:
         record = result["reps"][0]
         counters, gauges, client = record["counters"], record["gauges"], {}
         window = (record["pid"], record["ready_at"], record["work_end"])
-        traced_s = end_to_end_s
-        overhead = ("end-to-end rep time", end_to_end_s, load_untraced(workload))
+        traced_s = sum(record["timings"].values())
+        overhead = ("end-to-end rep time at probe speed", record["latency_s"],
+                    result["untraced"]["latency_s"])
     values = layer_values(spans, aggregates, counters, gauges, client)
     unit_of = {metric: unit for metric, _, _, unit in LAYER_METRICS}
     print_stage_table(workload, spans, aggregates, window, traced_s, overhead)

@@ -163,6 +163,26 @@ def test_error_rate_accounting():
         harness.error_rate(5, 6)
 
 
+# ------------------------------------------------------ host-speed scaling
+
+def test_scaling_divides_by_the_spin_time():
+    import speed
+
+    at_nominal = speed.NOMINAL_S
+    assert speed.scale(2.0, at_nominal) == pytest.approx(2.0)
+    # A host running at half speed doubles both the rep and the spin.
+    assert speed.scale(4.0, 2 * at_nominal) == pytest.approx(2.0)
+
+
+def test_spin_median_takes_only_the_samples_in_its_window():
+    import speed
+
+    samples = [(0.0, 9.0), (1.0, 1.0), (2.0, 3.0), (3.0, 2.0), (4.0, 9.0)]
+    assert speed.median_between(samples, 1.0, 3.0) == 2.0
+    with pytest.raises(ValueError):
+        speed.median_between(samples, 5.0, 6.0)
+
+
 # ------------------------------------------------------- the metric contract
 
 def test_result_line_metrics_match_benchmark_json():
