@@ -7,10 +7,10 @@ endpoint — verify, sweep, census, witness, the WebSocket stream and the
 telemetry snapshot — validating each response against the wire schemas of
 :mod:`repro.serve.protocol` and the telemetry document against
 :func:`repro.obs.validate_telemetry`, then sends SIGTERM and asserts a clean
-drain: exit code 0 and zero leaked ``/dev/shm/repro_tbl_*`` segments.
+drain: exit code 0 and zero leaked ``/dev/shm/repro_tbl_*`` table stores.
 
 Exit code 0 = every check passed.  Any schema problem, unexpected status,
-hung shutdown or leaked segment exits 1 with the problems listed.
+hung shutdown or leaked table store exits 1 with the problems listed.
 
 Usage::
 
@@ -167,7 +167,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         problems.append(f"server exited {proc.returncode}: {stderr[-2000:]}")
     leaked = sorted(set(glob.glob("/dev/shm/repro_tbl_*")) - shm_before)
     if leaked:
-        problems.append(f"leaked shared-memory segments: {leaked}")
+        problems.append(f"leaked /dev/shm table stores: {leaked}")
 
     if problems:
         print("service-smoke FAILED:")
@@ -175,7 +175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  - {problem}")
         return 1
     print("service-smoke: every endpoint answered with a valid schema, "
-          "shutdown drained cleanly, no shared memory leaked")
+          "shutdown drained cleanly, no /dev/shm table store leaked")
     return 0
 
 

@@ -37,7 +37,7 @@ Subcommands
     (:mod:`repro.serve`) that builds the successor tables once at startup
     and answers ``/v1/verify``, ``/v1/sweep``, ``/v1/census``,
     ``/v1/witness`` and ``/v1/stream`` queries from them — multiple
-    ``--workers`` attach to one shared-memory copy of the tables.
+    ``--workers`` map one copy of the tables.
 
 Every subcommand documents its exit codes in ``--help``; JSON-producing
 subcommands accept ``--output FILE`` so machine-readable reports never
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="packed",
         choices=("packed", "reference", "table"),
         help="simulation kernel: table = vectorized successor-table sweep "
-        "(byte-identical, fastest; requires numpy)",
+        "(byte-identical, fastest)",
     )
     p_verify.add_argument(
         "--decision-cache",
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "packed", "table"),
         help="verification/replay kernel: table evaluates every candidate "
         "on the vectorized successor table with delta-aware invalidation; "
-        "auto picks table when numpy is available (default)",
+        "auto picks table (default)",
     )
     p_synth.add_argument(
         "--no-ssync-validate",
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="server processes sharing the port via SO_REUSEPORT; tables are "
-        "built once and published through shared memory (default 1)",
+        "built once and shared as memory-mapped table stores (default 1)",
     )
     p_serve.add_argument(
         "--batch-window",
@@ -440,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--table-cache",
         default=None,
         metavar="DIR",
-        help="directory of save_tables/load_tables .npz round-trips; warm "
-        "starts load arrays instead of rebuilding (also: REPRO_TABLE_CACHE)",
+        help="directory of table stores; warm starts map the stored arrays "
+        "instead of rebuilding (also: REPRO_TABLE_CACHE)",
     )
 
     return parser

@@ -5,8 +5,7 @@ Both SSYNC expansion paths — the packed expander in
 :meth:`~repro.core.table_kernel.SuccessorTable.expand_row` — enumerate the
 non-empty activation subsets of a vertex's mover set and keep the first edge
 reaching each successor.  The subset *order* is therefore part of the graph's
-byte-identity contract, so it lives here, once, with no dependencies (the
-packed path must work without numpy).
+byte-identity contract, so it lives here, once, with no dependencies.
 """
 from __future__ import annotations
 

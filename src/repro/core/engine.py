@@ -73,15 +73,12 @@ KERNELS = ("packed", "reference", "table")
 
 
 def default_kernel() -> str:
-    """The fastest kernel available in this process.
+    """The fastest kernel: ``"table"``, the vectorized successor-table kernel.
 
-    ``"table"`` (the vectorized successor-table kernel,
-    :mod:`repro.core.table_kernel`) when NumPy is importable, ``"packed"``
-    otherwise — both are byte-identical for deterministic algorithms.
+    See :mod:`repro.core.table_kernel`; it is byte-identical to ``"packed"``
+    for deterministic algorithms.
     """
-    import importlib.util
-
-    return "table" if importlib.util.find_spec("numpy") else "packed"
+    return "table"
 
 _NEIGHBOR_DELTAS: Tuple[Tuple[int, int], ...] = tuple(d.value for d in Direction)
 
@@ -397,46 +394,29 @@ def run_execution(
         # per-algorithm successor-table build.  A *single* execution only
         # triggers a build up to the paper's seven-robot space: at n>=8 the
         # build costs far more than one run, so the table path is taken there
-        # only when a batch caller (runner, explorer, shared-memory attach)
-        # already materialized the table on this algorithm instance.
+        # only when a batch caller (runner, explorer, table attach) already
+        # materialized the table — in RAM or as a shard store — on this
+        # algorithm instance.
         from .table_kernel import (
             GATHERING_SIZE,
+            scoped_table,
             successor_table,
             table_in_scope,
             view_table,
         )
 
         size = len(initial.nodes)
-        if require_connectivity and table_in_scope(size):
-            tables = getattr(algorithm, "_successor_tables", None)
-            table = tables.get(size) if tables else None
-            if table is not None:
-                row = table.view.row_of_nodes(initial.nodes)
-                if row is not None:
-                    return _run_execution_table(
-                        initial, algorithm, scheduler, max_rounds, record_rounds, table, row
-                    )
-            elif size <= GATHERING_SIZE:
+        if require_connectivity:
+            table = scoped_table(algorithm, size, build=False)
+            row = None if table is None else table.view.row_of_nodes(initial.nodes)
+            if table is None and size <= GATHERING_SIZE and table_in_scope(size):
                 row = view_table(size, algorithm.visibility_range).row_of_nodes(initial.nodes)
                 if row is not None:
                     table = successor_table(algorithm, size)
-                    return _run_execution_table(
-                        initial, algorithm, scheduler, max_rounds, record_rounds, table, row
-                    )
-        elif require_connectivity:
-            # The disk tier past the in-RAM bound: a single execution never
-            # triggers a 20-second shard build, but when a batch caller (the
-            # runner's chunk executor, a worker attach) already opened the
-            # shard store on this algorithm instance, execution streams from
-            # it exactly like the in-RAM table.
-            sharded = getattr(algorithm, "_sharded_tables", None)
-            table = sharded.get(size) if sharded else None
-            if table is not None:
-                row = table.view.row_of_nodes(initial.nodes)
-                if row is not None:
-                    return _run_execution_table(
-                        initial, algorithm, scheduler, max_rounds, record_rounds, table, row
-                    )
+            if row is not None:
+                return _run_execution_table(
+                    initial, algorithm, scheduler, max_rounds, record_rounds, table, row
+                )
     return _run_execution_packed(
         initial, algorithm, scheduler, max_rounds, record_rounds, require_connectivity
     )

@@ -198,14 +198,14 @@ def _execute_chunk(payload: _ChunkPayload) -> Tuple[List[ConfigurationResult], D
     parallel counter totals stay exact across process boundaries.
 
     The payload carries only picklable primitives (names, specs, node tuples
-    and shared-table handles); the algorithm is resolved through the
+    and table handles); the algorithm is resolved through the
     per-process registry and the scheduler rebuilt per chunk.  With a
     ``cache_dir`` the worker adopts the shared on-disk decision cache before
     executing and merges its new decisions back afterwards, so parallel
-    workers stop recomputing each other's Look–Compute table.  Shared-table
-    handles (``kernel="table"``) are attached once per process: every chunk
-    then answers from the parent's successor table instead of re-simulating
-    or rebuilding per worker.
+    workers stop recomputing each other's Look–Compute table.  Table handles
+    (``kernel="table"``) are attached once per process: every chunk then
+    answers from the parent's successor table instead of re-simulating or
+    rebuilding per worker.
     """
     chunk_start = time.perf_counter()
     algorithm_name, scheduler_spec, node_tuples, max_rounds, kernel, cache_dir, handles = payload
@@ -253,20 +253,15 @@ def _table_batch_results(
 
     One table build and one memoized functional-graph traversal answer every
     configuration at once (:mod:`repro.core.table_kernel`); sizes past the
-    in-RAM bound but within :func:`~repro.core.table_kernel.sharded_in_scope`
-    answer from the disk tier (:mod:`repro.core.sharded_tables`) — this is
-    the batch path the n=10 census rides.  Items outside both scopes
-    (disconnected, or beyond every bound) fall back to a per-item packed
-    execution.  Results are byte-identical to :func:`execute_configuration`
-    in input order.
+    in-RAM bound answer from the disk tier (:mod:`repro.core.sharded_tables`)
+    — this is the batch path the n=10 census rides.  Items outside both
+    scopes (disconnected, or beyond every bound) fall back to a per-item
+    packed execution.  Results are byte-identical to
+    :func:`execute_configuration` in input order.
     """
-    from .table_kernel import (  # late: numpy gate
-        sharded_in_scope,
-        successor_table,
-        table_in_scope,
-    )
-
     import numpy as np
+
+    from .table_kernel import scoped_table  # late: avoids an import cycle
 
     node_lists: List[NodeTuple] = []
     for item in items:
@@ -282,15 +277,7 @@ def _table_batch_results(
     for position, nodes in enumerate(node_lists):
         positions_by_size.setdefault(len(nodes), []).append(position)
     for size, positions in positions_by_size.items():
-        if size > 0 and table_in_scope(size):
-            table = successor_table(algorithm, size)
-        elif size > 0 and sharded_in_scope(size):
-            from .sharded_tables import sharded_successor_table  # late: cycle
-
-            table = sharded_successor_table(algorithm, size)
-        else:
-            table = None
-        tables[size] = table
+        table = tables[size] = scoped_table(algorithm, size)
         rows = None
         if table is not None:
             # One vectorized canonical-index probe answers the whole size
@@ -470,58 +457,25 @@ def _iter_result_chunks_uncounted(
     pool = None
     published: List = []
     try:
-        handles: Tuple = ()
-        if kernel == "table" and node_tuples:
-            # Build the successor tables once in the parent (the Compute fan-out
-            # itself runs on the pool) and publish the arrays through
-            # multiprocessing.shared_memory: every worker attaches to the one
-            # table instead of rebuilding — the build is paid once per batch,
-            # not once per process.
-            from .shared_tables import publish_table  # late: numpy gate
-            from .table_kernel import (
-                sharded_in_scope,
-                successor_table,
-                table_in_scope,
+        builder = worker_algorithm(algorithm_name) if kernel == "table" else None
+        if builder is not None and builder.deterministic and node_tuples:
+            # Build the successor tables once in the parent (the Compute
+            # fan-out itself runs on the pool) and publish each as a table
+            # store: every worker maps the one table instead of rebuilding —
+            # the build is paid once per batch, not once per process.
+            from .shared_tables import publish_table  # late: avoids an import cycle
+            from .table_kernel import scoped_table
+
+            pool = multiprocessing.get_context("spawn").Pool(
+                processes=min(workers, os.cpu_count() or 1)
             )
-
-            builder = worker_algorithm(algorithm_name)
-            if getattr(builder, "deterministic", True):
-                all_sizes = {len(nodes) for nodes in node_tuples}
-                sizes = sorted(s for s in all_sizes if table_in_scope(s))
-                if sizes:
-                    pool = multiprocessing.get_context("spawn").Pool(
-                        processes=min(workers, os.cpu_count() or 1)
-                    )
-                    for table_size in sizes:
-                        table = successor_table(
-                            builder,
-                            table_size,
-                            workers=workers,
-                            pool=pool,
-                            algorithm_name=algorithm_name,
-                        )
-                        published.append(publish_table(table, algorithm_name))
-                    handles = tuple(published)
-                # Sizes past the in-RAM bound ride the disk tier: the shard
-                # store is built once in the parent and workers attach the
-                # files read-only (the page cache is the shared memory), so
-                # nothing is published into /dev/shm and nothing needs
-                # unlinking afterwards.
-                sharded_sizes = sorted(
-                    s for s in all_sizes
-                    if not table_in_scope(s) and sharded_in_scope(s)
+            for table_size in sorted({len(nodes) for nodes in node_tuples}):
+                table = scoped_table(
+                    builder, table_size, workers=workers, pool=pool,
+                    algorithm_name=algorithm_name,
                 )
-                if sharded_sizes:
-                    from .sharded_tables import (  # late: avoids an import cycle
-                        sharded_handle,
-                        sharded_successor_table,
-                    )
-
-                    for table_size in sharded_sizes:
-                        table = sharded_successor_table(builder, table_size)
-                        handles = handles + (
-                            sharded_handle(table, algorithm_name),
-                        )
+                if table is not None:
+                    published.append(publish_table(table, algorithm_name))
         payloads: List[_ChunkPayload] = [
             (
                 algorithm_name,
@@ -530,7 +484,7 @@ def _iter_result_chunks_uncounted(
                 max_rounds,
                 kernel,
                 None if cache_dir is None else str(cache_dir),
-                handles,
+                tuple(published),
             )
             for i in range(0, len(node_tuples), chunk_size)
         ]
@@ -541,8 +495,7 @@ def _iter_result_chunks_uncounted(
             yield results
     finally:
         # Deterministic cleanup even when the consumer abandons the iterator:
-        # the pool dies first (no worker still holds an attachment), then the
-        # published segments are unlinked.
+        # the pool dies first, then the private table stores are removed.
         if pool is not None:
             pool.terminate()
             pool.join()

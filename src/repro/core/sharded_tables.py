@@ -1,19 +1,32 @@
-"""Out-of-core sharded successor tables: state spaces past the RAM bound.
+"""The table store: the one on-disk format and the one cross-process sharing path.
 
-The in-RAM table kernel (:mod:`repro.core.table_kernel`) is capped by
-:func:`~repro.core.table_kernel.max_table_size` — the full
-``ViewTable``/``SuccessorTable`` pair with its lazily-built Python-side
-lookup dictionaries stops fitting the memory budget at n=10 (362,671 rows).
-This module is the disk tier above that bound: the configuration space is
-partitioned into fixed-size **shards**, the wide per-row payloads (canonical
-positions, view bitmasks, per-robot move codes) are spilled to per-shard
-``.npy`` memmap files under ``REPRO_TABLE_CACHE``, and only the narrow
-functional-graph arrays — kind / succ / mover bits / collision codes /
-gathered / diameters, ~19 bytes per row — stay resident.  Cross-shard
-successor pointers are *global* row numbers resolved during the build
-through one :class:`~repro.core.table_kernel.CanonicalIndex` over the whole
-space (hash + searchsorted + byte verify, itself memmap-backed), so the
-facade's functional graph is exactly the monolithic table's.
+A **store** is a directory of ``.npy`` files plus a ``manifest.json`` that is
+written last (atomically) and records every file's byte size.  A directory
+without a valid manifest is an aborted build; a file whose size disagrees
+with the manifest is a torn write.  Either way the store is rebuilt, never
+trusted.  Stores are built in a temporary sibling directory and renamed into
+place, so concurrent builders never touch each other's files: the first
+rename wins and the others discard their copies.
+
+Two layouts share the format:
+
+* **No shards** — an in-RAM :class:`~repro.core.table_kernel.SuccessorTable`
+  written whole (:func:`write_table_store`): every
+  :data:`~repro.core.table_kernel.VIEW_ARRAY_FIELDS` and
+  :data:`~repro.core.table_kernel.SUCC_ARRAY_FIELDS` array is one global
+  file.  ``successor_table(disk_cache=...)`` persists and reloads through it,
+  and :mod:`repro.core.shared_tables` publishes in-RAM tables to worker
+  processes as such a store.
+* **Sharded** — the out-of-core tier past the RAM bound
+  (:func:`~repro.core.table_kernel.max_table_size`, n=10 with 362,671 rows).
+  The configuration space is partitioned into fixed-size shards; the wide
+  per-row payloads (canonical positions, per-robot move codes) are per-shard
+  files, and only the narrow functional-graph arrays — kind / succ / mover
+  bits / collision codes / gathered / diameters, ~19 bytes per row — stay
+  resident.  Cross-shard successor pointers are *global* row numbers
+  resolved during the build through one
+  :class:`~repro.core.table_kernel.CanonicalIndex` over the whole space, so
+  the facade's functional graph is exactly the monolithic table's.
 
 :class:`ShardedSuccessorTable` subclasses ``SuccessorTable`` and answers the
 same API — FSYNC execution, :meth:`~SuccessorTable.batch_outcomes` sweeps,
@@ -23,14 +36,7 @@ small LRU of open memmaps, so the working set stays bounded however large
 the space is.  Byte identity with the in-RAM table for every size both tiers
 cover is property-tested (``tests/test_sharded_tables.py``).
 
-Shard directories are immutable once complete: ``manifest.json`` is written
-last (atomically), so a directory without a valid manifest is an aborted
-build and is rebuilt from scratch.  Every payload file's byte size is
-recorded in the manifest and re-checked on open — a truncated or corrupted
-file fails validation and triggers the same rebuild.  Workers attach the
-files read-only through :class:`ShardedTableHandle` (the picklable twin of
-``shared_tables.SharedTableHandle``): no copy into ``/dev/shm``, the page
-cache is the shared memory.
+Readers map the files read-only; the page cache is the shared memory.
 """
 from __future__ import annotations
 
@@ -40,12 +46,11 @@ import shutil
 import tempfile
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from ..grid.packing import pack_nodes
+from ..grid.packing import pack_nodes, unpack_nodes
 from ..obs import get_logger
 from ..obs import metrics as _obs
 from ..obs import record_span as _obs_record_span
@@ -55,28 +60,34 @@ from .table_kernel import (
     _CODE_OF,
     _MIN_DIAMETER,
     _TABLE_CACHE_ENV,
+    SUCC_ARRAY_FIELDS,
+    VIEW_ARRAY_FIELDS,
     CanonicalIndex,
     GATHERING_SIZE,
     SuccessorTable,
+    ViewTable,
     record_peak_rss,
+    register_view_table,
     sharded_max_table_size,
 )
 from .view import View
 
 _LOG = get_logger("core.sharded_tables")
 
+_T = TypeVar("_T")
+
 __all__ = [
     "DEFAULT_SHARD_ROWS",
     "SHARD_FORMAT",
     "ShardedTableError",
     "ShardedSuccessorTable",
-    "ShardedTableHandle",
     "sharded_table_dir",
+    "table_store_dir",
     "build_sharded_table",
+    "write_table_store",
     "open_sharded_table",
+    "open_table_store",
     "sharded_successor_table",
-    "attach_sharded",
-    "detach_all_sharded",
 ]
 
 #: Rows per shard.  65536 rows keep the widest per-shard payload (positions,
@@ -116,7 +127,7 @@ _SHARD_FIELDS: Tuple[Tuple[str, str], ...] = (
 
 
 class ShardedTableError(RuntimeError):
-    """A shard directory is missing, incomplete, stale or corrupt."""
+    """A store directory is missing, incomplete, stale or corrupt."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +156,9 @@ def sharded_table_dir(
 ) -> str:
     """Shard-store directory of one (algorithm fingerprint, size, shard size).
 
-    Like :func:`~repro.core.table_kernel.table_cache_file`, the name embeds
-    the algorithm's decision-cache key, so a release bump or a changed rule
-    set can never adopt stale shards; CI keys its ``actions/cache`` entry on
-    the same inputs.
+    The name embeds the algorithm's decision-cache key, so a release bump or
+    a changed rule set can never adopt stale shards; CI keys its
+    ``actions/cache`` entry on the same inputs.
     """
     from .decision_cache import cache_key  # late: avoids an import cycle
 
@@ -156,6 +166,15 @@ def sharded_table_dir(
     return os.path.join(
         _cache_root(cache_dir), f"shards-{cache_key(algorithm)}-n{size}-r{rows}"
     )
+
+
+def table_store_dir(
+    algorithm: GatheringAlgorithm, size: int, cache_dir: Optional[str] = None
+) -> str:
+    """Store directory of one in-RAM (algorithm fingerprint, size) table."""
+    from .decision_cache import cache_key  # late: avoids an import cycle
+
+    return os.path.join(_cache_root(cache_dir), f"table-{cache_key(algorithm)}-n{size}")
 
 
 def _shard_file(directory: str, shard: int, field: str) -> str:
@@ -172,6 +191,91 @@ def _save_array(path: str, array: "np.ndarray") -> None:
     with open(temporary, "wb") as handle:
         np.save(handle, np.ascontiguousarray(array))
     os.replace(temporary, path)
+
+
+def _map_array(path: str) -> "np.ndarray":
+    """A read-only view of one ``.npy`` file's memory map.
+
+    ``np.asarray`` drops the ``np.memmap`` subclass: indexing a memmap costs
+    about five times a plain array's per scalar and ten times per slice, and
+    the SSYNC expander indexes once per vertex.  The view keeps the mapping
+    alive.
+    """
+    return np.asarray(np.load(path, mmap_mode="r", allow_pickle=False))
+
+
+def _write_manifest(directory: str, **fields) -> int:
+    """Write ``manifest.json`` last and atomically; returns the payload bytes.
+
+    Its presence marks the store complete; its per-file byte sizes are the
+    corruption check.
+    """
+    files = {
+        entry: os.path.getsize(os.path.join(directory, entry))
+        for entry in sorted(os.listdir(directory))
+    }
+    manifest = dict(fields, format=SHARD_FORMAT, files=files)
+    temporary = os.path.join(directory, f"manifest.json.tmp.{os.getpid()}")
+    with open(temporary, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, sort_keys=True, indent=1)
+    os.replace(temporary, os.path.join(directory, "manifest.json"))
+    return sum(files.values())
+
+
+def _install_store(directory: str, fill: Callable[[str], _T]) -> _T:
+    """Build a store with ``fill(staging)`` in a sibling, then rename it in.
+
+    The rename is atomic, so concurrent builders of one store never see or
+    delete each other's files.  When a valid store is already in place (a
+    concurrent builder won), the staging copy is discarded; an invalid one
+    is moved aside and replaced.  Returns what ``fill`` returned.
+    """
+    parent = os.path.dirname(os.path.abspath(directory))
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=f".{os.path.basename(directory)}.", dir=parent)
+    try:
+        result = fill(staging)
+        for _ in range(8):
+            try:
+                os.rename(staging, directory)
+                return result
+            except OSError:
+                pass  # ``directory`` exists and is not empty
+            try:
+                _read_manifest(directory)
+                return result
+            except ShardedTableError:
+                aside = f"{staging}.stale"
+                try:
+                    os.rename(directory, aside)
+                except OSError:
+                    continue  # another builder moved it first
+                shutil.rmtree(aside, ignore_errors=True)
+        raise ShardedTableError(f"could not install a store at {directory}")
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def write_table_store(table: SuccessorTable, directory: str) -> str:
+    """Persist an in-RAM table as a store with no shards; returns ``directory``."""
+    vt = table.view
+
+    def fill(staging: str) -> None:
+        for field in VIEW_ARRAY_FIELDS:
+            _save_array(_global_file(staging, field), getattr(vt, field))
+        for field in SUCC_ARRAY_FIELDS:
+            _save_array(_global_file(staging, field), getattr(table, field))
+        _write_manifest(
+            staging,
+            size=vt.size,
+            visibility_range=vt.visibility_range,
+            rows=vt.count,
+            shard_rows=0,
+            shards=0,
+        )
+
+    _install_store(directory, fill)
+    return directory
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +358,49 @@ def build_sharded_table(
 
     Never constructs a ``ViewTable`` (the point is to stay out of the in-RAM
     tier's scope check) and never builds a Python-side lookup dictionary.
+    The files are written into a temporary sibling that is renamed into
+    place (see :func:`_install_store`).
     """
-    from .engine import decision_cache_for  # late: avoids an import cycle
-    from .table_kernel import resolve_rows_arrays  # late: keeps import light
-
     if not getattr(algorithm, "deterministic", True):
         raise ValueError("the table kernel requires a deterministic algorithm")
     rows_per_shard = shard_rows if shard_rows is not None else default_shard_rows()
     if rows_per_shard < 1:
         raise ValueError("shard_rows must be at least 1")
-    visibility_range = algorithm.visibility_range
     build_start = time.perf_counter()
+    summary = _install_store(
+        directory,
+        lambda staging: _fill_sharded_store(algorithm, size, staging, rows_per_shard),
+    )
 
-    if os.path.isdir(directory):
-        shutil.rmtree(directory)
-    os.makedirs(directory, exist_ok=True)
+    elapsed = time.perf_counter() - build_start
+    disk_bytes = summary["disk_bytes"]
+    _obs.counter("table.shard_builds").inc()
+    _obs.gauge("table.shard_disk_bytes").set(disk_bytes)
+    record_peak_rss()
+    _obs_record_span(
+        "table.shard_build",
+        elapsed,
+        size=size,
+        rows=summary["rows"],
+        shards=summary["shards"],
+        shard_rows=rows_per_shard,
+        disk_bytes=disk_bytes,
+    )
+    _LOG.info(
+        "built shard store %s: n=%d rows=%d shards=%d (%.1f MB) in %.1fs",
+        directory, size, summary["rows"], summary["shards"], disk_bytes / 1e6, elapsed,
+    )
+    return directory
+
+
+def _fill_sharded_store(
+    algorithm: GatheringAlgorithm, size: int, directory: str, rows_per_shard: int
+) -> Dict[str, int]:
+    """The four build passes of :func:`build_sharded_table`, into ``directory``."""
+    from .engine import decision_cache_for  # late: avoids an import cycle
+    from .table_kernel import resolve_rows_arrays  # late: keeps import light
+
+    visibility_range = algorithm.visibility_range
 
     # Pass 1: enumerate + global sort.
     positions = _enumerate_sorted_positions(size)
@@ -365,44 +497,15 @@ def build_sharded_table(
     _save_array(_global_file(directory, "codes"), codes)
     _save_array(_global_file(directory, "unique_views"), unique_views)
 
-    # The manifest is written last and atomically: its presence marks the
-    # store complete, its per-file byte sizes are the corruption check.
-    files: Dict[str, int] = {}
-    for entry in sorted(os.listdir(directory)):
-        files[entry] = os.path.getsize(os.path.join(directory, entry))
-    manifest = {
-        "format": SHARD_FORMAT,
-        "size": size,
-        "visibility_range": visibility_range,
-        "rows": rows,
-        "shard_rows": rows_per_shard,
-        "shards": shards,
-        "files": files,
-    }
-    temporary = os.path.join(directory, f"manifest.json.tmp.{os.getpid()}")
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=1)
-    os.replace(temporary, os.path.join(directory, "manifest.json"))
-
-    elapsed = time.perf_counter() - build_start
-    disk_bytes = sum(files.values())
-    _obs.counter("table.shard_builds").inc()
-    _obs.gauge("table.shard_disk_bytes").set(disk_bytes)
-    record_peak_rss()
-    _obs_record_span(
-        "table.shard_build",
-        elapsed,
+    disk_bytes = _write_manifest(
+        directory,
         size=size,
+        visibility_range=visibility_range,
         rows=rows,
-        shards=shards,
         shard_rows=rows_per_shard,
-        disk_bytes=disk_bytes,
+        shards=shards,
     )
-    _LOG.info(
-        "built shard store %s: n=%d rows=%d shards=%d (%.1f MB) in %.1fs",
-        directory, size, rows, shards, disk_bytes / 1e6, elapsed,
-    )
-    return directory
+    return {"rows": rows, "shards": shards, "disk_bytes": disk_bytes}
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +617,7 @@ class ShardedSuccessorTable(SuccessorTable):
             self._open_shards.move_to_end(shard)
             return arrays
         arrays = {
-            field: np.load(_shard_file(self.directory, shard, field), mmap_mode="r")
+            field: _map_array(_shard_file(self.directory, shard, field))
             for field, _ in _SHARD_FIELDS
         }
         self._open_shards[shard] = arrays
@@ -533,6 +636,10 @@ class ShardedSuccessorTable(SuccessorTable):
         return pack_nodes(
             (int(q), int(r)) for q, r in self._row_positions(row)
         )
+
+    def row_of_packed(self, packed: int) -> Optional[int]:
+        # No packed dictionary here: the canonical hash index answers.
+        return self.view.row_of_nodes(unpack_nodes(packed))
 
     def _ssync_destination_of_nodes(self, nodes) -> int:
         # ``pack_nodes`` canonicalizes internally, so packing the successor
@@ -611,6 +718,8 @@ def open_sharded_table(
     manifest (torn write, truncation) all raise, and the caller rebuilds.
     """
     manifest = _read_manifest(directory, size)
+    if not manifest.get("shards"):
+        raise ShardedTableError(f"store {directory} has no shards")
     rows = int(manifest["rows"])
     n = int(manifest["size"])
     globals_by_name = {
@@ -618,7 +727,7 @@ def open_sharded_table(
         for name, _ in _GLOBAL_FIELDS
     }
     codes = np.load(_global_file(directory, "codes"), allow_pickle=False)
-    pos8 = np.load(_global_file(directory, "index_pos8"), mmap_mode="r")
+    pos8 = _map_array(_global_file(directory, "index_pos8"))
     hashes = np.load(_global_file(directory, "index_hash"), allow_pickle=False)
     order = np.load(_global_file(directory, "index_order"), allow_pickle=False)
     if len(pos8) != rows or any(len(a) != rows for a in globals_by_name.values()):
@@ -637,8 +746,34 @@ def open_sharded_table(
     return table
 
 
+def open_table_store(directory: str, size: Optional[int] = None) -> SuccessorTable:
+    """Open any complete store read-only; raises :class:`ShardedTableError` if not.
+
+    A sharded store opens as a :class:`ShardedSuccessorTable`.  A store with
+    no shards opens as an in-RAM ``SuccessorTable`` over read-only views of
+    the mapped files, and its view table is registered process-wide so
+    :func:`~repro.core.table_kernel.view_table` answers from it.
+    """
+    manifest = _read_manifest(directory, size)
+    if manifest["shards"]:
+        return open_sharded_table(directory, size)
+    arrays = {
+        field: _map_array(_global_file(directory, field))
+        for field in VIEW_ARRAY_FIELDS + SUCC_ARRAY_FIELDS
+    }
+    vt = ViewTable._from_arrays(
+        int(manifest["size"]), int(manifest["visibility_range"]), arrays
+    )
+    table = SuccessorTable(
+        view=register_view_table(vt),
+        **{field: arrays[field] for field in SUCC_ARRAY_FIELDS},
+    )
+    table.directory = directory
+    return table
+
+
 # ---------------------------------------------------------------------------
-# Memoized access + worker attachment.
+# Memoized access.
 # ---------------------------------------------------------------------------
 
 def sharded_successor_table(
@@ -678,70 +813,3 @@ def sharded_successor_table(
             table = open_sharded_table(directory, size)
         tables[size] = table
     return table
-
-
-@dataclass(frozen=True)
-class ShardedTableHandle:
-    """Picklable pointer workers use to attach one shard store read-only.
-
-    The disk twin of ``shared_tables.SharedTableHandle``: nothing is copied
-    into ``/dev/shm`` — workers memmap the same files and the page cache is
-    the shared memory.  There is nothing to unpublish; the store outlives the
-    pool (it *is* the cache CI persists).
-    """
-
-    directory: str
-    algorithm_name: str
-    size: int
-
-
-def sharded_handle(
-    table: ShardedSuccessorTable, algorithm_name: str
-) -> ShardedTableHandle:
-    """The attachment handle of an open sharded table."""
-    return ShardedTableHandle(
-        directory=table.directory,
-        algorithm_name=algorithm_name,
-        size=table.view.size,
-    )
-
-
-#: Shard stores this process attached (directory -> table), memoized so a
-#: worker opens each store once however many chunks it executes.
-_ATTACHED_SHARDED: Dict[str, ShardedSuccessorTable] = {}
-
-
-def attach_sharded(handle: ShardedTableHandle) -> ShardedSuccessorTable:
-    """Open the store behind ``handle`` and register it on the worker algorithm.
-
-    The engine's sharded dispatch and the runner's batch path both consult
-    ``algorithm._sharded_tables``, so registering here is what routes a
-    worker's chunk executions through the attached store.
-    """
-    table = _ATTACHED_SHARDED.get(handle.directory)
-    if table is None:
-        table = open_sharded_table(handle.directory, handle.size)
-        _ATTACHED_SHARDED[handle.directory] = table
-        _obs.counter("table.shard_attaches").inc()
-    from .runner import worker_algorithm  # late: avoids an import cycle
-
-    algorithm = worker_algorithm(handle.algorithm_name)
-    tables = getattr(algorithm, "_sharded_tables", None)
-    if tables is None:
-        tables = {}
-        algorithm._sharded_tables = tables  # type: ignore[attr-defined]
-    tables.setdefault(handle.size, table)
-    return table
-
-
-def detach_all_sharded() -> None:
-    """Drop every sharded attachment (tests / explicit teardown)."""
-    from .runner import _WORKER_ALGORITHMS  # late: avoids an import cycle
-
-    table_ids = {id(t) for t in _ATTACHED_SHARDED.values()}
-    _ATTACHED_SHARDED.clear()
-    for algorithm in _WORKER_ALGORITHMS.values():
-        memo = getattr(algorithm, "_sharded_tables", None)
-        if memo:
-            for size in [s for s, t in memo.items() if id(t) in table_ids]:
-                del memo[size]

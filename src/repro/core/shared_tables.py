@@ -1,295 +1,113 @@
-"""Successor tables in ``multiprocessing.shared_memory`` segments.
+"""Sharing successor tables across processes through table stores.
 
 The table kernel (:mod:`repro.core.table_kernel`) answers everything about a
-state space from a handful of flat NumPy arrays.  Those arrays are exactly
-what :mod:`multiprocessing.shared_memory` shares for free: the parent builds
-the table once, :func:`publish_table` copies its arrays into one named
-segment, and every worker process :func:`attach_table`-s read-only views over
-the same physical pages — no per-worker rebuild, no per-chunk pickling of
-megabyte arrays, no re-simulation.
+state space from a handful of flat NumPy arrays, and a table store
+(:mod:`repro.core.sharded_tables`) is those arrays as ``.npy`` files.  The
+parent builds a table once, :func:`publish_table` hands out a picklable
+:class:`TableHandle` naming a store directory, and every worker process
+:func:`attach_table`-s read-only views of the mapped files — no per-worker
+rebuild, no per-chunk pickling of megabyte arrays; the page cache is the
+shared memory.
 
-Segments are named ``repro_tbl_<hex>`` so tests can assert none leak
-(``/dev/shm/repro_tbl_*`` on Linux).  The publishing process owns the
-segment: it must call :func:`unpublish_table` (the batch runner and the
-explorer do so in ``finally`` blocks) to unlink it.  Workers only ever map
-and close; their attachments are process-local, memoized and deregistered
-from the spawn ``resource_tracker`` so a worker exiting does not tear the
-segment down under its siblings.
+A table that already lives in a store (a shard store, or an in-RAM table
+persisted under ``REPRO_TABLE_CACHE``) is published as that store, with no
+copy.  Any other table is written to a private ``repro_tbl_<hex>`` directory
+under ``/dev/shm`` (the system temp dir where there is none), which the
+publisher owns: it must call :func:`unpublish_table` (the batch runner, the
+explorer and the service do so in ``finally`` blocks) to remove it.  Workers
+only map: a mapping stays valid after its files are removed.
 """
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 import uuid
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict
 
 from ..obs import event as _obs_event
 from ..obs import get_logger
 from ..obs import metrics as _obs
-from .table_kernel import (
-    SUCC_ARRAY_FIELDS,
-    VIEW_ARRAY_FIELDS,
-    SuccessorTable,
-    ViewTable,
-    register_view_table,
-)
+from .sharded_tables import ShardedSuccessorTable, open_table_store, write_table_store
+from .table_kernel import SuccessorTable
 
 _LOG = get_logger("core.shared_tables")
 
-__all__ = [
-    "SharedTableHandle",
-    "publish_table",
-    "attach_table",
-    "unpublish_table",
-    "detach_all",
-    "attached_segments",
-    "published_segments",
-]
-
-#: Field layout of one shared table: the :class:`ViewTable` arrays first,
-#: then the :class:`SuccessorTable` arrays.  Order is the serialization
-#: order; names match the attribute names on the two classes.  The canonical
-#: tuples live in the table kernel, shared with the on-disk ``.npz``
-#: round-trip (:func:`repro.core.table_kernel.save_tables`).
-_VIEW_FIELDS = VIEW_ARRAY_FIELDS
-_SUCC_FIELDS = SUCC_ARRAY_FIELDS
-
-#: One array's placement inside the segment: (field, shape, dtype str, offset).
-_ArraySpec = Tuple[str, Tuple[int, ...], str, int]
+__all__ = ["TableHandle", "publish_table", "attach_table", "unpublish_table"]
 
 
 @dataclass(frozen=True)
-class SharedTableHandle:
-    """Picklable description of one published successor table.
+class TableHandle:
+    """Picklable pointer to one published table store.
 
-    Everything a worker needs to rebuild the table around the shared pages:
-    the segment name, the identity of the table (algorithm registry name,
-    state-space size, visibility range) and the placement of every array.
+    ``owned`` marks a private copy the publisher removes on
+    :func:`unpublish_table`; a persistent store outlives the pool.
     """
 
-    name: str
+    directory: str
     algorithm_name: str
     size: int
-    visibility_range: int
-    specs: Tuple[_ArraySpec, ...]
-    total_bytes: int
+    owned: bool
 
 
-#: Segments this process published (name -> segment), for unlink-on-cleanup.
-_PUBLISHED: Dict[str, shared_memory.SharedMemory] = {}
-
-#: Tables this process attached (segment name -> (segment, table)).  Memoized
-#: so a worker maps each segment once however many chunks it executes.
-_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, SuccessorTable]] = {}
-
-_TRACKER_SILENCED = False
+#: Tables this process attached (store directory -> table).  Memoized so a
+#: worker maps each store once however many chunks it executes.
+_ATTACHED: Dict[str, SuccessorTable] = {}
 
 
-def _silence_tracker_for_attachments() -> None:
-    """Keep the spawn resource tracker away from ``repro_tbl_*`` attachments.
+def _private_root() -> str:
+    return "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
 
-    The tracker auto-registers every ``SharedMemory`` a process opens and
-    *unlinks* it when that process exits — which would tear a published table
-    down under the owner and every sibling worker the moment one worker
-    retires.  Only the publisher may unlink, so attaching processes patch the
-    tracker's ``register`` to ignore our segment prefix (the portable
-    equivalent of Python 3.13's ``track=False``).
+
+def publish_table(table: SuccessorTable, algorithm_name: str) -> TableHandle:
+    """The handle workers pass to :func:`attach_table` to share ``table``.
+
+    Reuses the table's own store when it has one; otherwise writes a private
+    store the caller must :func:`unpublish_table` once the workers are gone.
     """
-    global _TRACKER_SILENCED
-    if _TRACKER_SILENCED:
-        return
-    _TRACKER_SILENCED = True
-    try:  # pragma: no cover - tracker internals differ across versions
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def register(name: str, rtype: str) -> None:
-            if rtype == "shared_memory" and name.lstrip("/").startswith("repro_tbl_"):
-                return
-            original(name, rtype)
-
-        resource_tracker.register = register  # type: ignore[assignment]
-    except Exception:
-        pass
-
-
-def _table_arrays(table: SuccessorTable) -> Tuple[Tuple[str, "np.ndarray"], ...]:
-    vt = table.view
-    pairs = [(field, np.ascontiguousarray(getattr(vt, field))) for field in _VIEW_FIELDS]
-    pairs += [(field, np.ascontiguousarray(getattr(table, field))) for field in _SUCC_FIELDS]
-    return tuple(pairs)
-
-
-def publish_table(table: SuccessorTable, algorithm_name: str) -> SharedTableHandle:
-    """Copy a table's arrays into a fresh shared-memory segment.
-
-    Returns the picklable handle workers pass to :func:`attach_table`.  The
-    caller owns the segment and must :func:`unpublish_table` it when the
-    worker pool is gone.
-    """
-    arrays = _table_arrays(table)
-    specs = []
-    offset = 0
-    for field, array in arrays:
-        specs.append((field, tuple(array.shape), array.dtype.str, offset))
-        offset += array.nbytes
-    name = f"repro_tbl_{uuid.uuid4().hex[:12]}"
-    segment = shared_memory.SharedMemory(create=True, size=max(offset, 1), name=name)
-    for (field, shape, dtype, start), (_, array) in zip(specs, arrays):
-        view = np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=start)
-        view[...] = array
-    _PUBLISHED[name] = segment
-    # The live-segment gauge is the leak detector: any nonzero reading after
-    # pool teardown means an unlinked /dev/shm segment.
+    directory = table.directory
+    owned = directory is None
+    if owned:
+        name = f"repro_tbl_{uuid.uuid4().hex[:12]}"
+        directory = write_table_store(table, os.path.join(_private_root(), name))
     _obs.counter("shm.segments_published").inc()
-    _obs.gauge("shm.live_segments").set(len(_PUBLISHED))
-    _obs.gauge("shm.published_bytes").inc(offset)
-    _obs_event("shm.publish", segment=name, bytes=offset, size=table.view.size)
-    _LOG.debug("published %s (%d bytes, n=%d)", name, offset, table.view.size)
-    return SharedTableHandle(
-        name=name,
-        algorithm_name=algorithm_name,
-        size=table.view.size,
-        visibility_range=table.view.visibility_range,
-        specs=tuple(specs),
-        total_bytes=offset,
-    )
+    _obs_event("shm.publish", directory=directory, owned=owned, size=table.view.size)
+    _LOG.debug("published %s (n=%d, owned=%s)", directory, table.view.size, owned)
+    return TableHandle(directory, algorithm_name, table.view.size, owned)
 
 
-def attach_table(handle, register: bool = True) -> SuccessorTable:
-    """Rebuild a :class:`SuccessorTable` around the shared pages of ``handle``.
+def attach_table(handle: TableHandle) -> SuccessorTable:
+    """Open the store behind ``handle`` and register it on the worker algorithm.
 
-    The arrays are zero-copy read-only views over the segment; the Python-side
+    The arrays are read-only views of the mapped files; the Python-side
     lookup dictionaries rebuild lazily on first use (most workers never need
-    them).  With ``register`` (the default) the attached table is installed as
-    the process-wide view table *and* as the worker algorithm instance's
-    memoized successor table, so :func:`~repro.core.table_kernel.successor_table`
-    and the engine's table dispatch answer from the attachment.
-
-    Memoized per segment: a worker pays the mapping once per process.
-
-    Also accepts a :class:`~repro.core.sharded_tables.ShardedTableHandle`,
-    which attaches the disk tier instead (read-only memmaps over the shard
-    store; the page cache is the shared memory) — one dispatch point so the
-    runner's worker entry can mix both tiers in a single handle tuple.
+    them).  The table is memoized on the process's shared instance of the
+    algorithm (``_successor_tables``, or ``_sharded_tables`` for a shard
+    store), which is where :func:`~repro.core.table_kernel.scoped_table` and
+    the engine's table dispatch look.  Memoized per store: a worker pays the
+    mapping once per process.
     """
-    from .sharded_tables import ShardedTableHandle, attach_sharded  # late: cycle
+    table = _ATTACHED.get(handle.directory)
+    if table is None:
+        table = _ATTACHED[handle.directory] = open_table_store(handle.directory, handle.size)
+        _obs.counter("shm.segments_attached").inc()
+        _LOG.debug("attached %s", handle.directory)
+    from .runner import worker_algorithm  # late: avoids an import cycle
 
-    if isinstance(handle, ShardedTableHandle):
-        return attach_sharded(handle)
-    cached = _ATTACHED.get(handle.name)
-    if cached is not None:
-        return cached[1]
-    _silence_tracker_for_attachments()
-    segment = shared_memory.SharedMemory(name=handle.name)
-
-    fields: Dict[str, "np.ndarray"] = {}
-    for field, shape, dtype, start in handle.specs:
-        array = np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=start)
-        array.flags.writeable = False
-        fields[field] = array
-
-    vt = ViewTable._from_arrays(
-        handle.size,
-        handle.visibility_range,
-        positions=fields["positions"],
-        views=fields["views"],
-        unique_views=fields["unique_views"],
-        view_slot=fields["view_slot"],
-        rows_by_slot=fields["_rows_by_slot"],
-        slot_bounds=fields["_slot_bounds"],
-        diameters=fields["diameters"],
-        gathered=fields["gathered"],
-    )
-    if register:
-        vt = register_view_table(vt)
-    table = SuccessorTable(
-        view=vt,
-        codes=fields["codes"],
-        move_code=fields["move_code"],
-        mover_bits=fields["mover_bits"],
-        mover_count=fields["mover_count"],
-        kind=fields["kind"],
-        succ=fields["succ"],
-        collision_code=fields["collision_code"],
-    )
-    _ATTACHED[handle.name] = (segment, table)
-    _obs.counter("shm.segments_attached").inc()
-    _obs.gauge("shm.attached_segments").set(len(_ATTACHED))
-    _LOG.debug("attached %s (%d bytes)", handle.name, handle.total_bytes)
-    if register:
-        from .runner import worker_algorithm  # late: avoids an import cycle
-
-        algorithm = worker_algorithm(handle.algorithm_name)
-        tables = getattr(algorithm, "_successor_tables", None)
-        if tables is None:
-            tables = {}
-            algorithm._successor_tables = tables  # type: ignore[attr-defined]
-        tables.setdefault(handle.size, table)
+    algorithm = worker_algorithm(handle.algorithm_name)
+    memo = "_sharded_tables" if isinstance(table, ShardedSuccessorTable) else "_successor_tables"
+    tables = getattr(algorithm, memo, None)
+    if tables is None:
+        tables = {}
+        setattr(algorithm, memo, tables)
+    tables.setdefault(handle.size, table)
     return table
 
 
-def unpublish_table(handle: SharedTableHandle) -> None:
-    """Unlink a segment this process published (idempotent)."""
-    segment = _PUBLISHED.pop(handle.name, None)
-    if segment is None:
-        return
-    try:
-        segment.close()
-    finally:
-        segment.unlink()
-    _obs.counter("shm.segments_unpublished").inc()
-    _obs.gauge("shm.live_segments").set(len(_PUBLISHED))
-    _obs.gauge("shm.published_bytes").dec(handle.total_bytes)
-    _obs_event("shm.unlink", segment=handle.name)
-    _LOG.debug("unpublished %s", handle.name)
-
-
-def detach_all() -> None:
-    """Drop every attachment this process holds (tests / explicit teardown).
-
-    Closing a mapping invalidates every array view into it, so any table
-    the attach path registered — on the per-process worker-algorithm
-    singletons or in the global view-table registry — is evicted here too;
-    the next :func:`~repro.core.table_kernel.successor_table` call rebuilds
-    from scratch instead of dereferencing unmapped pages.
-    """
-    detached: List[SuccessorTable] = []
-    while _ATTACHED:
-        _, (segment, table) = _ATTACHED.popitem()
-        detached.append(table)
-        segment.close()
-    if detached:
-        _evict_registrations(detached)
-    _obs.gauge("shm.attached_segments").set(0)
-    from .sharded_tables import detach_all_sharded  # late: avoids an import cycle
-
-    detach_all_sharded()
-
-
-def _evict_registrations(tables: List[SuccessorTable]) -> None:
-    from .runner import _WORKER_ALGORITHMS  # late: avoids an import cycle
-    from .table_kernel import _VIEW_TABLES
-
-    table_ids = {id(table) for table in tables}
-    view_ids = {id(table.view) for table in tables}
-    for algorithm in _WORKER_ALGORITHMS.values():
-        memo = getattr(algorithm, "_successor_tables", None)
-        if memo:
-            for size in [s for s, t in memo.items() if id(t) in table_ids]:
-                del memo[size]
-    for key in [k for k, v in _VIEW_TABLES.items() if id(v) in view_ids]:
-        del _VIEW_TABLES[key]
-
-
-def attached_segments() -> Tuple[str, ...]:
-    """Names of the segments this process is currently attached to."""
-    return tuple(sorted(_ATTACHED))
-
-
-def published_segments() -> Tuple[str, ...]:
-    """Names of the segments this process currently owns."""
-    return tuple(sorted(_PUBLISHED))
+def unpublish_table(handle: TableHandle) -> None:
+    """Remove a private store this process published (idempotent)."""
+    if handle.owned and os.path.isdir(handle.directory):
+        shutil.rmtree(handle.directory, ignore_errors=True)
+        _obs_event("shm.unlink", directory=handle.directory)
+        _LOG.debug("unpublished %s", handle.directory)

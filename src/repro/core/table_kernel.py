@@ -56,16 +56,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError as _exc:  # pragma: no cover - the image bakes numpy in
-    raise ImportError(
-        "kernel='table' requires numpy; use kernel='packed' instead"
-    ) from _exc
+import numpy as np
 
 from ..grid.coords import Coord
 from ..grid.directions import Direction
 from ..grid.packing import offset_bit_table, pack_nodes
+from ..obs import get_logger
 from ..obs import metrics as _obs
 from ..obs import record_span as _obs_record_span
 from .algorithm import GatheringAlgorithm
@@ -74,6 +70,8 @@ from .configuration import Configuration
 from .engine import _is_connected_nodes
 from .trace import Outcome
 from .view import View
+
+_LOG = get_logger("core.table_kernel")
 
 __all__ = [
     "HARD_MAX_TABLE_SIZE",
@@ -94,11 +92,9 @@ __all__ = [
     "register_view_table",
     "clear_table_caches",
     "successor_table",
+    "scoped_table",
     "VIEW_ARRAY_FIELDS",
     "SUCC_ARRAY_FIELDS",
-    "table_cache_file",
-    "save_tables",
-    "load_tables",
 ]
 
 #: The paper's own scope (and the size where the gathering predicate switches
@@ -128,6 +124,32 @@ _BUILD_BLOCK = 8192
 #: bitset scan to the fully vectorized subset pass: below it (< 64 subsets)
 #: per-call numpy overhead exceeds the whole Python scan.
 _VECTOR_SUBSET_MIN_MOVERS = 7
+
+#: Environment variable naming the default table-store directory.
+_TABLE_CACHE_ENV = "REPRO_TABLE_CACHE"
+
+#: The arrays of one table, by attribute name: the :class:`ViewTable` arrays,
+#: then the :class:`SuccessorTable` arrays.  A table store with no shards
+#: holds exactly these (:mod:`repro.core.sharded_tables`).
+VIEW_ARRAY_FIELDS = (
+    "positions",
+    "views",
+    "unique_views",
+    "view_slot",
+    "_rows_by_slot",
+    "_slot_bounds",
+    "diameters",
+    "gathered",
+)
+SUCC_ARRAY_FIELDS = (
+    "codes",
+    "move_code",
+    "mover_bits",
+    "mover_count",
+    "kind",
+    "succ",
+    "collision_code",
+)
 
 
 def state_space_size(size: int) -> int:
@@ -316,7 +338,7 @@ def _canonical_hash(flat: "np.ndarray") -> "np.ndarray":
 class CanonicalIndex:
     """Vectorized canonical-position-block -> row lookup.
 
-    Replaces the per-row ``byte_index.get(block.tobytes())`` scalar loop —
+    Replaces a per-row ``dict.get(block.tobytes())`` scalar loop —
     the last Python inner loop of the table build — with a batched hash /
     ``searchsorted`` / verify pipeline: hash every query block, binary-search
     the sorted row hashes, and confirm the candidate row's int8 block matches
@@ -424,10 +446,9 @@ class ViewTable:
         ).reshape(count, n, 2)
         self.positions = positions
 
-        #: The canonical-form lookup dictionaries (byte/tuple/packed index)
-        #: are built lazily: they dominate the resident footprint at larger
-        #: sizes and shared-memory attachments often never touch them.
-        self._byte_index: Optional[Dict[bytes, int]] = None
+        #: The canonical-form lookup dictionaries (tuple/packed index) are
+        #: built lazily: they dominate the resident footprint at larger sizes
+        #: and attached tables often never touch them.
         self._tuple_index: Optional[Dict[Tuple[Tuple[int, int], ...], int]] = None
         self._packed: Optional[List[int]] = None
         self._packed_index: Optional[Dict[int, int]] = None
@@ -483,48 +504,25 @@ class ViewTable:
 
     def array_bytes(self) -> int:
         """Resident bytes of the NumPy arrays (lazy lookup dicts excluded)."""
-        return sum(
-            getattr(self, field).nbytes
-            for field in (
-                "positions", "views", "unique_views", "view_slot",
-                "_rows_by_slot", "_slot_bounds", "diameters", "gathered",
-            )
-        )
+        return sum(getattr(self, field).nbytes for field in VIEW_ARRAY_FIELDS)
 
     @classmethod
     def _from_arrays(
-        cls,
-        size: int,
-        visibility_range: int,
-        positions: "np.ndarray",
-        views: "np.ndarray",
-        unique_views: "np.ndarray",
-        view_slot: "np.ndarray",
-        rows_by_slot: "np.ndarray",
-        slot_bounds: "np.ndarray",
-        diameters: "np.ndarray",
-        gathered: "np.ndarray",
+        cls, size: int, visibility_range: int, arrays: Mapping[str, "np.ndarray"]
     ) -> "ViewTable":
-        """Rehydrate a table around precomputed arrays (shared-memory attach).
+        """Rehydrate a table around its :data:`VIEW_ARRAY_FIELDS` arrays.
 
         No enumeration, no numpy passes: the arrays are adopted as-is (they
-        may be read-only views over a shared segment) and the Python-side
+        may be read-only views of a mapped table store) and the Python-side
         lookup structures are rebuilt lazily on first use.
         """
         vt = cls.__new__(cls)
         vt.size = size
         vt.visibility_range = visibility_range
-        vt.count = len(positions)
-        vt.positions = positions
-        vt.views = views
-        vt.unique_views = unique_views
-        vt.view_slot = view_slot
-        vt._rows_by_slot = rows_by_slot
-        vt._slot_bounds = slot_bounds
-        vt.diameters = diameters
-        vt.gathered = gathered
+        vt.count = len(arrays["positions"])
+        for field in VIEW_ARRAY_FIELDS:
+            setattr(vt, field, arrays[field])
         vt._shapes = None
-        vt._byte_index = None
         vt._tuple_index = None
         vt._packed = None
         vt._packed_index = None
@@ -541,16 +539,6 @@ class ViewTable:
                 for shape in self.positions
             )
         return self._shapes
-
-    @property
-    def byte_index(self) -> Dict[bytes, int]:
-        """Byte string of the int8 canonical coordinate block -> row (lazy)."""
-        if self._byte_index is None:
-            canonical8 = np.ascontiguousarray(self.positions.astype(np.int8))
-            self._byte_index = {
-                canonical8[i].tobytes(): i for i in range(self.count)
-            }
-        return self._byte_index
 
     @property
     def tuple_index(self) -> Dict[Tuple[Tuple[int, int], ...], int]:
@@ -630,8 +618,8 @@ class ViewTable:
 
 
 #: Process-wide view-table registry (the old unbounded ``lru_cache``, made
-#: explicit so :func:`clear_table_caches` can empty it and the shared-memory
-#: attach path can seed it).
+#: explicit so :func:`clear_table_caches` can empty it and opening a table
+#: store can seed it).
 _VIEW_TABLES: Dict[Tuple[int, int], ViewTable] = {}
 
 
@@ -647,7 +635,7 @@ def view_table(size: int, visibility_range: int = 2) -> ViewTable:
 def register_view_table(table: ViewTable) -> ViewTable:
     """Seed the registry with a rehydrated table; returns the canonical one.
 
-    Used by the shared-memory attach path so workers answer
+    Used when a table store is opened, so workers answer
     :func:`view_table` queries from the attached arrays instead of
     re-enumerating the state space.  A table already registered for the same
     ``(size, visibility_range)`` wins (both derive from the same
@@ -677,31 +665,12 @@ def clear_table_caches(algorithm: Optional[GatheringAlgorithm] = None) -> None:
 # builder in :mod:`repro.core.sharded_tables`).
 # ---------------------------------------------------------------------------
 
-def _collision_flags_pairwise(
-    pos_key: "np.ndarray", target_key: "np.ndarray", movers: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Per-row swap / move-onto-staying / same-target via pairwise tensors.
-
-    The original ``(M, n, n)`` formulation, kept as the byte-identity oracle
-    for :func:`_collision_flags_sorted`.
-    """
-    n = movers.shape[1]
-    hits = (target_key[:, :, None] == pos_key[:, None, :]) & movers[:, :, None]
-    swap = (hits & hits.transpose(0, 2, 1)).any(axis=(1, 2))
-    onto_staying = (hits & ~movers[:, None, :]).any(axis=(1, 2))
-    same = (target_key[:, :, None] == target_key[:, None, :])
-    same &= movers[:, :, None] & movers[:, None, :]
-    same &= ~np.eye(n, dtype=bool)[None, :, :]
-    same_target = same.any(axis=(1, 2))
-    return swap, onto_staying, same_target
-
-
 def _collision_flags_sorted(
     pos_key: "np.ndarray", target_key: "np.ndarray", movers: "np.ndarray"
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
     """Per-row collision flags via sort + adjacent compare, no pairwise tensors.
 
-    The pairwise formulation allocates three ``(M, n, n)`` boolean tensors
+    A pairwise formulation allocates three ``(M, n, n)`` boolean tensors
     per block; this one stays ``(M, 2n)``: encode the quantity each predicate
     matches on as one scalar per lane, tag the two sides of the match with
     the low bit, sort each row and look for the consecutive pair
@@ -762,7 +731,6 @@ def resolve_rows_arrays(
     move_code: "np.ndarray",
     gathered: "np.ndarray",
     lookup,
-    oracle: bool = False,
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
     """Resolve the full-activation round of a batch of rows, arrays in/out.
 
@@ -772,9 +740,7 @@ def resolve_rows_arrays(
     ``(M,)`` gathering predicate.  ``lookup`` maps a batch of int8 canonical
     successor blocks to rows of whatever index the caller owns — the in-RAM
     view table or the sharded global index (which is how cross-shard
-    successor pointers resolve to *global* row numbers).  ``oracle=True``
-    selects the pairwise collision tensors instead of the sort +
-    adjacent-compare path.  Returns
+    successor pointers resolve to *global* row numbers).  Returns
     ``(mover_bits, mover_count, kind, succ, collision_code)``.
     """
     count, n = move_code.shape
@@ -796,8 +762,7 @@ def resolve_rows_arrays(
     # compare as scalar lexicographic keys (half the comparisons).
     pos_key = _sort_key(pos)  # (M, n)
     target_key = _sort_key(targets)
-    flags = _collision_flags_pairwise if oracle else _collision_flags_sorted
-    swap, onto_staying, same_target = flags(pos_key, target_key, movers)
+    swap, onto_staying, same_target = _collision_flags_sorted(pos_key, target_key, movers)
     collided = ~quiescent & (swap | onto_staying | same_target)
     kind[collided] = KIND_COLLISION
     collision_code[collided] = np.select(
@@ -875,6 +840,9 @@ class SuccessorTable:
         self.kind = kind
         self.succ = succ
         self.collision_code = collision_code
+        #: The table store this table was persisted to or opened from, if any
+        #: (:mod:`repro.core.sharded_tables`); publishing reuses it.
+        self.directory: Optional[str] = None
         self._summary: Optional[_FsyncSummary] = None
         #: Memoized SSYNC expansions (row -> (edges, terminal)).  The dict is
         #: *shared* along a derivation lineage: a derived table reuses every
@@ -968,19 +936,11 @@ class SuccessorTable:
 
     def array_bytes(self) -> int:
         """Resident bytes of the table arrays, view table included."""
-        own = sum(
-            getattr(self, field).nbytes
-            for field in (
-                "codes", "move_code", "mover_bits", "mover_count",
-                "kind", "succ", "collision_code",
-            )
-        )
+        own = sum(getattr(self, field).nbytes for field in SUCC_ARRAY_FIELDS)
         return own + self.view.array_bytes()
 
     @classmethod
-    def _from_codes(
-        cls, vt: ViewTable, codes: "np.ndarray", oracle: bool = False
-    ) -> "SuccessorTable":
+    def _from_codes(cls, vt: ViewTable, codes: "np.ndarray") -> "SuccessorTable":
         move_code = codes[vt.view_slot]
         table = cls(
             view=vt,
@@ -992,7 +952,7 @@ class SuccessorTable:
             succ=np.full(vt.count, -1, dtype=np.int32),
             collision_code=np.zeros(vt.count, dtype=np.int8),
         )
-        table._resolve_rows(None, oracle=oracle)
+        table._resolve_rows(None)
         return table
 
     def derive(
@@ -1045,44 +1005,29 @@ class SuccessorTable:
         return table
 
     # -------------------------------------------------- vectorized resolution
-    def _resolve_rows(self, rows: Optional["np.ndarray"], oracle: bool = False) -> None:
+    def _resolve_rows(self, rows: Optional["np.ndarray"]) -> None:
         """(Re)compute kind/succ/movers for ``rows`` (``None`` = every row).
 
         Resolution runs in chunked passes over row blocks: the collision and
         connectivity intermediates stay bounded however many rows there are.
-        ``oracle=True`` selects the original pairwise-tensor collision
-        compares and the scalar byte-index successor loop — the byte-identity
-        reference the property tests hold the vectorized path against.
         """
         vt = self.view
         if rows is None:
             rows = np.arange(vt.count, dtype=np.int32)
         for start in range(0, len(rows), _BUILD_BLOCK):
-            self._resolve_block(rows[start : start + _BUILD_BLOCK], oracle=oracle)
+            self._resolve_block(rows[start : start + _BUILD_BLOCK])
         self._summary = None
 
-    def _resolve_block(self, rows: "np.ndarray", oracle: bool = False) -> None:
+    def _resolve_block(self, rows: "np.ndarray") -> None:
         """One bounded-memory resolution pass over the view table's rows."""
         vt = self.view
         if len(rows) == 0:
             return
-        if oracle:
-            byte_index = vt.byte_index
-
-            def lookup(canonical: "np.ndarray") -> "np.ndarray":
-                found = np.empty(len(canonical), dtype=np.int64)
-                for m in range(len(canonical)):
-                    found[m] = byte_index.get(canonical[m].tobytes(), -1)
-                return found
-
-        else:
-            lookup = vt.rows_of_canonical
         mover_bits, mover_count, kind, succ, collision_code = resolve_rows_arrays(
             vt.positions[rows],
             self.move_code[rows],
             vt.gathered[rows],
-            lookup,
-            oracle=oracle,
+            vt.rows_of_canonical,
         )
         self.mover_bits[rows] = mover_bits
         self.mover_count[rows] = mover_count
@@ -1218,6 +1163,10 @@ class SuccessorTable:
     def packed_of_row(self, row: int) -> int:
         """Canonical packed integer of a row (the sharded facade overrides)."""
         return self.view.packed[row]
+
+    def row_of_packed(self, packed: int) -> Optional[int]:
+        """Row of a canonical packed integer (the sharded facade overrides)."""
+        return self.view.packed_index.get(packed)
 
     def _row_positions(self, row: int) -> "np.ndarray":
         """Canonical ``(n, 2)`` positions of a row (overridable storage hook)."""
@@ -1716,10 +1665,11 @@ def successor_table(
     the table is already memoized or derived.
 
     ``disk_cache`` (or the ``REPRO_TABLE_CACHE`` environment variable when
-    the argument is omitted) points at a directory of
-    :func:`save_tables`/:func:`load_tables` round-trips: a cold call loads
-    the arrays from disk instead of rebuilding, and a genuine build is saved
-    back — the warm-CI path behind the service's ``--table-cache`` flag.
+    the argument is omitted) names a directory of table stores
+    (:mod:`repro.core.sharded_tables`): a cold call opens the stored arrays
+    instead of rebuilding, and a genuine build is written back — the
+    warm-CI path behind the service's ``--table-cache`` flag.  A store that
+    fails validation is rebuilt, never trusted.
     """
     tables = getattr(algorithm, "_successor_tables", None)
     if tables is None:
@@ -1728,9 +1678,20 @@ def successor_table(
     table = tables.get(size)
     if table is None:
         cache_dir = disk_cache if disk_cache is not None else os.environ.get(_TABLE_CACHE_ENV)
+        store = None
         if cache_dir:
-            table = load_tables(algorithm, size, cache_dir)
-        loaded = table is not None
+            from .sharded_tables import (  # late: avoids an import cycle
+                ShardedTableError,
+                open_table_store,
+                table_store_dir,
+            )
+
+            store = table_store_dir(algorithm, size, cache_dir)
+            try:
+                table = open_table_store(store, size)
+            except ShardedTableError as exc:
+                if os.path.isdir(store):
+                    _LOG.warning("rebuilding table store %s: %s", store, exc)
         if table is None:
             layers = getattr(algorithm, "table_kernel_layers", None)
             if layers is not None:
@@ -1743,170 +1704,44 @@ def successor_table(
                 table = SuccessorTable.build(
                     algorithm, size, workers=workers, pool=pool, algorithm_name=algorithm_name
                 )
+            if store is not None:
+                from .sharded_tables import write_table_store  # late: import cycle
+
+                table.directory = write_table_store(table, store)
         tables[size] = table
-        if cache_dir and not loaded:
-            save_tables(algorithm, cache_dir, sizes=(size,))
     return table
 
 
-# ---------------------------------------------------------------------------
-# Disk round-trip of built tables (the CI actions/cache path).
-# ---------------------------------------------------------------------------
-
-#: Environment variable naming the default on-disk table cache directory.
-_TABLE_CACHE_ENV = "REPRO_TABLE_CACHE"
-
-#: Bumped whenever the array layout below changes; mismatched files are
-#: ignored (the cache is an optimization, never a source of truth).
-TABLE_CACHE_FORMAT = 1
-
-#: Serialized array fields, in file order: the :class:`ViewTable` arrays
-#: first, then the :class:`SuccessorTable` arrays.  Shared with the
-#: shared-memory publisher (:mod:`repro.core.shared_tables`), which ships the
-#: same arrays through a segment instead of a file.
-VIEW_ARRAY_FIELDS = (
-    "positions",
-    "views",
-    "unique_views",
-    "view_slot",
-    "_rows_by_slot",
-    "_slot_bounds",
-    "diameters",
-    "gathered",
-)
-SUCC_ARRAY_FIELDS = (
-    "codes",
-    "move_code",
-    "mover_bits",
-    "mover_count",
-    "kind",
-    "succ",
-    "collision_code",
-)
-
-
-def table_cache_file(cache_dir: str, algorithm: GatheringAlgorithm, size: int) -> str:
-    """Cache path of one (algorithm fingerprint, size) table.
-
-    The file name embeds :func:`repro.core.decision_cache.cache_key` — the
-    digest of (registry name, package version, data fingerprint) — so a
-    release bump or a changed rule set can never adopt stale arrays; CI keys
-    its ``actions/cache`` entry on the same inputs.
-    """
-    from .decision_cache import cache_key  # late: avoids an import cycle
-
-    return os.path.join(cache_dir, f"table-{cache_key(algorithm)}-n{size}.npz")
-
-
-def save_tables(
+def scoped_table(
     algorithm: GatheringAlgorithm,
-    cache_dir: str,
-    sizes: Optional[Iterable[int]] = None,
-) -> List[str]:
-    """Persist the algorithm's memoized tables as ``.npz`` files (atomically).
-
-    Saves every memoized size (or just ``sizes``); returns the file paths.
-    Derived tables serialize like built ones — the arrays are complete either
-    way, only the in-memory sharing with the base lineage is lost.
-    """
-    import json as _json
-
-    tables = getattr(algorithm, "_successor_tables", None) or {}
-    wanted = set(int(s) for s in sizes) if sizes is not None else None
-    written: List[str] = []
-    for size, table in sorted(tables.items()):
-        if wanted is not None and size not in wanted:
-            continue
-        os.makedirs(cache_dir, exist_ok=True)
-        path = table_cache_file(cache_dir, algorithm, size)
-        meta = {
-            "format": TABLE_CACHE_FORMAT,
-            "size": size,
-            "visibility_range": table.view.visibility_range,
-            "rows": int(table.view.count),
-        }
-        arrays: Dict[str, "np.ndarray"] = {
-            f"view_{field}": np.ascontiguousarray(getattr(table.view, field))
-            for field in VIEW_ARRAY_FIELDS
-        }
-        arrays.update(
-            {
-                f"succ_{field}": np.ascontiguousarray(getattr(table, field))
-                for field in SUCC_ARRAY_FIELDS
-            }
-        )
-        arrays["meta"] = np.frombuffer(
-            _json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        )
-        temporary = f"{path}.tmp.{os.getpid()}"
-        with open(temporary, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(temporary, path)
-        written.append(path)
-        _obs.counter("table.disk_cache_saves").inc()
-    return written
-
-
-def load_tables(
-    algorithm: GatheringAlgorithm, size: int, cache_dir: str
+    size: int,
+    build: bool = True,
+    workers: int = 1,
+    pool=None,
+    algorithm_name: Optional[str] = None,
+    disk_cache: Optional[str] = None,
 ) -> Optional[SuccessorTable]:
-    """Rehydrate one table from :func:`save_tables` output, or ``None``.
+    """The table of whichever tier covers ``size``-robot spaces, or ``None``.
 
-    Any problem — missing file, torn write, layout or metadata mismatch —
-    returns ``None`` so the caller rebuilds; the cache can slow a cold start
-    down to a rebuild but never change an answer.  The loaded view table is
-    registered process-wide (like a shared-memory attach); memoizing the
-    returned table on the algorithm instance is the caller's job
-    (:func:`successor_table` does it).
+    The one place the in-RAM / sharded / none choice is made: the in-RAM
+    :func:`successor_table` within :func:`table_in_scope`, else the
+    out-of-core :func:`~repro.core.sharded_tables.sharded_successor_table`
+    within :func:`sharded_in_scope`, else ``None``.  ``build=False`` returns
+    only a table already memoized on ``algorithm`` (a single execution never
+    pays for a build).  The build arguments go to :func:`successor_table`;
+    the sharded tier takes ``disk_cache`` as its store root.
     """
-    import json as _json
+    if table_in_scope(size):
+        if not build:
+            return (getattr(algorithm, "_successor_tables", None) or {}).get(size)
+        return successor_table(
+            algorithm, size, workers=workers, pool=pool,
+            algorithm_name=algorithm_name, disk_cache=disk_cache,
+        )
+    if sharded_in_scope(size):
+        if not build:
+            return (getattr(algorithm, "_sharded_tables", None) or {}).get(size)
+        from .sharded_tables import sharded_successor_table  # late: import cycle
 
-    path = table_cache_file(cache_dir, algorithm, size)
-    load_start = time.perf_counter()
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            meta = _json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
-            if (
-                meta.get("format") != TABLE_CACHE_FORMAT
-                or meta.get("size") != size
-                or meta.get("visibility_range") != algorithm.visibility_range
-            ):
-                _obs.counter("table.disk_cache_misses").inc()
-                return None
-            fields = {
-                f"view_{field}": archive[f"view_{field}"] for field in VIEW_ARRAY_FIELDS
-            }
-            fields.update(
-                {f"succ_{field}": archive[f"succ_{field}"] for field in SUCC_ARRAY_FIELDS}
-            )
-    except (OSError, KeyError, ValueError):
-        _obs.counter("table.disk_cache_misses").inc()
-        return None
-    vt = ViewTable._from_arrays(
-        size,
-        int(meta["visibility_range"]),
-        positions=fields["view_positions"],
-        views=fields["view_views"],
-        unique_views=fields["view_unique_views"],
-        view_slot=fields["view_view_slot"],
-        rows_by_slot=fields["view__rows_by_slot"],
-        slot_bounds=fields["view__slot_bounds"],
-        diameters=fields["view_diameters"],
-        gathered=fields["view_gathered"],
-    )
-    vt = register_view_table(vt)
-    table = SuccessorTable(
-        view=vt,
-        codes=fields["succ_codes"],
-        move_code=fields["succ_move_code"],
-        mover_bits=fields["succ_mover_bits"],
-        mover_count=fields["succ_mover_count"],
-        kind=fields["succ_kind"],
-        succ=fields["succ_succ"],
-        collision_code=fields["succ_collision_code"],
-    )
-    _obs.counter("table.disk_cache_hits").inc()
-    _obs_record_span(
-        "table.disk_load", time.perf_counter() - load_start, size=size, rows=meta["rows"]
-    )
-    return table
+        return sharded_successor_table(algorithm, size, cache_dir=disk_cache)
+    return None

@@ -31,17 +31,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.bitsets import subset_masks
 from ..core.configuration import Configuration
-from ..core.engine import (
-    _is_connected_nodes,
-    apply_moves_nodes,
-    detect_collision_nodes,
-    move_intents,
-)
+from ..core.engine import _is_connected_nodes, move_intents
 from ..core.runner import ConfigurationLike, run_chunked_tasks, worker_algorithm
 from ..grid.coords import Coord
 from ..grid.packing import pack_nodes, packed_count, unpack_nodes
@@ -162,9 +156,8 @@ def expand_packed(
     SSYNC activation subsets are enumerated as machine-word bitmasks over the
     sorted mover list (:func:`repro.core.bitsets.subset_masks`), with the
     collision predicate precomputed once per vertex as per-mover interaction
-    masks — byte-identical edges to the original per-subset
-    ``detect_collision_nodes`` enumeration (kept as
-    :func:`_expand_packed_combinations` for the property tests), but the
+    masks — byte-identical edges to a per-subset ``detect_collision_nodes``
+    enumeration (the property tests keep one as their oracle), but the
     inner loop is pure bit arithmetic.
     """
     if mode not in MODES:
@@ -261,104 +254,31 @@ def expand_packed(
     return tuple((bits, destination) for destination, bits in targets.items()), None
 
 
-def _expand_packed_combinations(
-    packed: int,
-    algorithm,
-    mode: str = "fsync",
-    require_connectivity: bool = True,
-) -> Tuple[Tuple[Edge, ...], Optional[str]]:
-    """The original ``itertools.combinations`` expansion, kept as the oracle.
-
-    Byte-identical to :func:`expand_packed` (the property tests assert it
-    over whole state spaces); the engine's own ``detect_collision_nodes`` /
-    ``apply_moves_nodes`` are consulted per subset, so this is the reference
-    the bitset fast path is checked against — not a code path anything else
-    should call.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; available: {MODES}")
-    positions = unpack_nodes(packed)
-    position_set = frozenset(positions)
-    intents = move_intents(position_set, algorithm)
-    if not intents:
-        kind = (
-            TERMINAL_GATHERED
-            if Configuration(positions).is_gathered()
-            else TERMINAL_DEADLOCK
-        )
-        return (), kind
-
-    index_of = {pos: index for index, pos in enumerate(positions)}
-    movers = sorted(intents)
-    if mode == "fsync":
-        subsets: Iterable[Tuple[Coord, ...]] = (tuple(movers),)
-    else:
-        subsets = (
-            subset
-            for size in range(1, len(movers) + 1)
-            for subset in combinations(movers, size)
-        )
-
-    targets: Dict[int, int] = {}
-    for subset in subsets:
-        bits = 0
-        for pos in subset:
-            bits |= 1 << index_of[pos]
-        moves = {pos: intents[pos] for pos in subset}
-        if detect_collision_nodes(position_set, moves) is not None:
-            destination = COLLISION_SINK
-        else:
-            next_nodes = apply_moves_nodes(position_set, moves)
-            if require_connectivity and not _is_connected_nodes(next_nodes):
-                destination = DISCONNECT_SINK
-            else:
-                destination = pack_nodes(next_nodes)
-        if destination not in targets:
-            targets[destination] = bits
-    return tuple((bits, destination) for destination, bits in targets.items()), None
-
-
 def _table_expander(algorithm, mode: str, require_connectivity: bool):
     """An ``expand_packed`` twin that slices the successor table.
 
-    Vertices inside the table's scope are answered from the materialized
-    arrays (no views, no ``algorithm.compute``); sizes past the in-RAM bound
-    but within the sharded scope stream from the disk tier
-    (:mod:`repro.core.sharded_tables`).  Anything else — oversized or
+    Vertices inside a table tier's scope (in RAM, or streamed from the disk
+    tier past the in-RAM bound) are answered from the materialized arrays
+    (no views, no ``algorithm.compute``).  Anything else — oversized or
     disconnected vertices — falls back to :func:`expand_packed`, so the
     resulting graph is byte-identical either way.
     """
-    from ..core.table_kernel import (  # late: numpy gate
-        sharded_in_scope,
-        successor_table,
-        table_in_scope,
-    )
+    from ..core.table_kernel import scoped_table  # late: avoids an import cycle
 
+    deterministic = getattr(algorithm, "deterministic", True)
+    #: Table per vertex size (``None`` = no tier covers it), resolved once.
     tables: Dict[int, object] = {}
 
     def expand(packed: int) -> Tuple[Tuple[Edge, ...], Optional[str]]:
         size = packed_count(packed)
-        if getattr(algorithm, "deterministic", True):
-            if table_in_scope(size):
-                table = tables.get(size)
-                if table is None:
-                    table = tables[size] = successor_table(algorithm, size)
-                row = table.view.packed_index.get(packed)
-                if row is not None:
-                    return table.expand_row(row, mode)
-            elif sharded_in_scope(size):
-                table = tables.get(size)
-                if table is None:
-                    from ..core.sharded_tables import (  # late: import cycle
-                        sharded_successor_table,
-                    )
-
-                    table = tables[size] = sharded_successor_table(algorithm, size)
-                # The sharded view has no packed dictionary; rows resolve
-                # through the memmapped canonical hash index instead.
-                row = table.view.row_of_nodes(unpack_nodes(packed))
-                if row is not None:
-                    return table.expand_row(row, mode)
+        if size in tables:
+            table = tables[size]
+        else:
+            table = tables[size] = scoped_table(algorithm, size) if deterministic else None
+        if table is not None:
+            row = table.row_of_packed(packed)
+            if row is not None:
+                return table.expand_row(row, mode)
         return expand_packed(packed, algorithm, mode, require_connectivity)
 
     return expand
@@ -381,9 +301,9 @@ def _expand_chunk(
     With a ``cache_dir`` the worker shares the on-disk decision cache
     (:mod:`repro.core.decision_cache`), so frontier chunks expanded by
     different processes stop recomputing each other's Look–Compute table.
-    Shared-table handles (``kernel="table"``) are attached once per process,
-    so every worker slices the parent's one successor table instead of
-    building its own.
+    Table handles (``kernel="table"``) are attached once per process, so
+    every worker slices the parent's one successor table instead of building
+    its own.
     """
     algorithm_name, mode, packed_list, require_connectivity, cache_dir, kernel, handles = payload
     algorithm = worker_algorithm(algorithm_name)
@@ -503,53 +423,28 @@ def build_transition_graph(
         if kernel == "table"
         else None
     )
-    handles: Tuple = ()
     published: List = []
     try:
         # Parallel table exploration: build the successor tables for the root
-        # sizes once (the Compute fan-out reuses the pool), publish the arrays
-        # in shared memory and hand every worker the attachment handles —
-        # rounds preserve the robot count, so root sizes cover the graph.
+        # sizes once (the Compute fan-out reuses the pool), publish each as a
+        # table store and hand every worker the handles — rounds preserve
+        # the robot count, so root sizes cover the graph.
         if (
             pool is not None
             and kernel == "table"
             and getattr(algorithm, "deterministic", True)
         ):
-            from ..core.shared_tables import publish_table  # late: numpy gate
-            from ..core.table_kernel import (
-                sharded_in_scope,
-                successor_table,
-                table_in_scope,
-            )
+            from ..core.shared_tables import publish_table  # late: import cycle
+            from ..core.table_kernel import scoped_table
 
-            root_sizes = {packed_count(p) for p in packed_roots}
-            sizes = sorted(s for s in root_sizes if table_in_scope(s))
-            for table_size in sizes:
-                table = successor_table(
-                    algorithm,
-                    table_size,
-                    workers=workers,
-                    pool=pool,
+            for table_size in sorted({packed_count(p) for p in packed_roots}):
+                table = scoped_table(
+                    algorithm, table_size, workers=workers, pool=pool,
                     algorithm_name=resolved_name,
                 )
-                published.append(publish_table(table, resolved_name))
-            handles = tuple(published)
-            # Root sizes past the in-RAM bound ride the disk tier: workers
-            # attach the shard store read-only (nothing copied into shm,
-            # nothing to unlink afterwards).
-            sharded_sizes = sorted(
-                s for s in root_sizes
-                if not table_in_scope(s) and sharded_in_scope(s)
-            )
-            if sharded_sizes:
-                from ..core.sharded_tables import (  # late: import cycle
-                    sharded_handle,
-                    sharded_successor_table,
-                )
-
-                for table_size in sharded_sizes:
-                    table = sharded_successor_table(algorithm, table_size)
-                    handles = handles + (sharded_handle(table, resolved_name),)
+                if table is not None:
+                    published.append(publish_table(table, resolved_name))
+        handles = tuple(published)
         while frontier and expanded < budget:
             take = int(min(len(frontier), budget - expanded))
             batch, frontier = frontier[:take], frontier[take:]

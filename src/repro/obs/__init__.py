@@ -1,7 +1,7 @@
 """Zero-dependency observability: metrics, spans, structured logs, manifests.
 
 ``repro.obs`` is the stdlib-only telemetry subsystem behind every execution
-path — the packed/table kernels, the shared-memory parallel runner, the
+path — the packed/table kernels, the parallel batch runner, the
 explorer and the CEGIS loop all report into one process-wide registry:
 
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms in
@@ -16,8 +16,7 @@ explorer and the CEGIS loop all report into one process-wide registry:
   table, Prometheus-style exposition, per-run manifests and the
   ``repro-telemetry/1`` file schema written by ``--telemetry PATH``.
 
-Everything here imports nothing outside the standard library, so the
-telemetry layer works even without the optional ``[table]`` NumPy extra.
+Everything here imports nothing outside the standard library.
 """
 from .logging import get_logger, setup_logging
 from .metrics import (

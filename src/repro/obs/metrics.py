@@ -9,8 +9,8 @@ path a natural no-op — draining the parent's own registry and merging the
 delta straight back restores every value exactly — so serial and parallel
 sweeps share one code path and parallel totals are exact, not sampled.
 
-Gauges are point-in-time process-local readings (e.g. live shared-memory
-segments); they do not drain or merge.
+Gauges are point-in-time process-local readings (e.g. the peak RSS of a
+table build); they do not drain or merge.
 
 Hot-path cost: metric handles are plain attribute holders guarded by one
 uncontended registry lock, and the instrumented call sites aggregate

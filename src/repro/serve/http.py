@@ -2,8 +2,7 @@
 
 Stdlib only: a hand-rolled HTTP/1.1 request loop (keep-alive, JSON bodies)
 plus the RFC 6455 upgrade of :mod:`repro.serve.websocket` — no framework, so
-the ``[serve]`` extra stays optional and the service runs wherever the
-package does.  Every request is wrapped in a ``serve.request`` span carrying
+the service runs wherever the package does.  Every request is wrapped in a ``serve.request`` span carrying
 the request id (client-supplied ``X-Request-Id`` or generated) into the
 JSONL trace sink, counts into ``serve.requests_total`` and the
 ``serve.request.seconds`` latency histogram, and echoes the id back in the
@@ -12,12 +11,12 @@ documents.
 
 Shutdown is graceful: SIGTERM (or :meth:`GatheringServer.stop`) stops
 accepting, lets in-flight requests finish inside a drain timeout, then
-unlinks every published shared-memory segment via the service — the
+removes every private table store it published via the service — the
 ``/dev/shm`` leak check in the test suite runs against exactly this path.
 
 Scale-out: ``serve_forever(workers=N)`` publishes the tables once and forks
-``N - 1`` worker processes that attach the shared segments and bind the same
-port with ``SO_REUSEPORT``; the kernel load-balances accepted connections
+``N - 1`` worker processes that map the published table stores and bind the
+same port with ``SO_REUSEPORT``; the kernel load-balances accepted connections
 across the sibling processes.
 """
 from __future__ import annotations
@@ -175,7 +174,7 @@ class GatheringServer:
         return self.port
 
     async def stop(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight work, unlink shm."""
+        """Graceful drain: stop accepting, finish in-flight work, unpublish."""
         self._closing = True
         if self._server is not None:
             self._server.close()
@@ -517,9 +516,6 @@ def _worker_entry(
         await server.start(attach_handles=handles)
         await stop.wait()
         await server.stop()
-        from ..core.shared_tables import detach_all
-
-        detach_all()
 
     asyncio.run(_run())
 
@@ -531,13 +527,13 @@ async def serve_forever(
     workers: int = 1,
     ready: Optional[Any] = None,
 ) -> int:
-    """The CLI serving loop: run until SIGTERM/SIGINT, then drain and unlink.
+    """The CLI serving loop: run until SIGTERM/SIGINT, then drain and unpublish.
 
-    With ``workers > 1`` the parent publishes the tables to shared memory,
+    With ``workers > 1`` the parent publishes the tables as table stores,
     spawns ``workers - 1`` sibling processes that attach them and bind the
     same port via ``SO_REUSEPORT``, and keeps serving itself.  On shutdown
     the parent signals the children, waits for their drains, and only then
-    unlinks the segments (children merely map and close).
+    removes its private stores (children merely map).
 
     ``ready`` is an optional callable invoked with the bound port once the
     socket is listening (the CLI prints the ready line through it).
@@ -592,7 +588,7 @@ class ServerThread:
 
     ``with ServerThread(service) as base_url:`` starts the event loop on a
     background thread, waits until the socket listens, and tears the server
-    down (drain + shm unlink) on exit.  The served port is picked by the
+    down (drain + unpublish) on exit.  The served port is picked by the
     kernel (port 0) unless given.
     """
 

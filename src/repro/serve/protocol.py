@@ -1,7 +1,7 @@
 """Request parsing and response schemas of the gathering service.
 
-One module owns the wire format so the HTTP layer, the ASGI adapter, the
-client, the tests and the CI smoke job all agree on it.  Requests are plain
+One module owns the wire format so the HTTP layer, the client, the tests
+and the CI smoke job all agree on it.  Requests are plain
 JSON objects; responses are plain JSON objects built exclusively from the
 serialization helpers of :mod:`repro.io.serialization`, which keeps every
 service answer byte-comparable with the CLI's ``--json`` output.

@@ -1,13 +1,13 @@
 """The gathering service core: tables, caches and the request micro-batcher.
 
-:class:`GatheringService` is transport-agnostic — the asyncio HTTP server,
-the ASGI adapter and the in-process test harness all call the same handler
-methods and therefore return byte-identical payloads.  At startup the
-service materializes the successor tables of its configured algorithms over
-the configured state-space sizes (optionally loading them from the
-:func:`repro.core.table_kernel.load_tables` disk cache) and, when asked,
-publishes them through :mod:`repro.core.shared_tables` so worker processes
-serving the same port attach to one physical copy.
+:class:`GatheringService` is transport-agnostic — the asyncio HTTP server
+and the in-process test harness call the same handler methods and therefore
+return byte-identical payloads.  At startup the service materializes the
+successor tables of its configured algorithms over the configured
+state-space sizes (optionally opening them from the table stores under
+``--table-cache``) and, when asked, publishes them through
+:mod:`repro.core.shared_tables` so worker processes serving the same port
+map one physical copy.
 
 Concurrent ``/v1/verify`` and ``/v1/sweep`` requests of the same
 ``(algorithm, max_rounds)`` are **micro-batched**: the first submission of a
@@ -60,15 +60,6 @@ DEFAULT_ALGORITHMS: Tuple[str, ...] = (
 DEFAULT_SIZES: Tuple[int, ...] = (2, 3, 4, 5, 6, 7)
 
 
-def _have_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
 class _PendingBatch:
     """One open collection window of the micro-batcher."""
 
@@ -106,7 +97,7 @@ class GatheringService:
         self.table_cache = table_cache
         self.census_cache = LruCache("census", maxsize=64)
         self.witness_cache = LruCache("witness", maxsize=witness_cache_size)
-        #: Handles of the segments *this* process published (owner: unlink).
+        #: Handles of the tables *this* process published (owner: unpublish).
         self.published_handles: List[Any] = []
         #: Open micro-batch windows keyed by (algorithm, max_rounds).
         self._pending: Dict[Tuple[str, int], _PendingBatch] = {}
@@ -117,11 +108,13 @@ class GatheringService:
         """Build (or attach) the successor tables once, before serving.
 
         ``attach_handles`` is the worker path: instead of building, the
-        process maps the published segments of the parent and answers from
-        the same physical pages.
+        process maps the tables the parent published and answers from the
+        same physical pages.
         """
         if self._started:
             return
+        from ..core.table_kernel import scoped_table
+
         if attach_handles:
             from ..core.shared_tables import attach_table
 
@@ -129,59 +122,29 @@ class GatheringService:
                 attach_table(handle)
             self._started = True
             return
-        if not _have_numpy():
-            _LOG.warning(
-                "numpy unavailable: serving without tables (per-request packed kernel)"
-            )
-            self._started = True
-            return
-        from ..core.table_kernel import (
-            sharded_in_scope,
-            successor_table,
-            table_in_scope,
-        )
-
         for name in self.algorithm_names:
             algorithm = worker_algorithm(name)
             for size in self.sizes:
-                if table_in_scope(size):
-                    with span("serve.load_table", algorithm=name, size=size):
-                        table = successor_table(
-                            algorithm, size, algorithm_name=name,
-                            disk_cache=self.table_cache,
-                        )
-                        # Resolve the functional-graph summary now so the
-                        # first request does not pay for it.
-                        table.fsync_summary()
-                elif sharded_in_scope(size):
-                    # Past the in-RAM bound the service answers from the disk
-                    # tier: the shard store builds (or reopens) once here and
-                    # requests stream from the memmaps.
-                    from ..core.sharded_tables import sharded_successor_table
+                # Past the in-RAM bound the table is a shard store that
+                # builds (or reopens) once here; requests stream from it.
+                with span("serve.load_table", algorithm=name, size=size):
+                    table = scoped_table(
+                        algorithm, size, algorithm_name=name, disk_cache=self.table_cache
+                    )
+                    if table is None:
+                        _LOG.warning("size %d outside every table scope; skipping", size)
+                        continue
+                    # Resolve the functional-graph summary now so the first
+                    # request does not pay for it.
+                    table.fsync_summary()
+                if self.publish:
+                    from ..core.shared_tables import publish_table
 
-                    with span("serve.load_sharded_table", algorithm=name, size=size):
-                        table = sharded_successor_table(
-                            algorithm, size, cache_dir=self.table_cache
-                        )
-                        table.fsync_summary()
-                else:
-                    _LOG.warning("size %d outside every table scope; skipping", size)
-        if self.publish:
-            from ..core.shared_tables import publish_table
-            from ..core.table_kernel import successor_table
-
-            for name in self.algorithm_names:
-                algorithm = worker_algorithm(name)
-                for size in self.sizes:
-                    tables = getattr(algorithm, "_successor_tables", {})
-                    if size in tables:
-                        self.published_handles.append(
-                            publish_table(tables[size], name)
-                        )
+                    self.published_handles.append(publish_table(table, name))
         self._started = True
 
     def shutdown(self) -> None:
-        """Unlink every published segment (idempotent; part of SIGTERM drain)."""
+        """Remove every private table store published (idempotent; SIGTERM drain)."""
         if self.published_handles:
             from ..core.shared_tables import unpublish_table
 
@@ -219,7 +182,7 @@ class GatheringService:
         seeded spec reproduces the CLI's single-run answer exactly.
         """
         algorithm = self._algorithm(algorithm_name)
-        if scheduler not in (None, "fsync") or not _have_numpy():
+        if scheduler not in (None, "fsync"):
             return [
                 execute_configuration(
                     configuration,
@@ -362,34 +325,18 @@ class GatheringService:
         key = (fingerprint, request.size)
         cached = self.census_cache.get(key)
         if cached is None:
-            if not _have_numpy():
-                raise ProtocolError(
-                    "the census endpoint needs the table kernel (numpy missing)",
-                    status=503,
-                )
-            from ..core.table_kernel import (
-                sharded_in_scope,
-                successor_table,
-                table_in_scope,
-            )
-
-            if not table_in_scope(request.size) and not sharded_in_scope(request.size):
-                raise ProtocolError(
-                    f"size {request.size} is outside every table scope", field="size"
-                )
             import numpy as np
 
-            with span("serve.census", algorithm=request.algorithm, size=request.size):
-                if table_in_scope(request.size):
-                    table = successor_table(
-                        algorithm, request.size, algorithm_name=request.algorithm,
-                        disk_cache=self.table_cache,
-                    )
-                else:
-                    from ..core.sharded_tables import sharded_successor_table
+            from ..core.table_kernel import scoped_table
 
-                    table = sharded_successor_table(
-                        algorithm, request.size, cache_dir=self.table_cache
+            with span("serve.census", algorithm=request.algorithm, size=request.size):
+                table = scoped_table(
+                    algorithm, request.size, algorithm_name=request.algorithm,
+                    disk_cache=self.table_cache,
+                )
+                if table is None:
+                    raise ProtocolError(
+                        f"size {request.size} is outside every table scope", field="size"
                     )
                 verdict = table.fsync_verdict(np.arange(table.view.count))
                 census = verdict.root_census
@@ -421,14 +368,13 @@ class GatheringService:
             None if request.scheduler in (None, "fsync")
             else scheduler_from_spec(request.scheduler)
         )
-        kernel = "table" if _have_numpy() else "packed"
         return run_execution(
             request.configuration,
             algorithm,
             scheduler=scheduler,
             max_rounds=request.max_rounds,
             record_rounds=True,
-            kernel=kernel,
+            kernel="table",
         )
 
     def handle_witness(self, request: VerifyRequest, request_id: str) -> Dict[str, Any]:

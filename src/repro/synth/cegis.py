@@ -447,45 +447,42 @@ def synthesize(
     base_table = None
     root_rows = None
     if kernel == "table":
-        try:
-            from ..core.table_kernel import successor_table, table_in_scope
-        except ImportError:
-            kernel = "packed"
-        else:
-            import numpy as np
+        import numpy as np
 
-            if roots is None:
-                if table_in_scope(size):
-                    base_table = successor_table(base, size)
-                    root_rows = np.arange(base_table.view.count, dtype=np.int32)
-            else:
-                roots = list(roots)
-                rows: List[int] = []
-                seen_rows = set()
-                table0 = None
-                usable = bool(roots)
-                for item in roots:
-                    nodes = item.nodes if isinstance(item, Configuration) else tuple(item)
-                    n = len(tuple(nodes))
-                    if not table_in_scope(n) or (
-                        table0 is not None and n != table0.view.size
-                    ):
-                        usable = False
-                        break
-                    if table0 is None:
-                        table0 = successor_table(base, n)
-                    row = table0.view.row_of_nodes(nodes)
-                    if row is None:
-                        usable = False
-                        break
-                    if row not in seen_rows:  # explorer roots dedup likewise
-                        seen_rows.add(row)
-                        rows.append(row)
-                if usable and table0 is not None:
-                    base_table = table0
-                    root_rows = np.array(rows, dtype=np.int32)
-            if base_table is None:
-                kernel = "packed"
+        from ..core.table_kernel import successor_table, table_in_scope
+
+        if roots is None:
+            if table_in_scope(size):
+                base_table = successor_table(base, size)
+                root_rows = np.arange(base_table.view.count, dtype=np.int32)
+        else:
+            roots = list(roots)
+            rows: List[int] = []
+            seen_rows = set()
+            table0 = None
+            usable = bool(roots)
+            for item in roots:
+                nodes = item.nodes if isinstance(item, Configuration) else tuple(item)
+                n = len(tuple(nodes))
+                if not table_in_scope(n) or (
+                    table0 is not None and n != table0.view.size
+                ):
+                    usable = False
+                    break
+                if table0 is None:
+                    table0 = successor_table(base, n)
+                row = table0.view.row_of_nodes(nodes)
+                if row is None:
+                    usable = False
+                    break
+                if row not in seen_rows:  # explorer roots dedup likewise
+                    seen_rows.add(row)
+                    rows.append(row)
+            if usable and table0 is not None:
+                base_table = table0
+                root_rows = np.array(rows, dtype=np.int32)
+        if base_table is None:
+            kernel = "packed"
     explore_kernel = "table" if base_table is not None else "packed"
 
     say = progress or (lambda message: None)

@@ -261,11 +261,9 @@ def simulate_to_quiescence(
 
 def _base_table_for(base: GatheringAlgorithm, packed: int):
     """The base algorithm's successor table for targeted replay, if usable."""
+    from ..core.table_kernel import successor_table, table_in_scope  # late: cycle
+
     size = packed_count(packed)
-    try:
-        from ..core.table_kernel import successor_table, table_in_scope
-    except ImportError:
-        return None
     if not table_in_scope(size) or not getattr(base, "deterministic", True):
         return None
     return successor_table(base, size)

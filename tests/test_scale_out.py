@@ -5,11 +5,11 @@ Property tests for the three legs of the scale-out work:
 * the memory-lean polyhex growth reproduces the fixed-polyhex counts at
   n=8 and (streamed) n=9;
 * the bitset SSYNC activation enumeration is byte-identical to the
-  ``itertools.combinations`` oracle over *every* seven-robot root and a
-  seeded sample of eight-robot roots;
-* the shared-memory parallel sweep equals the serial table sweep exactly
-  and never leaks a ``/dev/shm`` segment, and the publish/attach/unpublish
-  round trip preserves every array.
+  ``itertools.combinations`` oracle (``tests/oracles.py``) over *every*
+  seven-robot root and a seeded sample of eight-robot roots;
+* the parallel sweep over a published table store equals the serial table
+  sweep exactly and never leaks a ``/dev/shm`` directory, and the
+  publish/attach/unpublish round trip preserves every array.
 
 The exhaustive n=8 censuses pinned in :mod:`repro.analysis.census_pins`
 are re-derived end to end on the table kernel.
@@ -28,15 +28,8 @@ from repro.analysis.census_pins import (
     PINNED_CENSUS_N8,
     pinned_census,
 )
-from repro.core.runner import run_many
-from repro.core.shared_tables import (
-    attach_table,
-    attached_segments,
-    detach_all,
-    publish_table,
-    published_segments,
-    unpublish_table,
-)
+from repro.core.runner import run_many, worker_algorithm
+from repro.core.shared_tables import attach_table, publish_table, unpublish_table
 from repro.core.table_kernel import (
     clear_table_caches,
     estimate_table_bytes,
@@ -51,8 +44,10 @@ from repro.enumeration.polyhex import (
     iter_canonical_node_sets,
 )
 from repro.explore import explore
-from repro.explore.transitions import _expand_packed_combinations, expand_packed
+from repro.explore.transitions import expand_packed
 from repro.grid.packing import pack_nodes
+
+from oracles import expand_packed_combinations
 
 
 def _assert_no_shm_leak():
@@ -78,7 +73,7 @@ def _assert_expansions_identical(packed_roots, algorithm, modes):
     for mode in modes:
         for packed in packed_roots:
             fast = expand_packed(packed, algorithm, mode=mode)
-            oracle = _expand_packed_combinations(packed, algorithm, mode=mode)
+            oracle = expand_packed_combinations(packed, algorithm, mode=mode)
             assert fast == oracle
 
 
@@ -151,55 +146,32 @@ def test_clear_table_caches_drops_views_and_tables():
     assert not _VIEW_TABLES
 
 
-# ----------------------------------------------------------- shared memory
+# ----------------------------------------------------------- table sharing
 def test_shared_table_publish_attach_roundtrip():
     clear_table_caches()
+    clear_table_caches(worker_algorithm("shibata-visibility2"))
     algorithm = ShibataGatheringAlgorithm()
     table = successor_table(algorithm, 5)
     handle = publish_table(table, "shibata-visibility2")
     try:
-        assert handle.name in published_segments()
+        # An in-RAM table with no store of its own gets a private copy.
+        assert handle.owned and glob.glob(handle.directory)
         attached = attach_table(handle)
-        assert handle.name in attached_segments()
         assert np.array_equal(attached.succ, table.succ)
         assert np.array_equal(attached.codes, table.codes)
         assert np.array_equal(attached.mover_count, table.mover_count)
         assert np.array_equal(attached.view.positions, table.view.positions)
         assert np.array_equal(attached.view.diameters, table.view.diameters)
-        # Attaching is memoized per segment: same object back.
+        # Attaching is memoized per store: same object back.
         assert attach_table(handle) is attached
+        assert worker_algorithm("shibata-visibility2")._successor_tables[5] is attached
     finally:
-        detach_all()
         unpublish_table(handle)
         unpublish_table(handle)  # idempotent
         clear_table_caches(algorithm)
-    assert handle.name not in published_segments()
-    _assert_no_shm_leak()
-
-
-def test_detach_all_evicts_registered_tables():
-    # Attaching registers the shm-backed table on the worker-algorithm
-    # singleton; detach_all must evict it, or the next successor_table call
-    # in this process dereferences unmapped pages (segfault, not exception).
-    from repro.core.runner import worker_algorithm
-
-    clear_table_caches()
-    algorithm = ShibataGatheringAlgorithm()
-    table = successor_table(algorithm, 5)
-    handle = publish_table(table, "shibata-visibility2")
-    try:
-        attach_table(handle)
-        singleton = worker_algorithm("shibata-visibility2")
-        assert 5 in singleton._successor_tables
-        detach_all()
-        assert 5 not in singleton._successor_tables
-        # A rebuild after detaching answers from fresh heap-backed arrays.
-        rebuilt = successor_table(worker_algorithm("shibata-visibility2"), 5)
-        assert rebuilt.fsync_summary() is not None
-    finally:
-        detach_all()
-        unpublish_table(handle)
-        clear_table_caches(algorithm)
+        clear_table_caches(worker_algorithm("shibata-visibility2"))
+    # The attached arrays outlive the removed files: mappings stay valid.
+    assert int(attached.succ.sum()) == int(table.succ.sum())
     _assert_no_shm_leak()
 
 

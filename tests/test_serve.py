@@ -8,8 +8,8 @@ serialized with sorted keys and pinned request ids precisely so this
 comparison can be exact.
 
 The SIGTERM test runs the real ``python -m repro serve`` subprocess with two
-workers (tables published through shared memory) and asserts a clean exit
-with zero leaked ``/dev/shm/repro_tbl_*`` segments; the session-scoped
+workers (tables published as private table stores) and asserts a clean exit
+with zero leaked ``/dev/shm/repro_tbl_*`` directories; the session-scoped
 ``no_shared_memory_leak`` fixture backstops every other test here too.
 """
 from __future__ import annotations
@@ -417,52 +417,6 @@ def test_scheduler_requests_bypass_the_batcher(server):
     assert response["scheduler"] == "round-robin:2"
     assert response["outcome"] == reference.outcome.value
     assert response["rounds"] == reference.rounds
-
-
-def test_asgi_adapter_returns_the_same_bytes(server, service):
-    """The ASGI app and the stdlib server share one router: same bytes out."""
-    from repro.serve.asgi import create_app
-
-    host, port = server
-    app = create_app(service)
-    configuration = _roots(4, 4)[1]
-    body = json.dumps(
-        {"algorithm": ALGORITHM, "config": [list(n) for n in configuration.nodes]}
-    ).encode()
-
-    async def main():
-        sent = []
-        events = [{"type": "http.request", "body": body, "more_body": False}]
-
-        async def receive():
-            return events.pop(0)
-
-        async def send(message):
-            sent.append(message)
-
-        await app(
-            {
-                "type": "http",
-                "method": "POST",
-                "path": "/v1/verify",
-                "query_string": b"",
-                "headers": [(b"x-request-id", b"asgi-vs-http")],
-            },
-            receive,
-            send,
-        )
-        async with ServeClient(host, port) as client:
-            _, http_body, _ = await client.request_bytes(
-                "POST",
-                "/v1/verify",
-                json.loads(body),
-                {"X-Request-Id": "asgi-vs-http"},
-            )
-        return sent, http_body
-
-    sent, http_body = _run(main())
-    assert sent[0]["status"] == 200
-    assert sent[1]["body"] == http_body
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Property tests for the disk tier (:mod:`repro.core.sharded_tables`):
   sweeps, SSYNC expansions, explorer graphs (both modes) and single-execution
   traces;
 * the vectorized sort+adjacent-compare collision path equals the pairwise
-  oracle over all 3,652 n=7 rows and sampled n=8 rows;
+  oracle (``tests/oracles.py``) over all 3,652 n=7 rows and sampled n=8
+  rows;
 * shard boundaries behave: shard size 1, a partial last shard, corrupt /
   stale / aborted shard stores are detected and rebuilt;
 * the scope policy admits n=10 under the default budget and the n=9/n=10
@@ -36,15 +37,12 @@ from repro.core.engine import run_execution
 from repro.core.runner import autotune_chunk_size, run_many
 from repro.core.sharded_tables import (
     ShardedTableError,
-    attach_sharded,
     build_sharded_table,
     open_sharded_table,
-    sharded_handle,
     sharded_successor_table,
     sharded_table_dir,
 )
 from repro.core.table_kernel import (
-    SuccessorTable,
     estimate_sharded_bytes,
     record_peak_rss,
     sharded_in_scope,
@@ -54,6 +52,8 @@ from repro.core.table_kernel import (
 from repro.enumeration.polyhex import FIXED_POLYHEX_COUNTS
 from repro.explore import explore
 from repro.obs import metrics as _obs
+
+from oracles import byte_index_lookup, collision_flags_pairwise
 
 
 def _algorithm():
@@ -202,28 +202,37 @@ def test_runner_batch_rides_sharded_tier(shard_cache, sharded_only_scope):
 
 
 # --------------------------------------------------- vectorized == oracle
-def test_vectorized_resolution_equals_pairwise_oracle_n7():
+def _resolve_with_oracle(monkeypatch, vt, rows, move_code, lookup):
+    """``resolve_rows_arrays`` with the pairwise collision tensors swapped in."""
+    with monkeypatch.context() as patch:
+        patch.setattr(table_kernel, "_collision_flags_sorted", collision_flags_pairwise)
+        return table_kernel.resolve_rows_arrays(
+            vt.positions[rows], move_code, vt.gathered[rows], lookup
+        )
+
+
+def test_vectorized_resolution_equals_pairwise_oracle_n7(monkeypatch):
     mono = successor_table(_algorithm(), 7)
-    oracle = SuccessorTable._from_codes(mono.view, mono.codes, oracle=True)
-    for field in ("kind", "succ", "mover_bits", "mover_count", "collision_code"):
-        assert np.array_equal(getattr(mono, field), getattr(oracle, field)), field
+    vt = mono.view
+    rows = np.arange(vt.count)
+    oracle = _resolve_with_oracle(
+        monkeypatch, vt, rows, mono.move_code, byte_index_lookup(vt.positions)
+    )
+    fields = ("mover_bits", "mover_count", "kind", "succ", "collision_code")
+    for field, want in zip(fields, oracle):
+        assert np.array_equal(getattr(mono, field), want), field
 
 
-def test_vectorized_resolution_equals_pairwise_oracle_sampled_n8():
-    from repro.core.table_kernel import resolve_rows_arrays
-
+def test_vectorized_resolution_equals_pairwise_oracle_sampled_n8(monkeypatch):
     mono = successor_table(_algorithm(), 8)
     vt = mono.view
     rng = random.Random(8)
     rows = np.array(sorted(rng.sample(range(vt.count), 2048)))
     move_code = np.stack([np.asarray(mono.move_code[int(r)]) for r in rows])
-    fast = resolve_rows_arrays(
+    fast = table_kernel.resolve_rows_arrays(
         vt.positions[rows], move_code, vt.gathered[rows], vt.rows_of_canonical
     )
-    slow = resolve_rows_arrays(
-        vt.positions[rows], move_code, vt.gathered[rows], vt.rows_of_canonical,
-        oracle=True,
-    )
+    slow = _resolve_with_oracle(monkeypatch, vt, rows, move_code, vt.rows_of_canonical)
     for got, want in zip(fast, slow):
         assert np.array_equal(got, want)
 
@@ -287,21 +296,49 @@ def test_sharded_table_is_immutable(shard_cache):
 # -------------------------------------------------------- worker attachment
 def test_attach_sharded_registers_on_worker_algorithm(shard_cache):
     from repro.core.runner import worker_algorithm
-    from repro.core.shared_tables import attach_table, detach_all
+    from repro.core.shared_tables import attach_table, publish_table, unpublish_table
 
     algorithm = _algorithm()
     table = sharded_successor_table(algorithm, 4, shard_rows=8)
-    handle = sharded_handle(table, "shibata-visibility2")
+    handle = publish_table(table, "shibata-visibility2")
+    worker = worker_algorithm("shibata-visibility2")
     try:
-        attached = attach_table(handle)  # one dispatch point for both tiers
+        # A shard store is published as itself: no private copy.
+        assert handle.directory == table.directory and not handle.owned
+        attached = attach_table(handle)  # one dispatch point for both layouts
         assert np.array_equal(attached.succ, table.succ)
-        worker = worker_algorithm("shibata-visibility2")
         assert worker._sharded_tables[4] is attached
         # Memoized: a second attach is the same object.
-        assert attach_sharded(handle) is attached
+        assert attach_table(handle) is attached
     finally:
-        detach_all()
-    assert getattr(worker_algorithm("shibata-visibility2"), "_sharded_tables", {}) == {}
+        unpublish_table(handle)
+        worker._sharded_tables.pop(4, None)
+    assert os.path.isdir(table.directory)  # the persistent store outlives it
+
+
+def test_concurrent_builds_of_one_store_agree(tmp_path):
+    # Three spawned processes race to build the same small store; none may
+    # delete another's files, and every result equals the in-RAM table.
+    import multiprocessing
+
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(3) as pool:
+        results = pool.map_async(_build_and_read_store, [str(tmp_path)] * 3).get(timeout=300)
+    mono = successor_table(_algorithm(), 6)
+    for arrays in results:
+        for field, array in arrays.items():
+            assert array.tobytes() == getattr(mono, field).tobytes(), field
+
+
+def _build_and_read_store(root):
+    directory = os.path.join(root, "store")
+    algorithm = _algorithm()
+    build_sharded_table(algorithm, 6, directory, shard_rows=50)
+    table = open_sharded_table(directory, 6)
+    return {
+        field: np.array(getattr(table, field))
+        for field in ("kind", "succ", "mover_bits", "mover_count", "collision_code")
+    }
 
 
 # ------------------------------------------------------------ chunk autotune
