@@ -56,6 +56,7 @@ REQUIRED_TIMINGS = {
         "table_sweep_warm_seconds",
         "n8_table_sweep_seconds",
         "n9_table_sweep_seconds",
+        "n10_enumeration_seconds",
         "n10_shard_build_seconds",
         "shard_sweep_seconds",
         "parallel_sweep_seconds",

@@ -282,41 +282,6 @@ def write_table_store(table: SuccessorTable, directory: str) -> str:
 # Build.
 # ---------------------------------------------------------------------------
 
-def _enumerate_sorted_positions(size: int) -> "np.ndarray":
-    """The whole canonical space as a ``(rows, n, 2)`` int16 array, row order.
-
-    Streams :func:`~repro.enumeration.polyhex.iter_canonical_node_sets`
-    (growth order, shapes never materialized as Python tuples beyond the
-    memoized previous level) and then **lexsorts globally**, because the
-    monolithic ``ViewTable`` row order is the sorted enumeration — the
-    sharded table must agree row for row to be byte-identical.
-    """
-    from ..enumeration.polyhex import (  # late: avoids an import cycle
-        FIXED_POLYHEX_COUNTS,
-        iter_canonical_node_sets,
-    )
-
-    rows = FIXED_POLYHEX_COUNTS.get(size)
-    if rows is None:
-        raise ShardedTableError(
-            f"the sharded tier needs an exact state-space count for n={size}"
-        )
-    stream = iter_canonical_node_sets(size)
-    positions = np.fromiter(
-        (c for shape in stream for node in shape for c in node),
-        dtype=np.int16,
-        count=rows * size * 2,
-    ).reshape(rows, size, 2)
-    if next(stream, None) is not None:  # pragma: no cover - enumeration closed
-        raise ShardedTableError(f"enumeration of n={size} exceeded {rows} shapes")
-    flat = positions.reshape(rows, size * 2)
-    # np.lexsort sorts by its *last* key first; reversing the flattened
-    # columns makes (q0, r0, q1, r1, ...) the lexicographic order — exactly
-    # ``sorted()`` over canonical shape tuples.
-    order = np.lexsort(flat.T[::-1])
-    return positions[order]
-
-
 def _geometry_block(
     block: "np.ndarray", lut: "np.ndarray", span: int, size: int
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
@@ -343,8 +308,9 @@ def build_sharded_table(
 
     Four bounded-memory passes:
 
-    1. **Enumerate** — stream the polyhex growth into a flat positions array
-       and lexsort it into the monolithic row order.
+    1. **Enumerate** — the memoized
+       :func:`~repro.enumeration.polyhex.canonical_positions` array, already
+       in the monolithic row order.
     2. **Geometry** — per shard, chunk-wise: view bitmasks / diameters /
        gathering flags through the same LUT formulas ``ViewTable`` uses;
        positions spill to the shard files, the canonical-index block array
@@ -397,13 +363,14 @@ def _fill_sharded_store(
     algorithm: GatheringAlgorithm, size: int, directory: str, rows_per_shard: int
 ) -> Dict[str, int]:
     """The four build passes of :func:`build_sharded_table`, into ``directory``."""
+    from ..enumeration.polyhex import canonical_positions  # late: avoids an import cycle
     from .engine import decision_cache_for  # late: avoids an import cycle
     from .table_kernel import resolve_rows_arrays  # late: keeps import light
 
     visibility_range = algorithm.visibility_range
 
-    # Pass 1: enumerate + global sort.
-    positions = _enumerate_sorted_positions(size)
+    # Pass 1: enumerate (sorted, memoized).
+    positions = canonical_positions(size)
     rows = len(positions)
     n = size
     shards = -(-rows // rows_per_shard)

@@ -171,7 +171,7 @@ def estimate_table_bytes(size: int, visibility_range: int = 2) -> int:
 
     Per row: the numpy arrays (positions/views/slots/successors, ~``11n + 20``
     bytes) plus a pessimistic allowance for the lazily-built Python-side
-    structures — the eager ``shapes`` tuple of ``Coord`` tuples and the
+    structures — the shared ``shapes`` tuple of ``Coord`` tuples and the
     canonical-form lookup dictionaries (tuple/byte/packed index) — which
     dominate at Python object prices (measured ~1.3 kB/row for the tuple
     index alone at n=9).  The chunked builds keep transients below this
@@ -428,22 +428,15 @@ class ViewTable:
                 f"the table kernel supports 1..{limit} robots within the current "
                 f"memory budget, got {size}"
             )
-        from ..enumeration.polyhex import enumerate_canonical_node_sets  # late: cycle
+        from ..enumeration.polyhex import canonical_positions  # late: cycle
 
         build_start = time.perf_counter()
         self.size = size
         self.visibility_range = visibility_range
-        shapes = enumerate_canonical_node_sets(size)
-        self._shapes: Optional[Tuple[Tuple[Coord, ...], ...]] = tuple(shapes)
+        positions = canonical_positions(size)
         n = size
-        count = len(shapes)
+        count = len(positions)
         self.count = count
-
-        positions = np.fromiter(
-            (c for shape in shapes for node in shape for c in node),
-            dtype=np.int16,
-            count=count * n * 2,
-        ).reshape(count, n, 2)
         self.positions = positions
 
         #: The canonical-form lookup dictionaries (tuple/packed index) are
@@ -522,7 +515,6 @@ class ViewTable:
         vt.count = len(arrays["positions"])
         for field in VIEW_ARRAY_FIELDS:
             setattr(vt, field, arrays[field])
-        vt._shapes = None
         vt._tuple_index = None
         vt._packed = None
         vt._packed_index = None
@@ -532,13 +524,14 @@ class ViewTable:
     # ------------------------------------------------------------------ lookup
     @property
     def shapes(self) -> Tuple[Tuple[Coord, ...], ...]:
-        """Row index -> canonical node tuple (reconstructed after an attach)."""
-        if self._shapes is None:
-            self._shapes = tuple(
-                tuple(Coord(int(q), int(r)) for q, r in shape)
-                for shape in self.positions
-            )
-        return self._shapes
+        """Row index -> canonical node tuple: the process-wide enumeration memo.
+
+        The rows of every table (built or attached) are the sorted
+        enumeration, so the polyhex tuple memo serves them row for row.
+        """
+        from ..enumeration.polyhex import canonical_shapes  # late: cycle
+
+        return canonical_shapes(self.size)
 
     @property
     def tuple_index(self) -> Dict[Tuple[Tuple[int, int], ...], int]:

@@ -21,33 +21,49 @@ n     count
 7     3652
 8     16689
 9     77359
+10    362671
 ====  =======
 
 so the paper's 3652 is recovered exactly by this enumeration, and the n>7
 scale-out of the state-space engine uses the same machinery.
 
-The enumeration proceeds level by level: every connected ``n``-node set is a
-connected ``(n-1)``-node set plus one adjacent node, so we grow the sets of
-size ``n`` from the *memoized* canonical sets of size ``n - 1`` (one level of
-growth per size, never a from-scratch rebuild) and deduplicate by the packed
-canonical integer (:func:`repro.grid.packing.pack_nodes`) — one small int per
-seen shape instead of a tuple of coordinates, which is what keeps the n>=8
-levels memory-lean.  :func:`iter_canonical_node_sets` streams a level without
-materializing its sorted tuple.  ``n = 7`` takes well under a second; ``n = 9``
-(77359 shapes) a few seconds on top of the memoized ``n = 8`` level.
+Every connected ``n``-node set is a connected ``(n-1)``-node set plus one
+adjacent node, so :func:`canonical_positions` grows each level from the
+memoized level below it as one NumPy array: all six neighbours of every
+cell of every shape, minus repeats and occupied cells, each inserted at its
+sort position in its (already sorted) parent row and re-anchored on the
+first cell.  Each grown row packs into a few ``uint64`` words whose integer
+order is the rows' lexicographic order, so one ``lexsort`` plus a
+first-of-each-run mask deduplicates the level *and* leaves it in the order
+``sorted()`` gives over canonical tuples — the row order every table uses.
+The previous level is processed in blocks, so the transient arrays stay
+small at ``n = 10``.  ``n = 9`` takes a fraction of a second and ``n = 10``
+about a second on a 2-core host.
+
+The tuple views (:func:`enumerate_canonical_node_sets`,
+:func:`iter_canonical_node_sets`) read that array; one memoized tuple copy
+per size (:func:`canonical_shapes`) serves every tuple consumer in a process.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+import time
+from functools import lru_cache
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from ..core.configuration import Configuration
-from ..grid.coords import Coord, neighbors
-from ..grid.packing import pack_nodes, unpack_nodes
-from ..grid.symmetry import canonical_translation, canonical_up_to_symmetry
+from ..grid.coords import Coord
+from ..grid.directions import DIRECTIONS
+from ..grid.symmetry import canonical_up_to_symmetry
+from ..obs import metrics as _obs
+from ..obs import record_span as _obs_record_span
 
 __all__ = [
     "FIXED_POLYHEX_COUNTS",
     "FREE_POLYHEX_COUNTS",
+    "canonical_positions",
+    "canonical_shapes",
     "enumerate_canonical_node_sets",
     "enumerate_connected_configurations",
     "count_connected_configurations",
@@ -85,78 +101,188 @@ FREE_POLYHEX_COUNTS: Dict[int, int] = {
     7: 333,
 }
 
+#: Axial neighbour displacements, as an ``(6, 2)`` array.
+_DELTAS = np.array([direction.value for direction in DIRECTIONS], dtype=np.int32)
 
-#: Memoized canonical shapes per size (the explicit twin of the old
-#: ``lru_cache``): every caller in a process shares one pass, and the
-#: streaming iterator can peek at it without forcing a build.
-_CANONICAL_CACHE: Dict[int, Tuple[Tuple[Coord, ...], ...]] = {}
+#: Rows per block, both of the previous level while growing (bounding the
+#: neighbour arrays and the grown rows to a few tens of MB at ``n = 10``)
+#: and of a level while converting it to tuples.
+_BLOCK_ROWS = 8192
 
 
-def _grow_level(
-    previous: Sequence[Tuple[Coord, ...]]
-) -> Iterator[Tuple[Coord, ...]]:
-    """Stream the canonical ``k+1``-node shapes grown from the ``k``-node level.
+def _pack_keys(cells: "np.ndarray", bits: int) -> "np.ndarray":
+    """``(M, k)`` non-negative cell keys -> ``(M, words)`` uint64 sort keys.
 
-    Every connected set is a smaller connected set plus one adjacent node;
-    deduplication keys on the packed canonical integer, so the only state held
-    across the stream is one int per emitted shape — not the shapes
-    themselves.  Emission order is growth order (unspecified); the memoized
-    tuple sorts once at the end.
+    Cells fill each word from the most significant end, so comparing the
+    words in order compares the rows lexicographically.
     """
-    seen: Set[int] = set()
-    for shape in previous:
-        shape_set = set(shape)
-        candidates: Set[Coord] = set()
-        for node in shape:
-            for nb in neighbors(node):
-                if nb not in shape_set:
-                    candidates.add(nb)
-        for candidate in candidates:
-            key = pack_nodes(shape_set | {candidate})
-            if key not in seen:
-                seen.add(key)
-                yield unpack_nodes(key)
+    per_word = 64 // bits
+    words = []
+    for start in range(0, cells.shape[1], per_word):
+        word = np.zeros(len(cells), dtype=np.uint64)
+        for column in range(start, min(start + per_word, cells.shape[1])):
+            word <<= np.uint64(bits)
+            word |= cells[:, column].astype(np.uint64)
+        words.append(word)
+    return np.stack(words, axis=1)
 
 
-def _canonical_node_sets(size: int) -> Tuple[Tuple[Coord, ...], ...]:
-    """The memoized enumeration: every caller in a process shares one pass.
+def _unpack_keys(keys: "np.ndarray", cells: int, bits: int) -> "np.ndarray":
+    """Invert :func:`_pack_keys`: ``(M, words)`` -> ``(M, cells)`` int16."""
+    per_word = 64 // bits
+    out = np.empty((len(keys), cells), dtype=np.int16)
+    mask = np.uint64((1 << bits) - 1)
+    for index, start in enumerate(range(0, cells, per_word)):
+        word = keys[:, index].copy()
+        for column in reversed(range(start, min(start + per_word, cells))):
+            out[:, column] = word & mask
+            word >>= np.uint64(bits)
+    return out
 
-    The fixtures, the explorer's default root set, the sweep grid and the
-    table kernel's state-space construction all re-enumerate the same sizes;
-    the shapes are immutable tuples, so one shared tuple-of-tuples serves
-    them all.  Each size is one growth pass over the memoized previous level.
+
+def _grow_block(cells: "np.ndarray", width: int, bits: int) -> "np.ndarray":
+    """Packed sort keys of every child of one block of parent rows.
+
+    ``cells`` is ``(B, k)`` sorted cell keys with ``cells[:, 0] == 0``; the
+    result has one row per distinct free neighbour of each parent.
+    """
+    rows, k = cells.shape
+    neighbours = (cells[:, :, None] + (_DELTAS[:, 0] * width + _DELTAS[:, 1])).reshape(rows, -1)
+    neighbours.sort(axis=1)
+    fresh = np.ones(neighbours.shape, dtype=bool)
+    fresh[:, 1:] = neighbours[:, 1:] != neighbours[:, :-1]
+    # Row b's keys plus b * stride sort after row b-1's: one flat sorted array.
+    stride = (k + 2) * width
+    offsets = np.arange(rows, dtype=np.int32)[:, None] * stride
+    occupied = (cells + offsets).ravel()
+    shifted = neighbours + offsets
+    hit = np.minimum(np.searchsorted(occupied, shifted), len(occupied) - 1)
+    fresh &= occupied[hit] != shifted
+    parent, slot = np.nonzero(fresh)
+    added = neighbours[parent, slot]
+    base = cells[parent]
+    # Insert each new cell at its sort position in its parent row and
+    # re-anchor on the first cell, which is the new cell when it sorts first
+    # and the parent's (0, 0) otherwise.  Column 0 is then always 0 and is
+    # not stored.
+    at = (base < added[:, None]).sum(axis=1)
+    grown = np.empty((len(added), k), dtype=np.int32)
+    for column in range(1, k + 1):
+        value = np.where(at == column, added, base[:, column - 1])
+        if column < k:
+            value = np.where(at > column, base[:, column], value)
+        grown[:, column - 1] = value
+    grown -= np.where(at == 0, added, 0)[:, None]
+    return _pack_keys(grown, bits)
+
+
+def _grow_positions(previous: "np.ndarray") -> Tuple["np.ndarray", int]:
+    """The sorted ``k+1``-cell level grown from the sorted ``k``-cell level.
+
+    Returns ``(positions, candidates)``: the ``(N, k+1, 2)`` int16 level and
+    the number of grown rows (one per distinct free neighbour of each parent)
+    before deduplication.
+    """
+    rows, k, _ = previous.shape
+    size = k + 1
+    if rows and int(np.abs(previous).max()) > k - 1:
+        raise ValueError(
+            f"level {k} has a coordinate outside |q|, |r| <= {k - 1}: "
+            "not a canonical connected level"
+        )
+    # Cell key q * width + r.  A connected k-cell shape anchored at its
+    # smallest cell has |r| <= k - 1, so parents, their neighbours and the
+    # re-anchored children all keep |r| <= size - 1: with this width the key
+    # increases with (q, r) and translating a shape subtracts one key.
+    width = 2 * size - 1
+    bits = (size * width - 1).bit_length()
+    packed = []
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = previous[start : start + _BLOCK_ROWS].astype(np.int32)
+        packed.append(_grow_block(block[:, :, 0] * width + block[:, :, 1], width, bits))
+    keys = np.concatenate(packed)
+    candidates = len(keys)
+    del packed
+    keys = keys[np.lexsort(keys.T[::-1])]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keys = keys[first]
+    cells = np.zeros((len(keys), size), dtype=np.int16)
+    cells[:, 1:] = _unpack_keys(keys, k, bits)
+    del keys
+    positions = np.empty(cells.shape + (2,), dtype=np.int16)
+    positions[:, :, 0] = (cells + (size - 1)) // width
+    positions[:, :, 1] = cells - positions[:, :, 0] * width
+    return positions, candidates
+
+
+@lru_cache(maxsize=None)
+def canonical_positions(size: int) -> "np.ndarray":
+    """Every canonical ``size``-node shape as one read-only ``(N, n, 2)`` array.
+
+    Row ``i`` lists the nodes of shape ``i`` as ``(q, r)`` pairs, sorted and
+    anchored so the first is ``(0, 0)``; rows are in the order ``sorted()``
+    gives over the canonical tuples.  Memoized per size (each level grows
+    from the memoized one below it); every table build, census and
+    exploration in a process shares the one array.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
-    cached = _CANONICAL_CACHE.get(size)
-    if cached is None:
-        if size == 1:
-            cached = (canonical_translation([Coord(0, 0)]),)
-        else:
-            cached = tuple(sorted(_grow_level(_canonical_node_sets(size - 1))))
-        _CANONICAL_CACHE[size] = cached
-    return cached
+    start = time.perf_counter()
+    if size == 1:
+        positions, candidates = np.zeros((1, 1, 2), dtype=np.int16), 0
+    else:
+        positions, candidates = _grow_positions(canonical_positions(size - 1))
+    expected = FIXED_POLYHEX_COUNTS.get(size, len(positions))
+    if len(positions) != expected:
+        raise RuntimeError(
+            f"enumerated {len(positions)} shapes of n={size}, expected {expected}"
+        )
+    positions.setflags(write=False)
+    from ..core.table_kernel import record_peak_rss  # late: avoids an import cycle
+
+    _obs.counter("enumeration.shapes").inc(len(positions))
+    record_peak_rss()
+    _obs_record_span(
+        "enumeration.grow",
+        time.perf_counter() - start,
+        size=size,
+        candidates=candidates,
+        shapes=len(positions),
+    )
+    return positions
+
+
+def _shape_tuples(positions: "np.ndarray") -> Iterator[Tuple[Coord, ...]]:
+    """Stream the rows of a canonical level as tuples of shared ``Coord``\\ s."""
+    size = positions.shape[1]
+    width = 2 * size - 1  # the cell-key radix of _grow_positions
+    # One Coord per reachable (q, r), shared by every shape that contains it.
+    coords = [Coord(q, r) for q in range(size) for r in range(1 - size, size)]
+    index = positions[:, :, 0].astype(np.int32) * width + positions[:, :, 1] + (size - 1)
+    lookup = coords.__getitem__
+    for start in range(0, len(index), _BLOCK_ROWS):
+        for row in index[start : start + _BLOCK_ROWS].tolist():
+            yield tuple(map(lookup, row))
+
+
+@lru_cache(maxsize=None)
+def canonical_shapes(size: int) -> Tuple[Tuple[Coord, ...], ...]:
+    """The memoized tuple view of :func:`canonical_positions` (row for row).
+
+    The one tuple copy of a level per process: the fixtures, the explorer's
+    root set, the sweep grid and ``ViewTable.shapes`` all share it.
+    """
+    return tuple(_shape_tuples(canonical_positions(size)))
 
 
 def iter_canonical_node_sets(size: int) -> Iterator[Tuple[Coord, ...]]:
-    """Stream the canonical node sets of one size without materializing them.
+    """Stream the canonical node sets of one size, in sorted order.
 
-    When the size is already memoized this yields the sorted shapes from the
-    cache; otherwise it grows the (memoized) previous level and yields shapes
-    as they are discovered, in unspecified order, holding only the packed-int
-    dedup set — the memory-lean path for one-pass consumers at ``n >= 8``
-    (the nightly census pipeline, sampling tests).
+    Converts the memoized array block by block without keeping the tuples —
+    the memory-lean path for one-pass consumers at ``n >= 9``.
     """
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    cached = _CANONICAL_CACHE.get(size)
-    if cached is not None:
-        yield from cached
-        return
-    if size == 1:
-        yield canonical_translation([Coord(0, 0)])
-        return
-    yield from _grow_level(_canonical_node_sets(size - 1))
+    return _shape_tuples(canonical_positions(size))
 
 
 def enumerate_canonical_node_sets(size: int) -> List[Tuple[Coord, ...]]:
@@ -168,7 +294,7 @@ def enumerate_canonical_node_sets(size: int) -> List[Tuple[Coord, ...]]:
     enumeration is memoized per size; the returned list is a fresh copy, so
     callers may slice or mutate it freely.
     """
-    return list(_canonical_node_sets(size))
+    return list(canonical_shapes(size))
 
 
 def enumerate_connected_configurations(size: int = 7) -> List[Configuration]:
@@ -189,7 +315,7 @@ def iter_connected_configurations(size: int = 7) -> Iterator[Configuration]:
 
 def count_connected_configurations(size: int) -> int:
     """Number of connected configurations of ``size`` robots up to translation."""
-    return len(enumerate_canonical_node_sets(size))
+    return len(canonical_positions(size))
 
 
 def count_free_configurations(size: int) -> int:

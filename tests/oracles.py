@@ -6,12 +6,15 @@
 * :func:`byte_index_lookup` — a scalar dictionary lookup of canonical blocks,
   the oracle of the vectorized ``CanonicalIndex``;
 * :func:`expand_packed_combinations` — the ``itertools.combinations`` SSYNC
-  expansion, the oracle of the bitset ``expand_packed``.
+  expansion, the oracle of the bitset ``expand_packed``;
+* :func:`grow_level_sets` / :func:`sorted_levels` — the set-based polyhex
+  grower (one packed int per seen shape), the oracle of the NumPy level
+  grower ``canonical_positions``.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from repro.explore.transitions import (
     TERMINAL_DEADLOCK,
     TERMINAL_GATHERED,
 )
+from repro.grid.coords import Coord, neighbors
 from repro.grid.packing import pack_nodes, unpack_nodes
 
 
@@ -108,3 +112,33 @@ def expand_packed_combinations(
         if destination not in targets:
             targets[destination] = bits
     return tuple((bits, destination) for destination, bits in targets.items()), None
+
+
+def grow_level_sets(previous: Sequence[Tuple[Coord, ...]]) -> Iterator[Tuple[Coord, ...]]:
+    """Stream the canonical ``k+1``-node shapes grown from the ``k``-node level.
+
+    Every connected set is a smaller connected set plus one adjacent node;
+    deduplication keys on the packed canonical integer.  Emission order is
+    growth order (unspecified).
+    """
+    seen: Set[int] = set()
+    for shape in previous:
+        shape_set = set(shape)
+        candidates: Set[Coord] = set()
+        for node in shape:
+            for nb in neighbors(node):
+                if nb not in shape_set:
+                    candidates.add(nb)
+        for candidate in candidates:
+            key = pack_nodes(shape_set | {candidate})
+            if key not in seen:
+                seen.add(key)
+                yield unpack_nodes(key)
+
+
+def sorted_levels(size: int) -> List[List[Tuple[Coord, ...]]]:
+    """The sorted canonical levels ``1..size``, each grown from the one below."""
+    levels = [[(Coord(0, 0),)]]
+    while len(levels) < size:
+        levels.append(sorted(grow_level_sets(levels[-1])))
+    return levels

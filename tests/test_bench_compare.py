@@ -38,6 +38,7 @@ _REQUIRED_DEFAULTS = {
     "table_sweep_warm_seconds": 1.0,
     "n8_table_sweep_seconds": 1.0,
     "n9_table_sweep_seconds": 1.0,
+    "n10_enumeration_seconds": 1.0,
     "n10_shard_build_seconds": 1.0,
     "shard_sweep_seconds": 1.0,
     "parallel_sweep_seconds": 1.0,

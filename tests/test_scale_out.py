@@ -2,8 +2,8 @@
 
 Property tests for the three legs of the scale-out work:
 
-* the memory-lean polyhex growth reproduces the fixed-polyhex counts at
-  n=8 and (streamed) n=9;
+* the polyhex enumeration reproduces the fixed-polyhex counts at n=8 and
+  (streamed) n=9;
 * the bitset SSYNC activation enumeration is byte-identical to the
   ``itertools.combinations`` oracle (``tests/oracles.py``) over *every*
   seven-robot root and a seeded sample of eight-robot roots;
@@ -63,8 +63,8 @@ def test_polyhex_n8_count():
 
 
 def test_polyhex_n9_streamed_count():
-    # The streaming iterator holds one packed int per emitted shape, never
-    # the 77359-tuple level itself.
+    # The streaming iterator converts the level array block by block and
+    # never keeps the 77359-tuple level itself.
     assert sum(1 for _ in iter_canonical_node_sets(9)) == FIXED_POLYHEX_COUNTS[9]
 
 
