@@ -8,7 +8,10 @@ trusted.  Stores are built in a temporary sibling directory and renamed into
 place, so concurrent builders never touch each other's files: the first
 rename wins and the others discard their copies.
 
-Two layouts share the format:
+Both tiers build through one pipeline — enumerate → geometry → decisions →
+resolve, the shared passes of :mod:`repro.core.table_kernel` — and open or
+build their stores through one path (:func:`_open_or_build`).  They differ
+only in where the arrays go, which gives two layouts of the one format:
 
 * **No shards** — an in-RAM :class:`~repro.core.table_kernel.SuccessorTable`
   written whole (:func:`write_table_store`): every
@@ -18,7 +21,8 @@ Two layouts share the format:
   and :mod:`repro.core.shared_tables` publishes in-RAM tables to worker
   processes as such a store.
 * **Sharded** — the out-of-core tier past the RAM bound
-  (:func:`~repro.core.table_kernel.max_table_size`, n=10 with 362,671 rows).
+  (:func:`~repro.core.table_kernel.max_table_size`, n=10 with 362,671 rows),
+  built by :func:`build_sharded_table` without ever holding a ``ViewTable``.
   The configuration space is partitioned into fixed-size shards; the wide
   per-row payloads (canonical positions, per-robot move codes) are per-shard
   files, and only the narrow functional-graph arrays — kind / succ / mover
@@ -46,7 +50,7 @@ import shutil
 import tempfile
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -57,20 +61,20 @@ from ..obs import record_span as _obs_record_span
 from .algorithm import GatheringAlgorithm
 from .table_kernel import (
     _BUILD_BLOCK,
-    _CODE_OF,
-    _MIN_DIAMETER,
     _TABLE_CACHE_ENV,
+    RESOLVED_FIELDS,
     SUCC_ARRAY_FIELDS,
     VIEW_ARRAY_FIELDS,
     CanonicalIndex,
-    GATHERING_SIZE,
     SuccessorTable,
     ViewTable,
+    _decision_pass,
+    _geometry_pass,
+    _resolve_pass,
     record_peak_rss,
     register_view_table,
     sharded_max_table_size,
 )
-from .view import View
 
 _LOG = get_logger("core.sharded_tables")
 
@@ -282,22 +286,6 @@ def write_table_store(table: SuccessorTable, directory: str) -> str:
 # Build.
 # ---------------------------------------------------------------------------
 
-def _geometry_block(
-    block: "np.ndarray", lut: "np.ndarray", span: int, size: int
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """views / diameters / gathered of one positions block (ViewTable formulas)."""
-    dq = block[:, None, :, 0] - block[:, :, None, 0]
-    dr = block[:, None, :, 1] - block[:, :, None, 1]
-    views = np.bitwise_or.reduce(lut[dq + span, dr + span], axis=2)
-    hexdist = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
-    diameters = hexdist.max(axis=(1, 2)).astype(np.int64)
-    if size == GATHERING_SIZE:
-        gathered = ((hexdist == 1).sum(axis=2) == 6).any(axis=1)
-    else:
-        gathered = diameters == _MIN_DIAMETER[size]
-    return views, diameters, gathered
-
-
 def build_sharded_table(
     algorithm: GatheringAlgorithm,
     size: int,
@@ -306,21 +294,20 @@ def build_sharded_table(
 ) -> str:
     """Build (or rebuild) one shard store on disk; returns the directory.
 
-    Four bounded-memory passes:
+    The in-RAM table's pipeline, spilled to disk instead of kept resident:
 
     1. **Enumerate** — the memoized
        :func:`~repro.enumeration.polyhex.canonical_positions` array, already
        in the monolithic row order.
-    2. **Geometry** — per shard, chunk-wise: view bitmasks / diameters /
-       gathering flags through the same LUT formulas ``ViewTable`` uses;
-       positions spill to the shard files, the canonical-index block array
-       and hashes build incrementally.
-    3. **Compute** — the union of unique views resolves through the
-       algorithm's decision cache once (the only ``algorithm.compute`` cost),
-       then each shard's per-robot move codes are one gather + spill.
-    4. **Resolve** — chunk-wise :func:`~repro.core.table_kernel.resolve_rows_arrays`
-       with the *global* canonical index as the successor lookup, which is
-       what turns cross-shard successors into plain global row numbers.
+    2. **Geometry** — the shared geometry pass (view bitmasks / diameters /
+       gathering flags); positions spill to the shard files and the int8
+       canonical-index blocks to ``index_pos8``.
+    3. **Compute** — the union of unique views resolves through the shared
+       decision pass (the only ``algorithm.compute`` cost), then each shard's
+       per-robot move codes are one gather + spill.
+    4. **Resolve** — the shared resolve pass with the *global* canonical
+       index as the successor lookup, which is what turns cross-shard
+       successors into plain global row numbers.
 
     Never constructs a ``ViewTable`` (the point is to stay out of the in-RAM
     tier's scope check) and never builds a Python-side lookup dictionary.
@@ -364,39 +351,22 @@ def _fill_sharded_store(
 ) -> Dict[str, int]:
     """The four build passes of :func:`build_sharded_table`, into ``directory``."""
     from ..enumeration.polyhex import canonical_positions  # late: avoids an import cycle
-    from .engine import decision_cache_for  # late: avoids an import cycle
-    from .table_kernel import resolve_rows_arrays  # late: keeps import light
 
     visibility_range = algorithm.visibility_range
 
     # Pass 1: enumerate (sorted, memoized).
     positions = canonical_positions(size)
     rows = len(positions)
-    n = size
     shards = -(-rows // rows_per_shard)
 
     # Pass 2: geometry, shard spill, canonical index.
-    from ..grid.packing import offset_bit_table  # late: avoids an import cycle
-
-    span = max(2 * int(np.abs(positions).max(initial=0)), visibility_range)
-    lut = np.zeros((2 * span + 1, 2 * span + 1), dtype=np.int32)
-    for (oq, orr), bit in offset_bit_table(visibility_range).items():
-        if abs(oq) <= span and abs(orr) <= span:
-            lut[oq + span, orr + span] = bit
-    views = np.empty((rows, n), dtype=np.int32)
-    diameters = np.empty(rows, dtype=np.int64)
-    gathered = np.empty(rows, dtype=bool)
-    pos8_path = _global_file(directory, "index_pos8")
+    views, diameters, gathered = _geometry_pass(positions, visibility_range)
     pos8 = np.lib.format.open_memmap(
-        pos8_path, mode="w+", dtype=np.int8, shape=(rows, 2 * n)
+        _global_file(directory, "index_pos8"), mode="w+", dtype=np.int8, shape=(rows, 2 * size)
     )
     for start in range(0, rows, _BUILD_BLOCK):
         stop = min(start + _BUILD_BLOCK, rows)
-        block = positions[start:stop]
-        views[start:stop], diameters[start:stop], gathered[start:stop] = (
-            _geometry_block(block, lut, span, n)
-        )
-        pos8[start:stop] = block.astype(np.int8).reshape(stop - start, 2 * n)
+        pos8[start:stop] = positions[start:stop].astype(np.int8).reshape(stop - start, -1)
     pos8.flush()
     for shard in range(shards):
         lo, hi = shard * rows_per_shard, min((shard + 1) * rows_per_shard, rows)
@@ -407,58 +377,17 @@ def _fill_sharded_store(
 
     # Pass 3: decisions over the unique-view union, then per-shard move codes.
     unique_views = np.unique(views)
-    cache = decision_cache_for(algorithm)
-    assert cache is not None  # deterministic algorithms always carry one
-    compute = algorithm.compute
-    codes = np.zeros(len(unique_views), dtype=np.int8)
-    misses = 0
-    for slot, bitmask in enumerate(unique_views.tolist()):
-        try:
-            decision = cache[bitmask]
-        except KeyError:
-            misses += 1
-            decision = compute(View.from_bitmask(bitmask, visibility_range))
-            cache[bitmask] = decision
-        if decision is not None:
-            codes[slot] = _CODE_OF[decision]
-    _obs.counter("decision_cache.lookups").inc(len(unique_views))
-    if misses:
-        _obs.counter("decision_cache.misses").inc(misses)
+    codes = _decision_pass(algorithm, unique_views.tolist())
     move_code = codes[np.searchsorted(unique_views, views)]
     for shard in range(shards):
         lo, hi = shard * rows_per_shard, min((shard + 1) * rows_per_shard, rows)
         _save_array(_shard_file(directory, shard, "move_code"), move_code[lo:hi])
 
-    # Pass 4: chunk-wise resolution against the global canonical index.
-    kind = np.empty(rows, dtype=np.int8)
-    succ = np.empty(rows, dtype=np.int32)
-    mover_bits = np.empty(rows, dtype=np.int16)
-    mover_count = np.empty(rows, dtype=np.int16)
-    collision_code = np.empty(rows, dtype=np.int8)
-    for start in range(0, rows, _BUILD_BLOCK):
-        stop = min(start + _BUILD_BLOCK, rows)
-        (
-            mover_bits[start:stop],
-            mover_count[start:stop],
-            kind[start:stop],
-            succ[start:stop],
-            collision_code[start:stop],
-        ) = resolve_rows_arrays(
-            positions[start:stop],
-            move_code[start:stop],
-            gathered[start:stop],
-            index.lookup,
-        )
-
-    globals_by_name = {
-        "kind": kind,
-        "succ": succ,
-        "mover_bits": mover_bits,
-        "mover_count": mover_count,
-        "collision_code": collision_code,
-        "gathered": gathered,
-        "diameters": diameters,
-    }
+    # Pass 4: resolution against the global canonical index.
+    dtypes = dict(_GLOBAL_FIELDS)
+    resolved = tuple(np.empty(rows, dtype=dtypes[name]) for name in RESOLVED_FIELDS)
+    _resolve_pass(positions, move_code, gathered, index.lookup, resolved)
+    globals_by_name = dict(zip(RESOLVED_FIELDS, resolved), gathered=gathered, diameters=diameters)
     for name, _ in _GLOBAL_FIELDS:
         _save_array(_global_file(directory, name), globals_by_name[name])
     _save_array(_global_file(directory, "codes"), codes)
@@ -505,22 +434,9 @@ class _ShardedViewAdapter:
         self.diameters = diameters
         self.canonical_index = index
 
-    def rows_of_canonical(self, blocks: "np.ndarray") -> "np.ndarray":
-        """Global rows of a batch of int8 canonical blocks (-1 = unknown)."""
-        return self.canonical_index.lookup(blocks)
-
-    def row_of_nodes(self, nodes: Iterable[Tuple[int, int]]) -> Optional[int]:
-        """Global row of an arbitrary translate of a canonical shape."""
-        pairs = sorted((int(node[0]), int(node[1])) for node in nodes)
-        if len(pairs) != self.size:
-            return None
-        aq, ar = pairs[0]
-        deltas = [(q - aq, r - ar) for q, r in pairs]
-        if any(not (-128 <= q <= 127 and -128 <= r <= 127) for q, r in deltas):
-            return None
-        block = np.array(deltas, dtype=np.int8).reshape(1, -1)
-        row = int(self.canonical_index.lookup(block)[0])
-        return row if row >= 0 else None
+    # Both read only ``size`` and ``canonical_index``.
+    rows_of_canonical = ViewTable.rows_of_canonical
+    row_of_nodes = ViewTable.row_of_nodes
 
 
 class _ShardField:
@@ -739,6 +655,27 @@ def open_table_store(directory: str, size: Optional[int] = None) -> SuccessorTab
     return table
 
 
+def _open_or_build(
+    directory: str,
+    size: int,
+    open_store: Callable[[str, int], _T],
+    build: Callable[[], _T],
+) -> _T:
+    """``open_store(directory, size)``, or ``build()`` if the store is invalid.
+
+    The one open-or-build path of both tiers.  A directory that exists but
+    fails validation is logged and counted (``table.shard_rebuilds``); the
+    build replaces it through :func:`_install_store`.
+    """
+    try:
+        return open_store(directory, size)
+    except ShardedTableError as exc:
+        if os.path.isdir(directory):
+            _LOG.warning("rebuilding table store %s: %s", directory, exc)
+            _obs.counter("table.shard_rebuilds").inc()
+        return build()
+
+
 # ---------------------------------------------------------------------------
 # Memoized access.
 # ---------------------------------------------------------------------------
@@ -754,8 +691,9 @@ def sharded_successor_table(
     Mirrors :func:`~repro.core.table_kernel.successor_table`: tables attach
     to the algorithm instance (``algorithm._sharded_tables``), the shard
     store is opened from disk when a complete one exists and built otherwise.
-    A store that fails validation — stale format, torn files — is deleted and
-    rebuilt, never trusted.
+    A store that fails validation — stale format, torn files — is rebuilt,
+    never trusted: the build moves it aside and replaces it
+    (:func:`_install_store`).
     """
     limit = sharded_max_table_size()
     if not 1 <= size <= limit:
@@ -770,13 +708,10 @@ def sharded_successor_table(
     table = tables.get(size)
     if table is None:
         directory = sharded_table_dir(algorithm, size, shard_rows, cache_dir)
-        try:
-            table = open_sharded_table(directory, size)
-        except ShardedTableError as exc:
-            if os.path.isdir(directory):
-                _LOG.warning("rebuilding shard store %s: %s", directory, exc)
-                _obs.counter("table.shard_rebuilds").inc()
+
+        def build() -> ShardedSuccessorTable:
             build_sharded_table(algorithm, size, directory, shard_rows)
-            table = open_sharded_table(directory, size)
-        tables[size] = table
+            return open_sharded_table(directory, size)
+
+        table = tables[size] = _open_or_build(directory, size, open_sharded_table, build)
     return table

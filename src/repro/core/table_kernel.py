@@ -7,24 +7,28 @@ seven robots — and a synchronous round maps a connected configuration either
 to another member of that same set or to a failure (collision /
 disconnection).  Instead of replaying Look–Compute–Move one robot-dict at a
 time, this kernel materializes the whole transition function once, as NumPy
-arrays:
+arrays, in one pipeline — enumerate → geometry → decisions → resolve — that
+both tiers run (the in-RAM :class:`SuccessorTable` here, the out-of-core
+shard store in :mod:`repro.core.sharded_tables`); only where the arrays go
+differs:
 
-* **Look, batched** — all ``n x N`` view bitmasks are computed in one
-  vectorized pass: a small LUT over pairwise displacements (derived from
+* **Look, batched** (:func:`_geometry_pass`, span ``table.geometry``) — all
+  ``n x N`` view bitmasks are computed in one vectorized pass: a small LUT
+  over pairwise displacements (derived from
   :func:`repro.grid.packing.offset_bit_table`) is gathered for every robot
   pair of every configuration and OR-reduced per robot.
-* **Compute, gathered** — the distinct view bitmasks (about 5.2k for the
-  full seven-robot space) are resolved once through the algorithm's decision
-  cache; every robot's move is then a single array gather
-  ``codes[view_slot]``.
-* **Move, resolved** — the full-activation successor of every configuration
-  is computed vectorized: collision detection (swap / move-onto-staying /
-  same-target, in the engine's precedence order), simultaneous application,
-  connectivity via boolean matrix squaring, translation-canonicalization and
-  an index lookup.  The result is a *functional graph* ``succ[i]`` plus a
-  per-row kind (step / gathered / deadlock / collision / disconnect) and the
-  per-row mover bitmask that feeds the SSYNC explorer's activation-subset
-  enumeration.
+* **Compute, gathered** (:func:`_decision_pass`, span ``table.compute``) —
+  the distinct view bitmasks (about 5.2k for the full seven-robot space) are
+  resolved once through the algorithm's decision cache; every robot's move
+  is then a single array gather ``codes[view_slot]``.
+* **Move, resolved** (:func:`_resolve_pass`, span ``table.resolve``) — the
+  full-activation successor of every configuration is computed vectorized:
+  collision detection (swap / move-onto-staying / same-target, in the
+  engine's precedence order), simultaneous application, connectivity via
+  boolean matrix squaring, translation-canonicalization and an index lookup.
+  The result is a *functional graph* ``succ[i]`` plus a per-row kind (step /
+  gathered / deadlock / collision / disconnect) and the per-row mover
+  bitmask that feeds the SSYNC explorer's activation-subset enumeration.
 
 FSYNC execution then degenerates to pointer-chasing on ``succ`` with exact
 cycle/fixpoint detection, and an exhaustive sweep is one memoized traversal
@@ -141,15 +145,9 @@ VIEW_ARRAY_FIELDS = (
     "diameters",
     "gathered",
 )
-SUCC_ARRAY_FIELDS = (
-    "codes",
-    "move_code",
-    "mover_bits",
-    "mover_count",
-    "kind",
-    "succ",
-    "collision_code",
-)
+#: The per-row arrays :func:`resolve_rows_arrays` returns, in its order.
+RESOLVED_FIELDS = ("mover_bits", "mover_count", "kind", "succ", "collision_code")
+SUCC_ARRAY_FIELDS = ("codes", "move_code") + RESOLVED_FIELDS
 
 
 def state_space_size(size: int) -> int:
@@ -166,7 +164,7 @@ def state_space_size(size: int) -> int:
     return count
 
 
-def estimate_table_bytes(size: int, visibility_range: int = 2) -> int:
+def estimate_table_bytes(size: int) -> int:
     """Approximate resident footprint of one ``ViewTable`` + ``SuccessorTable``.
 
     Per row: the numpy arrays (positions/views/slots/successors, ~``11n + 20``
@@ -184,7 +182,7 @@ def estimate_table_bytes(size: int, visibility_range: int = 2) -> int:
     return rows * per_row
 
 
-def estimate_sharded_bytes(size: int, visibility_range: int = 2) -> int:
+def estimate_sharded_bytes(size: int) -> int:
     """Approximate *resident* footprint of one sharded table's global arrays.
 
     The sharded tier (:mod:`repro.core.sharded_tables`) keeps only the narrow
@@ -198,6 +196,14 @@ def estimate_sharded_bytes(size: int, visibility_range: int = 2) -> int:
     return rows * (35 + 2 * size)
 
 
+def _memory_budget(budget: Optional[int]) -> int:
+    """``budget``, else ``REPRO_TABLE_MEMORY_BUDGET``, else the default."""
+    if budget is not None:
+        return budget
+    env = os.environ.get("REPRO_TABLE_MEMORY_BUDGET")
+    return int(env) if env else DEFAULT_TABLE_MEMORY_BUDGET
+
+
 def max_table_size(budget: Optional[int] = None) -> int:
     """The soft size bound: the largest size whose table fits the budget.
 
@@ -205,9 +211,7 @@ def max_table_size(budget: Optional[int] = None) -> int:
     predicate is known (``Configuration._MIN_DIAMETER``) and by
     :data:`HARD_MAX_TABLE_SIZE`; extending the predicate table lifts it.
     """
-    if budget is None:
-        env = os.environ.get("REPRO_TABLE_MEMORY_BUDGET")
-        budget = int(env) if env else DEFAULT_TABLE_MEMORY_BUDGET
+    budget = _memory_budget(budget)
     best = 0
     for size in range(1, HARD_MAX_TABLE_SIZE + 1):
         if estimate_table_bytes(size) > budget:
@@ -234,9 +238,7 @@ def sharded_max_table_size(budget: Optional[int] = None) -> int:
     """
     from ..enumeration.polyhex import FIXED_POLYHEX_COUNTS  # late: cycle
 
-    if budget is None:
-        env = os.environ.get("REPRO_TABLE_MEMORY_BUDGET")
-        budget = int(env) if env else DEFAULT_TABLE_MEMORY_BUDGET
+    budget = _memory_budget(budget)
     best = 0
     for size in range(1, HARD_MAX_TABLE_SIZE + 1):
         if size not in FIXED_POLYHEX_COUNTS or estimate_sharded_bytes(size) > budget:
@@ -447,34 +449,9 @@ class ViewTable:
         self._packed_index: Optional[Dict[int, int]] = None
         self._canonical_index: Optional[CanonicalIndex] = None
 
-        # Batched Look through a displacement bit LUT, and the geometry pass
-        # (hex distances -> diameters, gathering predicate), both computed in
-        # chunked passes over row blocks: the transient (block, n, n) arrays
-        # stay bounded however large the state space is.
-        bit_table = offset_bit_table(visibility_range)
-        span = max(2 * int(np.abs(positions).max(initial=0)), visibility_range)
-        lut = np.zeros((2 * span + 1, 2 * span + 1), dtype=np.int32)
-        for (oq, orr), bit in bit_table.items():
-            if abs(oq) <= span and abs(orr) <= span:
-                lut[oq + span, orr + span] = bit
-        views = np.empty((count, n), dtype=np.int32)
-        diameters = np.empty(count, dtype=np.int64)
-        gathered = np.empty(count, dtype=bool)
-        for start in range(0, count, _BUILD_BLOCK):
-            stop = min(start + _BUILD_BLOCK, count)
-            block = positions[start:stop]
-            dq = block[:, None, :, 0] - block[:, :, None, 0]
-            dr = block[:, None, :, 1] - block[:, :, None, 1]
-            views[start:stop] = np.bitwise_or.reduce(lut[dq + span, dr + span], axis=2)
-            hexdist = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
-            diameters[start:stop] = hexdist.max(axis=(1, 2))
-            if n == GATHERING_SIZE:
-                gathered[start:stop] = ((hexdist == 1).sum(axis=2) == 6).any(axis=1)
-            else:
-                gathered[start:stop] = diameters[start:stop] == _MIN_DIAMETER[n]
-        self.views = views
-        self.diameters = diameters
-        self.gathered = gathered
+        self.views, self.diameters, self.gathered = _geometry_pass(
+            positions, visibility_range
+        )
 
         # Unique-view index: the Compute phase is one gather through it, and
         # the reverse index drives delta-aware invalidation.
@@ -641,22 +618,121 @@ def clear_table_caches(algorithm: Optional[GatheringAlgorithm] = None) -> None:
     """Drop memoized state-space tables so large sizes don't accumulate.
 
     Empties the process-wide view-table registry and, when ``algorithm`` is
-    given, that instance's successor tables too.  Successor tables otherwise
-    live exactly as long as their algorithm instance; the view tables are
-    global and survive until this call.  Benchmarks and tests that build
-    n>=8 tables call this afterwards to return the memory.
+    given, that instance's successor tables of both tiers too.  Successor
+    tables otherwise live exactly as long as their algorithm instance; the
+    view tables are global and survive until this call.  Benchmarks and tests
+    that build n>=8 tables call this afterwards to return the memory.
     """
     _VIEW_TABLES.clear()
     if algorithm is not None:
-        tables = getattr(algorithm, "_successor_tables", None)
-        if tables:
-            tables.clear()
+        for attribute in ("_successor_tables", "_sharded_tables"):
+            tables = getattr(algorithm, attribute, None)
+            if tables:
+                tables.clear()
 
 
 # ---------------------------------------------------------------------------
-# Batch resolution of the full-activation round (shared with the sharded
-# builder in :mod:`repro.core.sharded_tables`).
+# The build passes, shared by the in-RAM table and the sharded builder in
+# :mod:`repro.core.sharded_tables`: geometry, decisions, resolution.
 # ---------------------------------------------------------------------------
+
+def _geometry_pass(
+    positions: "np.ndarray", visibility_range: int
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """``(views, diameters, gathered)`` of every row of ``(N, n, 2)`` positions.
+
+    Batched Look through a displacement bit LUT, and the geometry (hex
+    distances -> diameters, gathering predicate), both computed in chunked
+    passes over row blocks: the transient ``(block, n, n)`` arrays stay
+    bounded however large the state space is.
+    """
+    start_time = time.perf_counter()
+    count, n = positions.shape[:2]
+    span = max(2 * int(np.abs(positions).max(initial=0)), visibility_range)
+    lut = np.zeros((2 * span + 1, 2 * span + 1), dtype=np.int32)
+    for (oq, orr), bit in offset_bit_table(visibility_range).items():
+        if abs(oq) <= span and abs(orr) <= span:
+            lut[oq + span, orr + span] = bit
+    views = np.empty((count, n), dtype=np.int32)
+    diameters = np.empty(count, dtype=np.int64)
+    gathered = np.empty(count, dtype=bool)
+    for start in range(0, count, _BUILD_BLOCK):
+        stop = min(start + _BUILD_BLOCK, count)
+        block = positions[start:stop]
+        dq = block[:, None, :, 0] - block[:, :, None, 0]
+        dr = block[:, None, :, 1] - block[:, :, None, 1]
+        views[start:stop] = np.bitwise_or.reduce(lut[dq + span, dr + span], axis=2)
+        hexdist = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
+        diameters[start:stop] = hexdist.max(axis=(1, 2))
+        if n == GATHERING_SIZE:
+            gathered[start:stop] = ((hexdist == 1).sum(axis=2) == 6).any(axis=1)
+        else:
+            gathered[start:stop] = diameters[start:stop] == _MIN_DIAMETER[n]
+    _obs_record_span("table.geometry", time.perf_counter() - start_time, size=n, rows=count)
+    return views, diameters, gathered
+
+
+def _decision_pass(
+    algorithm: GatheringAlgorithm,
+    bitmasks: List[int],
+    workers: int = 1,
+    pool=None,
+    algorithm_name: Optional[str] = None,
+) -> "np.ndarray":
+    """Move code (int8) of every view bitmask, through the decision cache.
+
+    The only Python-loop cost of a build: each bitmask not yet in the
+    algorithm's decision cache is resolved by its ``compute``.  With
+    ``workers > 1`` (or an explicit ``pool``), a registry ``algorithm_name``
+    and at least 2048 views, the loop is fanned out over worker processes
+    (:func:`_codes_chunk`) in deterministic chunk order and the resolved
+    codes are merged back into this process's decision cache, so later
+    single executions agree.
+    """
+    from .engine import decision_cache_for  # late: avoids an import cycle
+
+    start_time = time.perf_counter()
+    cache = decision_cache_for(algorithm)
+    assert cache is not None  # deterministic algorithms always carry one
+    codes = np.zeros(len(bitmasks), dtype=np.int8)
+    parallel = (workers > 1 or pool is not None) and algorithm_name is not None
+    if parallel and len(bitmasks) >= 2048:
+        from .runner import run_chunked_tasks  # late: avoids an import cycle
+
+        chunk = max(512, -(-len(bitmasks) // (max(workers, 2) * 4)))
+        payloads = [
+            (algorithm_name, bitmasks[i : i + chunk])
+            for i in range(0, len(bitmasks), chunk)
+        ]
+        offset = 0
+        for chunk_codes, delta in run_chunked_tasks(
+            payloads, _codes_chunk, workers=workers, pool=pool
+        ):
+            _obs.merge(delta)
+            codes[offset : offset + len(chunk_codes)] = chunk_codes
+            offset += len(chunk_codes)
+        for bitmask, code in zip(bitmasks, codes.tolist()):
+            if bitmask not in cache:
+                cache[bitmask] = None if code == 0 else _DIRECTIONS[code - 1]
+    else:
+        compute = algorithm.compute
+        visibility_range = algorithm.visibility_range
+        misses = 0
+        for slot, bitmask in enumerate(bitmasks):
+            try:
+                decision = cache[bitmask]
+            except KeyError:
+                misses += 1
+                decision = compute(View.from_bitmask(bitmask, visibility_range))
+                cache[bitmask] = decision
+            if decision is not None:
+                codes[slot] = _CODE_OF[decision]
+        _obs.counter("decision_cache.lookups").inc(len(bitmasks))
+        if misses:
+            _obs.counter("decision_cache.misses").inc(misses)
+    _obs_record_span("table.compute", time.perf_counter() - start_time, views=len(bitmasks))
+    return codes
+
 
 def _collision_flags_sorted(
     pos_key: "np.ndarray", target_key: "np.ndarray", movers: "np.ndarray"
@@ -780,6 +856,34 @@ def resolve_rows_arrays(
     return mover_bits, mover_count, kind, succ, collision_code
 
 
+def _resolve_pass(
+    positions: "np.ndarray",
+    move_code: "np.ndarray",
+    gathered: "np.ndarray",
+    lookup,
+    out: Tuple["np.ndarray", ...],
+    rows: Optional["np.ndarray"] = None,
+) -> None:
+    """Resolve ``rows`` (``None`` = every row) into the ``out`` arrays.
+
+    ``out`` holds the :data:`RESOLVED_FIELDS` arrays, indexed like
+    ``positions``.  Resolution runs in chunked passes over row blocks: the
+    collision and connectivity intermediates stay bounded however many rows
+    there are.
+    """
+    start_time = time.perf_counter()
+    count = len(gathered) if rows is None else len(rows)
+    for start in range(0, count, _BUILD_BLOCK):
+        stop = start + _BUILD_BLOCK
+        block = slice(start, stop) if rows is None else rows[start:stop]
+        resolved = resolve_rows_arrays(
+            positions[block], move_code[block], gathered[block], lookup
+        )
+        for array, values in zip(out, resolved):
+            array[block] = values
+    _obs_record_span("table.resolve", time.perf_counter() - start_time, rows=count)
+
+
 # ---------------------------------------------------------------------------
 # The per-algorithm half: decisions and the successor function.
 # ---------------------------------------------------------------------------
@@ -858,60 +962,18 @@ class SuccessorTable:
     ) -> "SuccessorTable":
         """Materialize the table for ``algorithm`` over the ``size``-robot space.
 
-        With ``workers > 1`` (or an explicit ``pool``) and a registry
-        ``algorithm_name``, the Compute phase — resolving every unique view
-        through the algorithm's decision function, the only Python-loop cost
-        of the build — is fanned out over worker processes in deterministic
-        chunk order; the resolved codes are merged back into this process's
-        decision cache so later single executions agree.
+        ``workers`` / ``pool`` / ``algorithm_name`` fan the Compute pass out
+        over worker processes (see :func:`_decision_pass`).
         """
-        from .engine import decision_cache_for  # late: avoids an import cycle
-
         if not getattr(algorithm, "deterministic", True):
             raise ValueError("the table kernel requires a deterministic algorithm")
         build_start = time.perf_counter()
         vt = view_table(size, algorithm.visibility_range)
-        cache = decision_cache_for(algorithm)
-        assert cache is not None
-        codes = np.zeros(len(vt.unique_views), dtype=np.int8)
-        visibility_range = algorithm.visibility_range
-        bitmasks = vt.unique_views.tolist()
-        parallel = (workers > 1 or pool is not None) and algorithm_name is not None
-        if parallel and len(bitmasks) >= 2048:
-            from .runner import run_chunked_tasks  # late: avoids an import cycle
-
-            chunk = max(512, -(-len(bitmasks) // (max(workers, 2) * 4)))
-            payloads = [
-                (algorithm_name, bitmasks[i : i + chunk])
-                for i in range(0, len(bitmasks), chunk)
-            ]
-            offset = 0
-            for chunk_codes, delta in run_chunked_tasks(
-                payloads, _codes_chunk, workers=workers, pool=pool
-            ):
-                _obs.merge(delta)
-                codes[offset : offset + len(chunk_codes)] = chunk_codes
-                offset += len(chunk_codes)
-            for bitmask, code in zip(bitmasks, codes.tolist()):
-                if bitmask not in cache:
-                    cache[bitmask] = None if code == 0 else _DIRECTIONS[code - 1]
-        else:
-            compute = algorithm.compute
-            misses = 0
-            for slot, bitmask in enumerate(bitmasks):
-                try:
-                    decision = cache[bitmask]
-                except KeyError:
-                    misses += 1
-                    decision = compute(View.from_bitmask(bitmask, visibility_range))
-                    cache[bitmask] = decision
-                if decision is not None:
-                    codes[slot] = _CODE_OF[decision]
-            _obs.counter("decision_cache.lookups").inc(len(bitmasks))
-            if misses:
-                _obs.counter("decision_cache.misses").inc(misses)
+        codes = _decision_pass(
+            algorithm, vt.unique_views.tolist(), workers, pool, algorithm_name
+        )
         table = cls._from_codes(vt, codes)
-        estimated = estimate_table_bytes(size, algorithm.visibility_range)
+        estimated = estimate_table_bytes(size)
         actual = table.array_bytes()
         _obs.counter("table.succ_builds").inc()
         _obs.gauge("table.estimated_bytes").set(estimated)
@@ -999,34 +1061,17 @@ class SuccessorTable:
 
     # -------------------------------------------------- vectorized resolution
     def _resolve_rows(self, rows: Optional["np.ndarray"]) -> None:
-        """(Re)compute kind/succ/movers for ``rows`` (``None`` = every row).
-
-        Resolution runs in chunked passes over row blocks: the collision and
-        connectivity intermediates stay bounded however many rows there are.
-        """
+        """(Re)compute kind/succ/movers for ``rows`` (``None`` = every row)."""
         vt = self.view
-        if rows is None:
-            rows = np.arange(vt.count, dtype=np.int32)
-        for start in range(0, len(rows), _BUILD_BLOCK):
-            self._resolve_block(rows[start : start + _BUILD_BLOCK])
-        self._summary = None
-
-    def _resolve_block(self, rows: "np.ndarray") -> None:
-        """One bounded-memory resolution pass over the view table's rows."""
-        vt = self.view
-        if len(rows) == 0:
-            return
-        mover_bits, mover_count, kind, succ, collision_code = resolve_rows_arrays(
-            vt.positions[rows],
-            self.move_code[rows],
-            vt.gathered[rows],
+        _resolve_pass(
+            vt.positions,
+            self.move_code,
+            vt.gathered,
             vt.rows_of_canonical,
+            tuple(getattr(self, field) for field in RESOLVED_FIELDS),
+            rows,
         )
-        self.mover_bits[rows] = mover_bits
-        self.mover_count[rows] = mover_count
-        self.kind[rows] = kind
-        self.succ[rows] = succ
-        self.collision_code[rows] = collision_code
+        self._summary = None
 
     # --------------------------------------------------- functional traversal
     def fsync_summary(self) -> _FsyncSummary:
@@ -1393,7 +1438,7 @@ class SuccessorTable:
 
         The collision predicate, the successor positions, the connectivity
         check and the canonicalization all run as batched array operations
-        over the full subset axis (the same formulations ``_resolve_block``
+        over the full subset axis (the helpers :func:`resolve_rows_arrays`
         uses per row); only the final in-order dedup walks Python-side.
         Subset order is :func:`subset_masks` order, keeping the minimal-mover
         representatives byte-identical to the ``combinations`` path.
@@ -1438,29 +1483,12 @@ class SuccessorTable:
         destinations: List[int] = [COLLISION_SINK] * K
         ok = np.nonzero(~collided)[0]
         if len(ok) > 0:
-            okpos = new_pos[ok]
-            ndq = okpos[:, None, :, 0] - okpos[:, :, None, 0]
-            ndr = okpos[:, None, :, 1] - okpos[:, :, None, 1]
-            adjacent = (
-                ((np.abs(ndq) + np.abs(ndr) + np.abs(ndq + ndr)) // 2) == 1
-            ).astype(np.uint8)
-            reach = np.zeros((len(ok), 1, n), dtype=np.uint8)
-            reach[:, 0, 0] = 1
-            for _ in range(n - 1):
-                reach = np.minimum(reach + np.matmul(reach, adjacent), 1)
-            connected = reach[:, 0, :].all(axis=1)
+            connected = _connected_mask(new_pos[ok])
             for j in ok[~connected]:
                 destinations[j] = DISCONNECT_SINK
             cidx = ok[connected]
             if len(cidx) > 0:
-                cpos = new_pos[cidx]
-                key = _sort_key(cpos)
-                anchor = cpos[np.arange(len(cidx)), key.argmin(axis=1)]
-                rel = cpos - anchor[:, None, :]
-                corder = _sort_key(rel).argsort(axis=1)
-                canonical = np.take_along_axis(
-                    rel, corder[:, :, None], axis=1
-                ).astype(np.int8)
+                canonical = canonicalize_positions(new_pos[cidx])
                 for j, dest in zip(
                     cidx, self._ssync_destinations_of_canonical(canonical)
                 ):
@@ -1603,35 +1631,19 @@ class TableFsyncVerdict:
 # The per-algorithm table registry.
 # ---------------------------------------------------------------------------
 
-def _codes_chunk(payload: Tuple[str, List[int]]) -> Tuple[List[int], Dict]:
+def _codes_chunk(payload: Tuple[str, List[int]]) -> Tuple["np.ndarray", Dict]:
     """Worker entry point of the parallel Compute fan-out: views -> codes.
 
     Resolves one chunk of unique view bitmasks through the per-process
-    algorithm instance's decision function (no view table, no enumeration —
-    the chunk is self-contained), returning plain move-code ints plus the
-    drained metrics delta the parent merges (see :mod:`repro.obs.metrics`).
+    algorithm instance (:func:`_decision_pass`, serially — no view table, no
+    enumeration: the chunk is self-contained), returning the int8 move codes
+    plus the drained metrics delta the parent merges (see
+    :mod:`repro.obs.metrics`).
     """
     algorithm_name, bitmasks = payload
-    from .engine import decision_cache_for  # late: avoids an import cycle
     from .runner import worker_algorithm  # late: avoids an import cycle
 
-    algorithm = worker_algorithm(algorithm_name)
-    cache = decision_cache_for(algorithm)
-    visibility_range = algorithm.visibility_range
-    compute = algorithm.compute
-    codes: List[int] = []
-    misses = 0
-    for bitmask in bitmasks:
-        try:
-            decision = cache[bitmask]
-        except KeyError:
-            misses += 1
-            decision = compute(View.from_bitmask(bitmask, visibility_range))
-            cache[bitmask] = decision
-        codes.append(0 if decision is None else _CODE_OF[decision])
-    _obs.counter("decision_cache.lookups").inc(len(bitmasks))
-    if misses:
-        _obs.counter("decision_cache.misses").inc(misses)
+    codes = _decision_pass(worker_algorithm(algorithm_name), bitmasks)
     return codes, _obs.export_delta()
 
 
@@ -1670,37 +1682,38 @@ def successor_table(
         algorithm._successor_tables = tables  # type: ignore[attr-defined]
     table = tables.get(size)
     if table is None:
+
+        def build() -> SuccessorTable:
+            layers = getattr(algorithm, "table_kernel_layers", None)
+            if layers is None:
+                return SuccessorTable.build(
+                    algorithm, size, workers=workers, pool=pool, algorithm_name=algorithm_name
+                )
+            base, overrides, amendments = layers
+            return successor_table(
+                base, size, workers=workers, pool=pool, algorithm_name=None,
+                disk_cache=disk_cache,
+            ).derive(overrides, amendments)
+
         cache_dir = disk_cache if disk_cache is not None else os.environ.get(_TABLE_CACHE_ENV)
-        store = None
         if cache_dir:
             from .sharded_tables import (  # late: avoids an import cycle
-                ShardedTableError,
+                _open_or_build,
                 open_table_store,
                 table_store_dir,
+                write_table_store,
             )
 
             store = table_store_dir(algorithm, size, cache_dir)
-            try:
-                table = open_table_store(store, size)
-            except ShardedTableError as exc:
-                if os.path.isdir(store):
-                    _LOG.warning("rebuilding table store %s: %s", store, exc)
-        if table is None:
-            layers = getattr(algorithm, "table_kernel_layers", None)
-            if layers is not None:
-                base, overrides, amendments = layers
-                table = successor_table(
-                    base, size, workers=workers, pool=pool, algorithm_name=None,
-                    disk_cache=disk_cache,
-                ).derive(overrides, amendments)
-            else:
-                table = SuccessorTable.build(
-                    algorithm, size, workers=workers, pool=pool, algorithm_name=algorithm_name
-                )
-            if store is not None:
-                from .sharded_tables import write_table_store  # late: import cycle
 
-                table.directory = write_table_store(table, store)
+            def build_and_write() -> SuccessorTable:
+                built = build()
+                built.directory = write_table_store(built, store)
+                return built
+
+            table = _open_or_build(store, size, open_table_store, build_and_write)
+        else:
+            table = build()
         tables[size] = table
     return table
 

@@ -29,6 +29,7 @@ from repro.analysis.census_pins import (
     pinned_census,
 )
 from repro.core.runner import run_many, worker_algorithm
+from repro.core.sharded_tables import sharded_successor_table
 from repro.core.shared_tables import attach_table, publish_table, unpublish_table
 from repro.core.table_kernel import (
     clear_table_caches,
@@ -134,13 +135,16 @@ def test_table_scope_policy():
     assert estimate_table_bytes(8) > estimate_table_bytes(7) > 0
 
 
-def test_clear_table_caches_drops_views_and_tables():
+def test_clear_table_caches_drops_views_and_tables(tmp_path):
     view_table(4, 2)
     algorithm = ShibataGatheringAlgorithm()
     successor_table(algorithm, 4)
+    sharded_successor_table(algorithm, 4, cache_dir=str(tmp_path), shard_rows=8)
     assert algorithm._successor_tables
+    assert algorithm._sharded_tables
     clear_table_caches(algorithm)
     assert not algorithm._successor_tables
+    assert not algorithm._sharded_tables
     from repro.core.table_kernel import _VIEW_TABLES
 
     assert not _VIEW_TABLES

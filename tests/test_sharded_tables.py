@@ -12,7 +12,8 @@ Property tests for the disk tier (:mod:`repro.core.sharded_tables`):
 * shard boundaries behave: shard size 1, a partial last shard, corrupt /
   stale / aborted shard stores are detected and rebuilt;
 * the scope policy admits n=10 under the default budget and the n=9/n=10
-  census pins are internally consistent.
+  census pins are internally consistent;
+* both tiers report the same build-pass spans, nested in their build span.
 """
 import json
 import os
@@ -43,6 +44,7 @@ from repro.core.sharded_tables import (
     sharded_table_dir,
 )
 from repro.core.table_kernel import (
+    clear_table_caches,
     estimate_sharded_bytes,
     record_peak_rss,
     sharded_in_scope,
@@ -51,6 +53,7 @@ from repro.core.table_kernel import (
 )
 from repro.enumeration.polyhex import FIXED_POLYHEX_COUNTS
 from repro.explore import explore
+from repro.obs import close_sink, configure_sink
 from repro.obs import metrics as _obs
 
 from oracles import byte_index_lookup, collision_flags_pairwise
@@ -111,6 +114,39 @@ def test_n9_n10_pin_accessors():
     fsync = pinned_census("shibata-visibility2", "fsync", size=9)
     ssync = pinned_census("shibata-visibility2", "ssync", size=9)
     assert census_ok(ssync) <= census_ok(fsync)
+
+
+# ------------------------------------------------------------- pass spans
+_PASS_SPANS = ("table.compute", "table.geometry", "table.resolve")
+
+
+def _traced(path, build):
+    """The trace records ``build()`` emits, read back from a JSONL sink."""
+    configure_sink(path)
+    try:
+        build()
+    finally:
+        close_sink()
+    with open(path) as handle:
+        return [json.loads(line) for line in handle]
+
+
+def test_both_tiers_report_the_same_pass_spans(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_TABLE_CACHE", raising=False)
+    clear_table_caches()  # so the in-RAM build runs its geometry pass too
+    in_ram = _traced(str(tmp_path / "in_ram.jsonl"), lambda: successor_table(_algorithm(), 6))
+    sharded = _traced(
+        str(tmp_path / "sharded.jsonl"),
+        lambda: sharded_successor_table(
+            _algorithm(), 6, cache_dir=str(tmp_path), shard_rows=1000
+        ),
+    )
+    for records, enclosing in ((in_ram, "table.succ_build"), (sharded, "table.shard_build")):
+        passes = [r for r in records if r["name"] in _PASS_SPANS]
+        assert sorted(r["name"] for r in passes) == list(_PASS_SPANS)
+        (outer,) = [r["seconds"] for r in records if r["name"] == enclosing]
+        # Trace seconds are rounded to 1 us: allow that much per span.
+        assert sum(r["seconds"] for r in passes) <= outer + 4e-6
 
 
 # ----------------------------------------------------------- byte identity

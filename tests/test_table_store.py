@@ -89,8 +89,11 @@ def test_truncated_file_falls_back_to_rebuild(tmp_path):
     with open(victim, "r+b") as handle:
         handle.truncate(os.path.getsize(victim) - 4)
     builds_before = _builds()
+    rebuilds_before = metrics.counter("table.shard_rebuilds").value
     rebuilt = successor_table(_fresh_algorithm(), SIZE, disk_cache=cache_dir)
     assert _builds() == builds_before + 1
+    # the in-RAM layout goes through the same open-or-build path as shards
+    assert metrics.counter("table.shard_rebuilds").value == rebuilds_before + 1
     _assert_tables_identical(reference, rebuilt)
     # the rebuild replaced the torn store with a valid one
     _assert_tables_identical(reference, open_table_store(reference.directory, SIZE))
