@@ -18,8 +18,8 @@ pytest.importorskip("numpy")
 
 from repro.serve import GatheringService, ServerThread, run_load
 
-#: Load-generator shape: small enough for CI, large enough that the
-#: micro-batcher and keep-alive reuse dominate fixed costs.
+#: Load-generator shape: small enough for CI, large enough that keep-alive
+#: reuse and per-turn request coalescing dominate fixed costs.
 CONNECTIONS = 8
 REQUESTS_PER_CONNECTION = 75
 
@@ -33,7 +33,7 @@ def test_bench_serve_requests_per_second(
         for root in roots
     ]
 
-    service = GatheringService(sizes=(7,), batch_window=0.001)
+    service = GatheringService(sizes=(7,))
     with ServerThread(service) as base_url:
         host, port = base_url.split("//")[1].rsplit(":", 1)
         result = asyncio.run(

@@ -429,14 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         "built once and shared as memory-mapped table stores (default 1)",
     )
     p_serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        metavar="SECONDS",
-        help="micro-batching window: concurrent verify/sweep requests arriving "
-        "within this window share one vectorized gather (default 0.002)",
-    )
-    p_serve.add_argument(
         "--table-cache",
         default=None,
         metavar="DIR",
@@ -714,7 +706,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = GatheringService(
         algorithms=algorithms,
         sizes=_parse_sizes(args.sizes),
-        batch_window=args.batch_window,
         publish=args.workers > 1,
         table_cache=args.table_cache,
     )

@@ -500,12 +500,9 @@ def _worker_entry(
     sizes: Sequence[int],
     host: str,
     port: int,
-    batch_window: float,
 ) -> None:
     """Main of one spawned serving worker: attach the tables, share the port."""
-    service = GatheringService(
-        algorithms=algorithms, sizes=sizes, batch_window=batch_window
-    )
+    service = GatheringService(algorithms=algorithms, sizes=sizes)
     server = GatheringServer(service, host=host, port=port, reuse_port=True)
 
     async def _run() -> None:
@@ -562,7 +559,6 @@ async def serve_forever(
                     list(service.sizes),
                     host,
                     bound,
-                    service.batch_window,
                 ),
                 daemon=False,
             )

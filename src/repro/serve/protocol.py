@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.configuration import Configuration
 from ..core.table_kernel import HARD_MAX_TABLE_SIZE
+from ..grid.packing import pack_nodes
 from ..io.serialization import configuration_from_dict
 
 __all__ = [
@@ -171,12 +172,20 @@ def _parse_configuration(payload: Dict[str, Any], field_name: str = "config") ->
     except ValueError as exc:
         raise ProtocolError(str(exc), field=field_name)
     count = len(configuration.nodes)
+    if count == 0:
+        raise ProtocolError("configuration holds no robots", field=field_name)
     if count > MAX_CONFIG_ROBOTS:
         raise ProtocolError(
             f"configuration has {count} robots; the service answers up to "
             f"{MAX_CONFIG_ROBOTS}",
             field=field_name,
         )
+    try:
+        # The engine and every response pack the nodes; reject here what
+        # they cannot, so one bad request never fails a shared batch.
+        pack_nodes(configuration.nodes)
+    except ValueError as exc:
+        raise ProtocolError(str(exc), field=field_name)
     return configuration
 
 

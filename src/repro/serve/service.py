@@ -1,4 +1,4 @@
-"""The gathering service core: tables, caches and the request micro-batcher.
+"""The gathering service core: tables, caches and request coalescing.
 
 :class:`GatheringService` is transport-agnostic — the asyncio HTTP server
 and the in-process test harness call the same handler methods and therefore
@@ -10,14 +10,15 @@ state-space sizes (optionally opening them from the table stores under
 map one physical copy.
 
 Concurrent ``/v1/verify`` and ``/v1/sweep`` requests of the same
-``(algorithm, max_rounds)`` are **micro-batched**: the first submission of a
-window opens a short collection window (default 2 ms), every request landing
-inside it joins the same list, and one
-:func:`repro.core.runner._table_batch_results` call — one vectorized gather
-over the memoized functional-graph summary — answers them all.  Batch sizes
-land in the ``serve.batch_size`` histogram.  Results are byte-identical to
-serial :func:`repro.core.runner.execute_configuration` calls in input order,
-which is exactly what the concurrency property test asserts.
+``(algorithm, max_rounds)`` are **coalesced on the next event-loop turn**:
+the first submission opens a pending batch and schedules its flush with
+``loop.call_soon``, every request submitted in the same turn joins it, and
+one :func:`repro.core.runner._table_batch_results` call — one vectorized
+gather over the memoized functional-graph summary — answers them all.  No
+timer runs, so a lone request waits for nothing.  Batch sizes land in the
+``serve.batch_size`` histogram.  Results are byte-identical to serial
+:func:`repro.core.runner.execute_configuration` calls in input order, which
+is exactly what the concurrency property test asserts.
 """
 from __future__ import annotations
 
@@ -59,9 +60,12 @@ DEFAULT_ALGORITHMS: Tuple[str, ...] = (
 #: sub-second, and out-of-preload sizes within the table scope build lazily.
 DEFAULT_SIZES: Tuple[int, ...] = (2, 3, 4, 5, 6, 7)
 
+#: Entries of the ``/v1/witness`` trace cache.
+WITNESS_CACHE_SIZE = 2048
+
 
 class _PendingBatch:
-    """One open collection window of the micro-batcher."""
+    """The requests coalesced into one flush."""
 
     __slots__ = ("configurations", "futures")
 
@@ -78,11 +82,8 @@ class GatheringService:
         self,
         algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
         sizes: Sequence[int] = DEFAULT_SIZES,
-        batch_window: float = 0.002,
-        max_batch: int = 512,
         publish: bool = False,
         table_cache: Optional[str] = None,
-        witness_cache_size: int = 2048,
     ) -> None:
         unknown = [name for name in algorithms if name not in available_algorithms()]
         if unknown:
@@ -91,15 +92,13 @@ class GatheringService:
             )
         self.algorithm_names: Tuple[str, ...] = tuple(algorithms)
         self.sizes: Tuple[int, ...] = tuple(sorted(set(int(s) for s in sizes)))
-        self.batch_window = batch_window
-        self.max_batch = max_batch
         self.publish = publish
         self.table_cache = table_cache
         self.census_cache = LruCache("census", maxsize=64)
-        self.witness_cache = LruCache("witness", maxsize=witness_cache_size)
+        self.witness_cache = LruCache("witness", maxsize=WITNESS_CACHE_SIZE)
         #: Handles of the tables *this* process published (owner: unpublish).
         self.published_handles: List[Any] = []
-        #: Open micro-batch windows keyed by (algorithm, max_rounds).
+        #: Batches awaiting their flush, keyed by (algorithm, max_rounds).
         self._pending: Dict[Tuple[str, int], _PendingBatch] = {}
         self._started = False
 
@@ -203,32 +202,24 @@ class GatheringService:
         algorithm_name: str,
         max_rounds: int,
     ) -> List[ConfigurationResult]:
-        """Join the open micro-batch window of ``(algorithm, max_rounds)``.
+        """Join the pending batch of ``(algorithm, max_rounds)``.
 
-        The caller's configurations are appended to the window's list; when
-        the window closes (after ``batch_window`` seconds, or immediately at
-        ``max_batch`` items) one vectorized gather resolves every submitter's
-        future in submission order.
+        The first submission opens the batch and schedules its flush for the
+        next event-loop turn; every submission of the same turn appends its
+        configurations, and one vectorized gather then resolves every
+        submitter's future in submission order.
         """
         self._algorithm(algorithm_name)  # validate before queueing
         loop = asyncio.get_running_loop()
         key = (algorithm_name, max_rounds)
         batch = self._pending.get(key)
-        opened = batch is None
         if batch is None:
             batch = self._pending[key] = _PendingBatch()
+            loop.call_soon(self._flush, key)
         future: "asyncio.Future[List[ConfigurationResult]]" = loop.create_future()
         batch.configurations.extend(configurations)
         batch.futures.append((future, len(configurations)))
-        if len(batch.configurations) >= self.max_batch:
-            self._flush(key)
-        elif opened:
-            loop.create_task(self._close_window(key))
         return await future
-
-    async def _close_window(self, key: Tuple[str, int]) -> None:
-        await asyncio.sleep(self.batch_window)
-        self._flush(key)
 
     def _flush(self, key: Tuple[str, int]) -> None:
         batch = self._pending.pop(key, None)

@@ -1,11 +1,12 @@
 """The gathering service: protocol, caches, concurrency and shutdown.
 
 The centerpiece is the byte-identity property: N concurrent ``/v1/verify``
-clients — whose requests the service micro-batches through one vectorized
-table gather — must receive responses *byte-identical* to what a serial
-packed-kernel execution of the same roots would produce.  Responses are
-serialized with sorted keys and pinned request ids precisely so this
-comparison can be exact.
+clients — whose requests the service coalesces, per event-loop turn, into
+one vectorized table gather — must receive responses *byte-identical* to
+what a serial packed-kernel execution of the same roots would produce.
+Responses are serialized with sorted keys and pinned request ids precisely
+so this comparison can be exact.  The coalescing tests pin that a lone
+request waits for no timer and that one turn's requests share one flush.
 
 The SIGTERM test runs the real ``python -m repro serve`` subprocess with two
 workers (tables published as private table stores) and asserts a clean exit
@@ -36,6 +37,7 @@ from repro.core.configuration import Configuration
 from repro.core.runner import execute_configuration, worker_algorithm
 from repro.enumeration.polyhex import enumerate_connected_configurations
 from repro.io.serialization import configuration_to_dict
+from repro.obs import metrics as obs_metrics
 from repro.serve import (
     GatheringService,
     LruCache,
@@ -54,7 +56,7 @@ SIZES = (2, 3, 4, 5)
 
 @pytest.fixture(scope="module")
 def service() -> GatheringService:
-    return GatheringService(sizes=SIZES, batch_window=0.001)
+    return GatheringService(sizes=SIZES)
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +419,120 @@ def test_scheduler_requests_bypass_the_batcher(server):
     assert response["scheduler"] == "round-robin:2"
     assert response["outcome"] == reference.outcome.value
     assert response["rounds"] == reference.rounds
+
+
+# ---------------------------------------------------------------------------
+# Coalescing: one flush per event-loop turn, no timer
+# ---------------------------------------------------------------------------
+
+def _verify_request(configuration, max_rounds=1000):
+    return parse_verify(
+        {
+            "algorithm": ALGORITHM,
+            "config": [list(n) for n in configuration.nodes],
+            "max_rounds": max_rounds,
+        }
+    )
+
+
+def test_lone_verify_resolves_without_a_timer(service):
+    """A request with no company is answered within a few zero-delay turns."""
+    service.startup()
+    configuration = _roots(5, 10)[7]
+    request = _verify_request(configuration)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        timers = []
+        call_at = loop.call_at
+
+        def recording_call_at(when, callback, *args, **kwargs):
+            timers.append(callback)
+            return call_at(when, callback, *args, **kwargs)
+
+        loop.call_at = recording_call_at  # call_later and sleep(>0) land here
+        task = asyncio.ensure_future(service.handle_verify(request, "lone"))
+        for _ in range(5):
+            await asyncio.sleep(0)
+        assert task.done(), "a lone verify must not wait for a timer"
+        assert timers == []
+        return task.result()
+
+    payload = _run(main())
+    (expected,) = service.compute_results([configuration], ALGORITHM, 1000)
+    assert payload["outcome"] == expected.outcome.value
+    assert payload["rounds"] == expected.rounds
+    assert payload["total_moves"] == expected.total_moves
+
+
+def test_one_turn_of_verifies_shares_one_flush(service):
+    """N verifies started in one gather: one batch, serial answers in order."""
+    service.startup()
+    configurations = _roots(4, 6) + _roots(5, 10)
+    requests = [_verify_request(c, max_rounds=600) for c in configurations]
+    batches = obs_metrics.counter("serve.batches_total")
+
+    async def main():
+        return await asyncio.gather(
+            *(service.handle_verify(r, f"turn-{i}") for i, r in enumerate(requests))
+        )
+
+    before = batches.value
+    payloads = _run(main())
+    assert batches.value - before == 1
+    serial = service.compute_results(configurations, ALGORITHM, 600)
+    assert len(payloads) == len(serial)
+    for payload, expected in zip(payloads, serial):
+        assert payload["initial"] == configuration_to_dict(
+            Configuration(expected.initial_nodes)
+        )
+        assert payload["outcome"] == expected.outcome.value
+        assert payload["rounds"] == expected.rounds
+        assert payload["total_moves"] == expected.total_moves
+
+
+def test_out_of_range_request_fails_alone(server, service):
+    """A configuration past the packing range is a 400, not a poisoned batch."""
+    far = [[0, 0], [3_000_000, 0]]
+    with pytest.raises(ProtocolError) as caught:
+        parse_verify({"algorithm": ALGORITHM, "config": far})
+    assert caught.value.status == 400 and caught.value.field == "config"
+    with pytest.raises(ProtocolError, match=r"configs\[1\]"):
+        parse_sweep({"algorithm": ALGORITHM, "configs": [[[0, 0]], far]})
+
+    host, port = server
+
+    async def over_http():
+        async with ServeClient(host, port) as client:
+            try:
+                await client.post("/v1/verify", {"algorithm": ALGORITHM, "config": far})
+            except ServeError as exc:
+                return exc
+
+    error = _run(over_http())
+    assert error is not None and error.status == 400
+    assert error.payload["error"]["field"] == "config"
+
+    # In process: the bad request and a good one in the same loop turn.
+    service.startup()
+    configuration = _roots(4, 6)[2]
+    good = {"algorithm": ALGORITHM, "config": [list(n) for n in configuration.nodes]}
+
+    async def handle(payload, request_id):
+        return await service.handle_verify(parse_verify(payload), request_id)
+
+    async def main():
+        return await asyncio.gather(
+            handle(good, "good"),
+            handle({"algorithm": ALGORITHM, "config": far}, "bad"),
+            return_exceptions=True,
+        )
+
+    good_payload, bad = _run(main())
+    assert isinstance(bad, ProtocolError) and bad.status == 400
+    (expected,) = service.compute_results([configuration], ALGORITHM, 1000)
+    assert good_payload["outcome"] == expected.outcome.value
+    assert good_payload["rounds"] == expected.rounds
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,7 @@ def _python_snippets():
 
 @pytest.fixture(scope="module")
 def server():
-    service = GatheringService(
-        algorithms=("shibata-visibility2",), sizes=(2, 3, 4, 5), batch_window=0.001
-    )
+    service = GatheringService(algorithms=("shibata-visibility2",), sizes=(2, 3, 4, 5))
     with ServerThread(service) as base_url:
         host, port = base_url.split("//")[1].rsplit(":", 1)
         yield host, int(port)
