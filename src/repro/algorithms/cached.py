@@ -22,7 +22,6 @@ from typing import Dict, Iterable, NamedTuple, Optional
 from ..core.algorithm import GatheringAlgorithm, Move
 from ..core.view import View
 from ..grid.directions import Direction
-from ..grid.packing import pack_offsets
 
 __all__ = ["CachedAlgorithm", "CacheInfo"]
 
@@ -98,7 +97,7 @@ class CachedAlgorithm(GatheringAlgorithm):
     def warm(self, views: Iterable[View]) -> None:
         """Populate the cache with the decisions for ``views``."""
         for view in views:
-            self.decide(pack_offsets(view.occupied_offsets, self.visibility_range))
+            self.decide(view.bitmask())
 
     def cache_info(self) -> CacheInfo:
         """Hits/misses recorded by this wrapper and the current cache size.

@@ -47,7 +47,8 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 from ..core.algorithm import GatheringAlgorithm, Move
 from ..core.view import View
 from ..grid.directions import Direction
-from ..grid.labels import Label
+from ..grid.labels import VISIBILITY_2_LABELS, offset_of_label
+from ..grid.packing import pack_offsets
 from .base_node import BASE_MOVE_LABELS, BASE_STAY_LABELS, determine_base_label
 from .guards import connectivity_safe
 
@@ -67,6 +68,16 @@ ALL_RULE_IDS: Tuple[str, ...] = (
     "R5b",
     "R5c",
     "R6",
+)
+
+#: Range-2 view bits of every label with x-element > 0 except (1,1) and (1,-1).
+_EAST_OF_R1_FLANKS: int = pack_offsets(
+    [
+        offset_of_label(label)
+        for label in VISIBILITY_2_LABELS
+        if label[0] > 0 and label not in ((1, 1), (1, -1))
+    ],
+    2,
 )
 
 
@@ -127,7 +138,7 @@ class ShibataGatheringAlgorithm(GatheringAlgorithm):
 
     def _literal_rules(self, view: View) -> Tuple[str, Move]:
         """The guards exactly as printed in Algorithm 1 of the paper."""
-        if view.visibility_range < 2:
+        if view.visibility_range != 2:
             raise ValueError("the algorithm requires visibility range 2")
         o = view.occupied_label
         e = view.empty_label
@@ -177,12 +188,7 @@ class ShibataGatheringAlgorithm(GatheringAlgorithm):
     @staticmethod
     def _others_at_most_zero(view: View) -> bool:
         """All visible robot nodes other than (1,1) and (1,-1) have x-element <= 0."""
-        for label in view.occupied_labels:
-            if label in ((1, 1), (1, -1)):
-                continue
-            if label[0] > 0:
-                return False
-        return True
+        return not view.bitmask() & _EAST_OF_R1_FLANKS
 
     # ---------------------------------------------------------- base (4,0)
     def _base_4_0(self, view: View) -> Tuple[str, Move]:
@@ -337,12 +343,13 @@ class ShibataGatheringAlgorithm(GatheringAlgorithm):
     def _reconstructed_rules(self, view: View) -> Optional[Tuple[str, Move]]:
         """Behaviours the paper omits ("we omit the detail").
 
-        Each rule below only fires when the printed pseudocode would leave the
-        robot idle, and every move additionally passes the local connectivity
-        check of :func:`~repro.algorithms.guards.connectivity_safe`.  The
-        rules are deliberately minimal; they follow the same east-bound
-        compaction strategy and the Fig. 52 yield principle (the more eastern
-        of two contenders moves).  See EXPERIMENTS.md for the measured effect.
+        Two rules, ``recon:R4-west`` and ``recon:R6-west``, each fire only
+        when the printed pseudocode would leave the robot idle, and each move
+        additionally passes the local connectivity check of
+        :func:`~repro.algorithms.guards.connectivity_safe`.  They follow the
+        same east-bound compaction strategy and the Fig. 52 yield principle
+        (the more eastern of two contenders moves).  See EXPERIMENTS.md for
+        the measured effect.
         """
         o = view.occupied_label
         e = view.empty_label
@@ -379,35 +386,5 @@ class ShibataGatheringAlgorithm(GatheringAlgorithm):
             and connectivity_safe(view, Direction.NW)
         ):
             return ("recon:R6-west", Direction.NW)
-
-        return None
-
-        # The remaining reconstructed rules resolve ties that the paper leaves
-        # to "wait until the configuration changes" but that can otherwise
-        # deadlock the whole system.
-        tied = frozenset(view.labels_with_max_x())
-
-        # recon:tie-NE — tied with the robot two steps north-east: close the
-        # gap by stepping north-east when the destination is uncontested.
-        if (
-            tied == frozenset({(0, 0), (0, 2)})
-            and e((1, 1))
-            and e((2, 0))
-            and e((2, 2))
-            and e((3, 1))
-            and connectivity_safe(view, Direction.NE)
-        ):
-            return ("recon:tie-NE", Direction.NE)
-
-        # recon:tie-SE — mirror of the previous rule.
-        if (
-            tied == frozenset({(0, 0), (0, -2)})
-            and e((1, -1))
-            and e((2, 0))
-            and e((2, -2))
-            and e((3, -1))
-            and connectivity_safe(view, Direction.SE)
-        ):
-            return ("recon:tie-SE", Direction.SE)
 
         return None

@@ -257,8 +257,10 @@ def record_peak_rss() -> int:
 
     Reads ``resource.getrusage`` (``ru_maxrss`` is KiB on Linux, bytes on
     macOS); returns the peak in bytes, 0 where ``resource`` is unavailable.
-    Table builds call it so benchmarks can assert the n=10 sharded build
-    stayed under ``REPRO_TABLE_MEMORY_BUDGET``.
+    Enumeration, the decision pass, both table builds and serve start-up call
+    it, so the gauge covers every stage that can set the peak and benchmarks
+    can assert the n=10 sharded build stayed under
+    ``REPRO_TABLE_MEMORY_BUDGET``.
     """
     try:
         import resource
@@ -731,6 +733,7 @@ def _decision_pass(
         if misses:
             _obs.counter("decision_cache.misses").inc(misses)
     _obs_record_span("table.compute", time.perf_counter() - start_time, views=len(bitmasks))
+    record_peak_rss()
     return codes
 
 

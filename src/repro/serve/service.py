@@ -112,7 +112,7 @@ class GatheringService:
         """
         if self._started:
             return
-        from ..core.table_kernel import scoped_table
+        from ..core.table_kernel import record_peak_rss, scoped_table
 
         if attach_handles:
             from ..core.shared_tables import attach_table
@@ -140,6 +140,7 @@ class GatheringService:
                     from ..core.shared_tables import publish_table
 
                     self.published_handles.append(publish_table(table, name))
+        record_peak_rss()
         self._started = True
 
     def shutdown(self) -> None:

@@ -61,6 +61,7 @@ portable across the twelve orientations of a scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..algorithms.guards import connectivity_safe, entry_uncontested
@@ -174,7 +175,7 @@ def _degree_le(view: View, direction: Direction, k: int) -> bool:
 
 @_atom("robots_eq")
 def _robots_eq(view: View, direction: Direction, k: int) -> bool:
-    return len(view.occupied_offsets) == k
+    return len(view) == k
 
 
 @_atom("sym_eq")
@@ -353,12 +354,48 @@ class GuardRule:
         )
 
 
+#: One rule layer indexed for exact-view lookup: ``bitmask -> rules`` for the
+#: rules with a ``view_eq`` atom on that bitmask, merged in layer order with
+#: the rules that have none, plus those rules alone for every other view.
+_LayerIndex = Tuple[Dict[int, Tuple[GuardRule, ...]], Tuple[GuardRule, ...]]
+
+
+def _exact_view_index(rules: Tuple[GuardRule, ...]) -> _LayerIndex:
+    """Index ``rules`` on their ``view_eq`` bitmasks, keeping the layer order.
+
+    A rule with a ``view_eq`` atom can only fire on that one view, so a view
+    needs to try just the rules keyed on its own bitmask plus the rules
+    without such an atom; trying them in layer order keeps the first-match
+    semantics of a linear scan.
+    """
+    exact: Dict[int, List[Tuple[int, GuardRule]]] = {}
+    general: List[Tuple[int, GuardRule]] = []
+    for position, rule in enumerate(rules):
+        key = next((a[1] for a in rule.atoms if a[0] == "view_eq"), None)
+        if key is None:
+            general.append((position, rule))
+        else:
+            exact.setdefault(key, []).append((position, rule))
+    by_view = {
+        key: tuple(rule for _, rule in sorted(entries + general))
+        for key, entries in exact.items()
+    }
+    return by_view, tuple(rule for _, rule in general)
+
+
+def _fired(rule: Optional[GuardRule]) -> Tuple[Optional[str], Move]:
+    return (None, None) if rule is None else (rule.rule_id, rule.direction)
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """An ordered list of guard rules compiled to a ``View -> Move`` function.
 
     The first rule whose conjunction holds fires; a rule set with no firing
     rule returns ``None`` (stay), exactly like the hand-written algorithms.
+    Each layer is indexed on its ``view_eq`` bitmasks the first time it is
+    asked (:func:`_exact_view_index`), so a view only tries the rules that
+    can fire on it.
 
     A rule set may mix the two composition modes.  The layered accessors
     (:meth:`decide_override`, :meth:`compute_extend`) let
@@ -388,12 +425,25 @@ class RuleSet:
         """Whether any rule may amend a printed move of the base algorithm."""
         return any(rule.is_override for rule in self.rules)
 
+    @cached_property
+    def _layers(self) -> Dict[str, _LayerIndex]:
+        return {
+            "all": _exact_view_index(self.rules),
+            "override": _exact_view_index(self.override_rules),
+            "extend": _exact_view_index(self.extend_rules),
+        }
+
+    def _first_firing(self, layer: str, view: View) -> Optional[GuardRule]:
+        """The first rule of ``layer``, in order, whose atoms all hold for ``view``."""
+        by_view, general = self._layers[layer]
+        for rule in by_view.get(view.bitmask(), general):
+            if rule.matches(view):
+                return rule
+        return None
+
     def explain(self, view: View) -> Tuple[Optional[str], Move]:
         """``(rule_id, move)`` of the first firing rule, or ``(None, None)``."""
-        for rule in self.rules:
-            if rule.matches(view):
-                return (rule.rule_id, rule.direction)
-        return (None, None)
+        return _fired(self._first_firing("all", view))
 
     def compute(self, view: View) -> Move:
         """The compiled callable interface: the move of the first firing rule."""
@@ -409,24 +459,16 @@ class RuleSet:
         algorithm decides) from "an override forces a stay" (``move=None``
         replaces the printed move).
         """
-        for rule in self.rules:
-            if rule.is_override and rule.matches(view):
-                return (True, rule.rule_id, rule.direction)
-        return (False, None, None)
+        rule = self._first_firing("override", view)
+        return (False, None, None) if rule is None else (True,) + _fired(rule)
 
     def compute_extend(self, view: View) -> Move:
         """The move of the first firing *extension* rule (additive layer)."""
-        for rule in self.rules:
-            if not rule.is_override and rule.matches(view):
-                return rule.direction
-        return None
+        return self.explain_extend(view)[1]
 
     def explain_extend(self, view: View) -> Tuple[Optional[str], Move]:
         """``(rule_id, move)`` of the first firing extension rule."""
-        for rule in self.rules:
-            if not rule.is_override and rule.matches(view):
-                return (rule.rule_id, rule.direction)
-        return (None, None)
+        return _fired(self._first_firing("extend", view))
 
     def extended(self, rules: Tuple[GuardRule, ...], name: Optional[str] = None) -> "RuleSet":
         """A new rule set with ``rules`` appended (lower priority than existing)."""

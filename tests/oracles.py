@@ -9,12 +9,26 @@
   expansion, the oracle of the bitset ``expand_packed``;
 * :func:`grow_level_sets` / :func:`sorted_levels` — the set-based polyhex
   grower (one packed int per seen shape), the oracle of the NumPy level
-  grower ``canonical_positions``.
+  grower ``canonical_positions``;
+* :class:`FrozensetView` — a view held as frozensets of offsets and labels,
+  the oracle of the bit-backed :class:`repro.core.view.View`;
+* :func:`first_firing_rule` — the linear scan over a rule list, the oracle of
+  the exact-view index of :class:`repro.synth.dsl.RuleSet`.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -32,8 +46,10 @@ from repro.explore.transitions import (
     TERMINAL_DEADLOCK,
     TERMINAL_GATHERED,
 )
-from repro.grid.coords import Coord, neighbors
-from repro.grid.packing import pack_nodes, unpack_nodes
+from repro.grid.coords import Coord, as_coord, distance, neighbors
+from repro.grid.directions import DIRECTIONS, Direction
+from repro.grid.labels import Label, label_of_offset
+from repro.grid.packing import pack_nodes, pack_offsets, unpack_nodes, unpack_offsets
 
 
 def collision_flags_pairwise(pos_key, target_key, movers):
@@ -142,3 +158,107 @@ def sorted_levels(size: int) -> List[List[Tuple[Coord, ...]]]:
     while len(levels) < size:
         levels.append(sorted(grow_level_sets(levels[-1])))
     return levels
+
+
+class FrozensetView:
+    """A robot view held as frozensets of occupied offsets and Fig. 48 labels.
+
+    Every query answers by set membership or a scan over the sets, with the
+    same public surface as :class:`repro.core.view.View`.
+    """
+
+    __slots__ = ("_offsets", "_range", "_labels")
+
+    def __init__(self, occupied_offsets: Iterable[Tuple[int, int]], visibility_range: int) -> None:
+        offsets = frozenset(as_coord(o) for o in occupied_offsets if tuple(o) != (0, 0))
+        for off in offsets:
+            if distance((0, 0), off) > visibility_range:
+                raise ValueError(
+                    f"offset {off} lies outside visibility range {visibility_range}"
+                )
+        self._offsets: FrozenSet[Coord] = offsets
+        self._range = int(visibility_range)
+        self._labels: FrozenSet[Label] = frozenset(label_of_offset(o) for o in offsets)
+
+    @classmethod
+    def from_bitmask(cls, bitmask: int, visibility_range: int) -> "FrozensetView":
+        return cls(unpack_offsets(bitmask, visibility_range), visibility_range)
+
+    def bitmask(self) -> int:
+        return pack_offsets(self._offsets, self._range)
+
+    @property
+    def visibility_range(self) -> int:
+        return self._range
+
+    @property
+    def occupied_offsets(self) -> FrozenSet[Coord]:
+        return self._offsets
+
+    @property
+    def occupied_labels(self) -> FrozenSet[Label]:
+        return self._labels
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FrozensetView):
+            return self._offsets == other._offsets and self._range == other._range
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._offsets, self._range))
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def occupied(self, offset: Tuple[int, int]) -> bool:
+        if tuple(offset) == (0, 0):
+            return True
+        return as_coord(offset) in self._offsets
+
+    def occupied_label(self, label: Label) -> bool:
+        if tuple(label) == (0, 0):
+            return True
+        return tuple(label) in self._labels
+
+    def empty_label(self, label: Label) -> bool:
+        return not self.occupied_label(label)
+
+    def occupied_direction(self, direction: Direction) -> bool:
+        return as_coord(direction.value) in self._offsets
+
+    def adjacent_robot_directions(self) -> List[Direction]:
+        return [d for d in DIRECTIONS if self.occupied_direction(d)]
+
+    def adjacent_degree(self) -> int:
+        return sum(1 for d in DIRECTIONS if self.occupied_direction(d))
+
+    def robots_at_distance(self, dist: int) -> List[Coord]:
+        return sorted(o for o in self._offsets if distance((0, 0), o) == dist)
+
+    def max_x_element(self) -> int:
+        best = 0  # the robot's own label (0, 0)
+        for label in self._labels:
+            if label[0] > best:
+                best = label[0]
+        return best
+
+    def labels_with_max_x(self) -> List[Label]:
+        best = self.max_x_element()
+        result = [label for label in self._labels if label[0] == best]
+        if best == 0:
+            result.append((0, 0))
+        return sorted(result)
+
+    def restricted(self, visibility_range: int) -> "FrozensetView":
+        if visibility_range > self._range:
+            raise ValueError("cannot enlarge a view; re-observe the configuration")
+        kept = [o for o in self._offsets if distance((0, 0), o) <= visibility_range]
+        return FrozensetView(kept, visibility_range)
+
+
+def first_firing_rule(rules, view, mode: Optional[str] = None):
+    """The first rule of ``rules`` (of ``mode``, if given) whose atoms all hold."""
+    for rule in rules:
+        if (mode is None or rule.mode == mode) and rule.matches(view):
+            return rule
+    return None

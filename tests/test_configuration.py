@@ -3,7 +3,8 @@ import pytest
 
 from repro.core.configuration import Configuration, from_offsets, hexagon, line
 from repro.core.errors import InvalidConfigurationError
-from repro.grid.coords import Coord
+from repro.core.table_kernel import view_table
+from repro.grid.coords import Coord, neighbors
 from repro.grid.directions import Direction
 
 
@@ -72,6 +73,20 @@ def test_gathering_predicate_scaled_sizes():
     assert hex_plus_one.diameter() == 3
     assert hex_plus_one.is_gathered()
     assert not Configuration([(i, 0) for i in range(8)]).is_gathered()
+
+
+def test_min_diameter_predicate_is_the_papers_definition_at_n7():
+    # The table kernel marks a root gathered when its diameter is the minimum
+    # achievable; the paper's Definition 1 asks for one robot node with six
+    # robot neighbours.  At n=7 the two agree on every root.
+    table = view_table(7, 2)
+    paper = [
+        any(all(nb in nodes for nb in neighbors(node)) for node in nodes)
+        for nodes in ({tuple(p) for p in row} for row in table.positions.tolist())
+    ]
+    assert len(paper) == 3652
+    assert table.gathered.tolist() == paper
+    assert sum(paper) == 1
 
 
 def test_gathering_predicate_wrong_size():

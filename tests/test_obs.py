@@ -338,3 +338,18 @@ def test_cegis_counters_reconcile_with_the_result():
     assert delta.get("cegis.candidates_tried", 0) == result.candidates_evaluated
     assert delta.get("cegis.explores", 0) == result.explores
     assert delta.get("cegis.chains_proposed", 0) >= delta.get("cegis.chains_accepted", 0)
+
+
+def test_decision_pass_and_serve_startup_record_peak_rss():
+    from repro.algorithms.registry import create_algorithm
+    from repro.core.table_kernel import _decision_pass
+    from repro.serve import GatheringService
+
+    obs.reset()
+    _decision_pass(create_algorithm("stay"), [0, 1, 2])
+    assert obs.snapshot()["gauges"]["table.peak_rss_bytes"] > 0
+    GatheringService(algorithms=("stay",), sizes=(2,)).startup()
+    obs.reset()
+    # The table is in memory now, so this start-up runs no decision pass.
+    GatheringService(algorithms=("stay",), sizes=(2,)).startup()
+    assert obs.snapshot()["gauges"]["table.peak_rss_bytes"] > 0

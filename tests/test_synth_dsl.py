@@ -1,13 +1,17 @@
 """Tests for the guard DSL: semantics, serialization and D6 equivariance."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import first_firing_rule
 from repro.algorithms.guards import connectivity_safe, entry_uncontested
 from repro.core.view import View, view_of
 from repro.core.configuration import Configuration
 from repro.enumeration.polyhex import enumerate_connected_configurations
 from repro.grid.directions import Direction
+from repro.grid.labels import VISIBILITY_2_LABELS
 from repro.grid.packing import pack_offsets
-from repro.synth.dsl import ATOM_KINDS, GuardRule, RuleSet, transform_view
+from repro.synth.dsl import ATOM_KINDS, RULE_MODES, GuardRule, RuleSet, transform_view
 
 
 def make_view(*offsets):
@@ -226,3 +230,73 @@ def test_dsl_agrees_with_reference_predicate_on_all_roots():
     assert checked == 3652 * 7
     assert mismatches == 0
     assert fired > 0  # the predicate is not vacuous over the root set
+
+
+# ---------------------------------------------------------------------------
+# The exact-view index of RuleSet against a linear scan.
+# ---------------------------------------------------------------------------
+
+_VIEW_MASKS = st.integers(0, (1 << 18) - 1)
+_LABELS = sorted(VISIBILITY_2_LABELS)
+
+
+@st.composite
+def _rule_sets(draw):
+    """A mixed rule set plus views; rules share a few ``view_eq`` bitmasks."""
+    pool = draw(st.lists(_VIEW_MASKS, min_size=1, max_size=3, unique=True))
+    rules = []
+    for index in range(draw(st.integers(0, 12))):
+        mode = draw(st.sampled_from(RULE_MODES))
+        directions = list(Direction) + ([None] if mode == "override" else [])
+        direction = draw(st.sampled_from(directions))
+        atoms = [("view_eq", mask) for mask in draw(st.lists(st.sampled_from(pool), max_size=2))]
+        kinds = [k for k in ATOM_KINDS if k != "view_eq"]
+        if direction is None:
+            kinds = [k for k in kinds if k not in ("conn_safe", "uncontested", "toward_centroid")]
+        for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+            if kind in ("occ", "emp"):
+                atoms.append((kind,) + draw(st.sampled_from(_LABELS)))
+            elif kind == "sym_eq":
+                atoms.append((kind, draw(st.sampled_from((1, 2, 4, 6, 12)))))
+            elif kind in ("degree_eq", "degree_ge", "degree_le", "robots_eq"):
+                atoms.append((kind, draw(st.integers(0, 6))))
+            else:
+                atoms.append((kind,))
+        rules.append(GuardRule(f"r{index}", tuple(atoms), direction, mode=mode))
+    views = pool + draw(st.lists(_VIEW_MASKS, max_size=2))
+    return RuleSet("prop", tuple(rules)), [View.from_bitmask(m, 2) for m in views]
+
+
+def _fired(rule):
+    return (None, None) if rule is None else (rule.rule_id, rule.direction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_sets())
+def test_indexed_ruleset_equals_a_linear_scan(case):
+    ruleset, views = case
+    for view in views:
+        assert ruleset.explain(view) == _fired(first_firing_rule(ruleset.rules, view))
+        override = first_firing_rule(ruleset.rules, view, "override")
+        expected = (False, None, None) if override is None else (True,) + _fired(override)
+        assert ruleset.decide_override(view) == expected
+        extend = first_firing_rule(ruleset.rules, view, "extend")
+        assert ruleset.explain_extend(view) == _fired(extend)
+        assert ruleset.compute_extend(view) == _fired(extend)[1]
+
+
+def test_index_keeps_the_original_order_on_a_shared_view():
+    view = make_view((1, 0), (2, 0))
+    mask = view.bitmask()
+    ruleset = RuleSet(
+        "order",
+        (
+            GuardRule("general", (("occ", 4, 0), ("emp", -2, 0)), Direction.NE),
+            GuardRule("exact-w", (("view_eq", mask),), Direction.W),
+            GuardRule("exact-e", (("view_eq", mask),), Direction.E),
+        ),
+    )
+    assert ruleset.explain(view) == ("general", Direction.NE)
+    reordered = RuleSet("order", ruleset.rules[1:] + ruleset.rules[:1])
+    assert reordered.explain(view) == ("exact-w", Direction.W)
+    assert reordered.explain(make_view((1, 0), (2, 0), (-1, 0))) == (None, None)
