@@ -387,26 +387,27 @@ def run_execution(
         )
     if kernel == "table":
         # The table covers connected initial configurations within the soft
-        # memory-estimated size bound, with connectivity enforced; everything
-        # else falls back to the packed kernel (byte-identical).  Scope is
-        # checked against the algorithm-independent (and globally memoized)
-        # view table first, so out-of-scope inputs never pay for a
-        # per-algorithm successor-table build.  A *single* execution only
-        # triggers a build up to the paper's seven-robot space: at n>=8 the
-        # build costs far more than one run, so the table path is taken there
-        # only when a batch caller (runner, explorer, table attach) already
-        # materialized the table — in RAM or as a shard store — on this
-        # algorithm instance.
+        # memory-estimated size bound, with connectivity enforced and views
+        # that fit its view column; everything else falls back to the packed
+        # kernel (byte-identical).  Scope is checked against the
+        # algorithm-independent (and globally memoized) view table first, so
+        # out-of-scope inputs never pay for a per-algorithm successor-table
+        # build.  A *single* execution only triggers a build up to the
+        # paper's seven-robot space: at n>=8 the build costs far more than
+        # one run, so the table path is taken there only when a batch caller
+        # (runner, explorer, table attach) already materialized the table —
+        # in RAM or as a shard store — on this algorithm instance.
         from .table_kernel import (
             GATHERING_SIZE,
             scoped_table,
             successor_table,
             table_in_scope,
+            view_in_scope,
             view_table,
         )
 
         size = len(initial.nodes)
-        if require_connectivity:
+        if require_connectivity and view_in_scope(algorithm.visibility_range):
             table = scoped_table(algorithm, size, build=False)
             row = None if table is None else table.view.row_of_nodes(initial.nodes)
             if table is None and size <= GATHERING_SIZE and table_in_scope(size):

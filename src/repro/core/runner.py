@@ -251,7 +251,7 @@ def _table_batch_results(
 ) -> List[ConfigurationResult]:
     """FSYNC sweep of many configurations through the successor table.
 
-    One table build and one memoized functional-graph traversal answer every
+    One table build and one pointer-doubling summary pass answer every
     configuration at once (:mod:`repro.core.table_kernel`); sizes past the
     in-RAM bound answer from the disk tier (:mod:`repro.core.sharded_tables`)
     — this is the batch path the n=10 census rides.  Items outside both
@@ -411,7 +411,7 @@ def _iter_result_chunks_uncounted(
             and isinstance(scheduler_obj, FullySynchronousScheduler)
             and getattr(algorithm, "deterministic", True)
         ):
-            # The table fast path: one build + one functional-graph traversal
+            # The table fast path: one build + one functional-graph summary pass
             # answers the whole FSYNC batch (no per-execution simulation).
             results = _table_batch_results(list(configurations), algorithm, max_rounds)
             for start in range(0, len(results), chunk_size):

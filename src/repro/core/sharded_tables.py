@@ -460,7 +460,7 @@ class ShardedSuccessorTable(SuccessorTable):
     The functional-graph arrays (kind / succ / movers / collision / gathered
     / diameters) are plain resident ndarrays, so every inherited traversal —
     :meth:`fsync_summary`, :meth:`batch_outcomes`, :meth:`fsync_verdict`,
-    :meth:`reachable_rows`, :meth:`walk_outcome` — runs unchanged.  Row
+    :meth:`walk_outcome` — runs unchanged.  Row
     positions and move codes page in shard-by-shard through a bounded LRU of
     open memmaps, and packed forms are computed on demand from positions
     (``pack_nodes`` canonicalizes, so the result equals the monolithic

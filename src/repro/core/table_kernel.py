@@ -30,9 +30,9 @@ differs:
   gathered / deadlock / collision / disconnect) and the per-row mover
   bitmask that feeds the SSYNC explorer's activation-subset enumeration.
 
-FSYNC execution then degenerates to pointer-chasing on ``succ`` with exact
-cycle/fixpoint detection, and an exhaustive sweep is one memoized traversal
-of the functional graph — O(N) total, not O(sum of path lengths).
+FSYNC execution then reduces to one pointer-doubling pass over ``succ``
+(:func:`_summary_pass`) that resolves the outcome of every row at once, in
+``O(N log N)`` vectorized work instead of a Python walk per row.
 
 **Delta-aware invalidation** is what makes the kernel pay off inside the
 CEGIS loop (:mod:`repro.synth`): a candidate rule set touches a known set of
@@ -64,7 +64,7 @@ import numpy as np
 
 from ..grid.coords import Coord
 from ..grid.directions import Direction
-from ..grid.packing import offset_bit_table, pack_nodes
+from ..grid.packing import offset_bit_table, pack_nodes, view_bit_count
 from ..obs import get_logger
 from ..obs import metrics as _obs
 from ..obs import record_span as _obs_record_span
@@ -88,6 +88,7 @@ __all__ = [
     "estimate_sharded_bytes",
     "max_table_size",
     "table_in_scope",
+    "view_in_scope",
     "sharded_max_table_size",
     "sharded_in_scope",
     "record_peak_rss",
@@ -225,6 +226,15 @@ def table_in_scope(size: int) -> bool:
     return 1 <= size <= max_table_size()
 
 
+def view_in_scope(visibility_range: int) -> bool:
+    """Whether range-``r`` views (``3 r (r + 1)`` bits) fit the int32 view column.
+
+    Range 2 (18 bits) does; range 3 (36) and the full-visibility baselines
+    (range 6, 126) do not and run on the packed kernel instead.
+    """
+    return view_bit_count(visibility_range) <= 31
+
+
 def sharded_max_table_size(budget: Optional[int] = None) -> int:
     """The sharded tier's size bound: out-of-core tables past the RAM bound.
 
@@ -293,18 +303,21 @@ KIND_DISCONNECT = 4
 _COLLISION_KINDS = (None, "swap", "move-onto-staying", "same-target")
 
 #: Outcome codes of the functional-graph summary, convertible to
-#: :class:`~repro.core.trace.Outcome`.
+#: :class:`~repro.core.trace.Outcome`; the round limit is only ever applied
+#: per query (:meth:`SuccessorTable.batch_outcomes`).
 OUT_GATHERED = 0
 OUT_DEADLOCK = 1
 OUT_LIVELOCK = 2
 OUT_COLLISION = 3
 OUT_DISCONNECTED = 4
+_OUT_ROUND_LIMIT = 5
 _OUTCOMES = (
     Outcome.GATHERED,
     Outcome.DEADLOCK,
     Outcome.LIVELOCK,
     Outcome.COLLISION,
     Outcome.DISCONNECTED,
+    Outcome.ROUND_LIMIT,
 )
 
 #: Minimum achievable diameter per robot count — the engine's gathering
@@ -646,8 +659,11 @@ def _geometry_pass(
     Batched Look through a displacement bit LUT, and the geometry (hex
     distances -> diameters, gathering predicate), both computed in chunked
     passes over row blocks: the transient ``(block, n, n)`` arrays stay
-    bounded however large the state space is.
+    bounded however large the state space is.  Both table builds reach it
+    first, so it rejects views too wide for the view column.
     """
+    if not view_in_scope(visibility_range):
+        raise ValueError(f"visibility range {visibility_range} views overflow the view column")
     start_time = time.perf_counter()
     count, n = positions.shape[:2]
     span = max(2 * int(np.abs(positions).max(initial=0)), visibility_range)
@@ -893,7 +909,7 @@ def _resolve_pass(
 
 @dataclass
 class _FsyncSummary:
-    """Memoized functional-graph traversal: one resolution serves every root."""
+    """The FSYNC execution of every row of a table, resolved in one pass."""
 
     #: Raw outcome code per row (round-limit capping is applied per query).
     outcome: "np.ndarray"
@@ -904,6 +920,78 @@ class _FsyncSummary:
     #: The row at which the execution settles / fails (self for terminals,
     #: the first revisited cycle row for livelocks).
     final: "np.ndarray"
+
+
+#: The summary outcome of each row kind (``-1``: a step row inherits one).
+_OUTCOME_OF_KIND = np.array(
+    [-1, OUT_GATHERED, OUT_DEADLOCK, OUT_COLLISION, OUT_DISCONNECTED], dtype=np.int8
+)
+
+
+def _summary_pass(
+    kind: "np.ndarray", succ: "np.ndarray", mover_count: "np.ndarray"
+) -> _FsyncSummary:
+    """The FSYNC summary of every row, by pointer doubling over ``succ``.
+
+    Terminal and disconnect rows summarize themselves.  Following ``succ``
+    ``2**ceil(log2 N)`` times from any row lands on a cycle, so the step rows
+    those jumps reach are exactly the cycle rows; each cycle is labelled by
+    its smallest row (a doubled running minimum) and ``bincount`` gives its
+    length and moves.  Every other step row then jumps, by doubling again,
+    to the first terminal, disconnect or cycle row it reaches, summing rounds
+    and moves on the way, and inherits that row's outcome and settling row.
+    """
+    start_time = time.perf_counter()
+    count = len(kind)
+    rows = np.arange(count, dtype=np.int32)
+    step = kind == KIND_STEP
+    disconnect = kind == KIND_DISCONNECT
+    outcome = _OUTCOME_OF_KIND[kind]
+    rounds = disconnect.astype(np.int32)
+    moves = np.where(disconnect, mover_count, 0).astype(np.int64)
+    final = rows.copy()
+
+    doublings = max(count - 1, 0).bit_length()
+    jump = np.where(step, succ, rows)
+    for _ in range(doublings):
+        jump = jump[jump]
+    on_cycle = np.zeros(count, dtype=bool)
+    on_cycle[jump] = True
+    on_cycle &= step
+    cycle = np.nonzero(on_cycle)[0]
+    local = np.zeros(count, dtype=np.int32)
+    local[cycle] = np.arange(len(cycle), dtype=np.int32)
+    nxt = local[succ[cycle]]
+    label = local[cycle]
+    for _ in range(max(len(cycle) - 1, 0).bit_length()):
+        label = np.minimum(label, label[nxt])
+        nxt = nxt[nxt]
+        doublings += 1
+    outcome[cycle] = OUT_LIVELOCK
+    rounds[cycle] = np.bincount(label)[label]
+    moves[cycle] = np.bincount(label, weights=mover_count[cycle]).astype(np.int64)[label]
+
+    anchor = ~step | on_cycle
+    hop = np.where(anchor, rows, succ)
+    distance = (~anchor).astype(np.int32)
+    walked = np.where(anchor, 0, mover_count).astype(np.int32)
+    while True:
+        further = hop[hop]
+        if np.array_equal(further, hop):
+            break
+        distance += distance[hop]
+        walked += walked[hop]
+        hop = further
+        doublings += 1
+    tail = np.nonzero(~anchor)[0]
+    target = hop[tail]
+    outcome[tail] = outcome[target]
+    rounds[tail] = rounds[target] + distance[tail]
+    moves[tail] = moves[target] + walked[tail]
+    final[tail] = final[target]
+    seconds = time.perf_counter() - start_time
+    _obs_record_span("table.fsync_summary", seconds, rows=count, doublings=doublings)
+    return _FsyncSummary(outcome=outcome, rounds=rounds, moves=moves, final=final)
 
 
 class SuccessorTable:
@@ -1078,85 +1166,19 @@ class SuccessorTable:
 
     # --------------------------------------------------- functional traversal
     def fsync_summary(self) -> _FsyncSummary:
-        """Outcome / rounds / moves / settling row of every row, memoized."""
-        return self._ensure_summary(range(self.view.count))
+        """Outcome / rounds / moves / settling row of every row, memoized.
 
-    def _ensure_summary(self, starts: Iterable[int]) -> _FsyncSummary:
-        """Resolve the functional graph from the given starting rows.
-
-        Lazy and incremental: each row is resolved exactly once per table
-        (restricted root sets only pay for their reachable closure), cycles
-        are detected exactly (matching the engine's seen-set livelock
-        semantics) and shared suffixes are shared work.
+        One :func:`_summary_pass` resolves them all at once; every FSYNC
+        query on this table (sweeps, censuses, CEGIS verdicts) reads them.
         """
         if self._summary is None:
-            count = self.view.count
-            self._summary = _FsyncSummary(
-                outcome=np.full(count, -1, dtype=np.int8),
-                rounds=np.zeros(count, dtype=np.int32),
-                moves=np.zeros(count, dtype=np.int64),
-                final=np.arange(count, dtype=np.int32),
-            )
-        summary = self._summary
-        outcome = summary.outcome
-        rounds = summary.rounds
-        moves = summary.moves
-        final = summary.final
-        kind = self.kind
-        succ = self.succ
-        mover_count = self.mover_count
-
-        terminal_outcome = {
-            KIND_GATHERED: OUT_GATHERED,
-            KIND_DEADLOCK: OUT_DEADLOCK,
-            KIND_COLLISION: OUT_COLLISION,
-        }
-        for start in starts:
-            if outcome[start] >= 0:
-                continue
-            path: List[int] = []
-            path_pos: Dict[int, int] = {}
-            current = start
-            while True:
-                if outcome[current] >= 0:
-                    break
-                k = int(kind[current])
-                if k in terminal_outcome:
-                    outcome[current] = terminal_outcome[k]
-                    break
-                if k == KIND_DISCONNECT:
-                    outcome[current] = OUT_DISCONNECTED
-                    rounds[current] = 1
-                    moves[current] = int(mover_count[current])
-                    break
-                position = path_pos.get(current)
-                if position is not None:
-                    cycle = path[position:]
-                    length = len(cycle)
-                    cycle_moves = int(sum(int(mover_count[c]) for c in cycle))
-                    for member in cycle:
-                        outcome[member] = OUT_LIVELOCK
-                        rounds[member] = length
-                        moves[member] = cycle_moves
-                        final[member] = member
-                    path = path[:position]
-                    current = cycle[0]
-                    break
-                path_pos[current] = len(path)
-                path.append(current)
-                current = int(succ[current])
-            for node in reversed(path):
-                nxt = int(succ[node])
-                outcome[node] = outcome[nxt]
-                rounds[node] = rounds[nxt] + 1
-                moves[node] = moves[nxt] + int(mover_count[node])
-                final[node] = final[nxt]
-        return summary
+            self._summary = _summary_pass(self.kind, self.succ, self.mover_count)
+        return self._summary
 
     def batch_outcomes(
         self, rows: "np.ndarray", max_rounds: int
     ) -> Tuple[List[Outcome], "np.ndarray", "np.ndarray", List[Optional[str]]]:
-        """FSYNC sweep results for many roots at once.
+        """FSYNC sweep results for many roots at once, off :meth:`fsync_summary`.
 
         Returns ``(outcomes, rounds, total_moves, collision_kinds)``,
         byte-identical to running the packed kernel from each root with the
@@ -1166,30 +1188,19 @@ class SuccessorTable:
         (round index + 1 <= ``max_rounds``); everything later is a
         round-limit.
         """
-        summary = self._ensure_summary(int(row) for row in rows)
+        summary = self.fsync_summary()
         raw = summary.outcome[rows]
         cnt = summary.rounds[rows]
         mvs = summary.moves[rows].copy()
-        fin = summary.final[rows]
+        collision = np.where(raw == OUT_COLLISION, self.collision_code[summary.final[rows]], 0)
 
         detected_at = np.isin(raw, (OUT_GATHERED, OUT_DEADLOCK, OUT_COLLISION))
         over = (detected_at & (cnt >= max_rounds)) | (~detected_at & (cnt > max_rounds))
-        outcomes: List[Outcome] = []
-        kinds: List[Optional[str]] = []
-        result_rounds = np.where(over, max_rounds, cnt)
-        for i, row in enumerate(rows):
-            if over[i]:
-                outcomes.append(Outcome.ROUND_LIMIT)
-                kinds.append(None)
-                mvs[i] = self._prefix_moves(int(row), max_rounds)
-            else:
-                outcomes.append(_OUTCOMES[raw[i]])
-                kinds.append(
-                    _COLLISION_KINDS[self.collision_code[fin[i]]]
-                    if raw[i] == OUT_COLLISION
-                    else None
-                )
-        return outcomes, result_rounds, mvs, kinds
+        for i in np.nonzero(over)[0].tolist():
+            mvs[i] = self._prefix_moves(int(rows[i]), max_rounds)
+        outcomes = [_OUTCOMES[code] for code in np.where(over, _OUT_ROUND_LIMIT, raw).tolist()]
+        kinds = [_COLLISION_KINDS[code] for code in np.where(over, 0, collision).tolist()]
+        return outcomes, np.where(over, max_rounds, cnt), mvs, kinds
 
     def _prefix_moves(self, row: int, limit: int) -> int:
         """Total moves over the first ``limit`` rounds from ``row`` (round-limit)."""
@@ -1253,21 +1264,6 @@ class SuccessorTable:
             seen.add(nxt)
             current = nxt
         return "round-limit", packed(current), packed(current)
-
-    def reachable_rows(self, root_rows: Iterable[int]) -> "np.ndarray":
-        """Rows reachable from ``root_rows`` along full-activation edges."""
-        seen = set(int(r) for r in root_rows)
-        frontier = list(seen)
-        succ = self.succ
-        kind = self.kind
-        while frontier:
-            row = frontier.pop()
-            if kind[row] == KIND_STEP:
-                nxt = int(succ[row])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return np.fromiter(sorted(seen), dtype=np.int32, count=len(seen))
 
     # --------------------------------------------------------- graph slicing
     def expand_row(
@@ -1526,15 +1522,15 @@ class TableFsyncVerdict:
     Exposes exactly what the CEGIS loop asks an FSYNC
     :class:`~repro.explore.report.ExplorationReport` for — the root census,
     the won-root set and the mass-ordered counterexample list — computed from
-    the functional-graph summary instead of a materialized transition graph,
-    and guaranteed to match the explorer's answers.
+    the table's :meth:`SuccessorTable.fsync_summary` (resolved once per table,
+    for every row) instead of a materialized transition graph, and guaranteed
+    to match the explorer's answers.
     """
 
     def __init__(self, table: SuccessorTable, root_rows: "np.ndarray") -> None:
         self.table = table
         self.root_rows = root_rows
-        summary = table._ensure_summary(int(row) for row in root_rows)
-        self._outcome = summary.outcome[root_rows]
+        self._outcome = table.fsync_summary().outcome[root_rows]
 
     @property
     def root_census(self) -> Dict[str, int]:
@@ -1558,11 +1554,8 @@ class TableFsyncVerdict:
     def won_roots(self) -> FrozenSet[int]:
         """Packed roots whose execution gathers (classified gathered or safe)."""
         packed = self.table.view.packed
-        return frozenset(
-            packed[int(row)]
-            for row, outcome in zip(self.root_rows, self._outcome)
-            if outcome == OUT_GATHERED
-        )
+        won = self.root_rows[self._outcome == OUT_GATHERED]
+        return frozenset(packed[row] for row in won.tolist())
 
     def counterexamples_by_mass(self, include_failures: bool = False) -> List[int]:
         """The explorer's counterexample ordering, straight from the table.
@@ -1573,7 +1566,8 @@ class TableFsyncVerdict:
         entering the same cycle elsewhere attribute to that first entry.
         This keeps the counterexample ordering (and hence the CEGIS search
         trajectory) byte-identical to the packed kernel's even for cycles
-        with several entry points.
+        with several entry points.  Every deadlock row a root reaches is that
+        root's settling row, so no reachable deadlock is left without mass.
         """
         table = self.table
         packed = table.view.packed
@@ -1586,9 +1580,6 @@ class TableFsyncVerdict:
             if row is not None:
                 counterexample = packed[row]
                 mass[counterexample] = mass.get(counterexample, 0) + 1
-        for row in table.reachable_rows(self.root_rows):
-            if kind[row] == KIND_DEADLOCK:
-                mass.setdefault(packed[int(row)], 0)
         return sorted(mass, key=lambda item: (-mass[item], item))
 
     @staticmethod
@@ -1738,8 +1729,12 @@ def scoped_table(
     within :func:`sharded_in_scope`, else ``None``.  ``build=False`` returns
     only a table already memoized on ``algorithm`` (a single execution never
     pays for a build).  The build arguments go to :func:`successor_table`;
-    the sharded tier takes ``disk_cache`` as its store root.
+    the sharded tier takes ``disk_cache`` as its store root.  Algorithms
+    whose views do not fit the view column (:func:`view_in_scope`) get
+    ``None`` at every size.
     """
+    if not view_in_scope(algorithm.visibility_range):
+        return None
     if table_in_scope(size):
         if not build:
             return (getattr(algorithm, "_successor_tables", None) or {}).get(size)

@@ -449,10 +449,11 @@ def synthesize(
     if kernel == "table":
         import numpy as np
 
-        from ..core.table_kernel import successor_table, table_in_scope
+        from ..core.table_kernel import successor_table, table_in_scope, view_in_scope
 
+        views_fit = view_in_scope(base.visibility_range)
         if roots is None:
-            if table_in_scope(size):
+            if views_fit and table_in_scope(size):
                 base_table = successor_table(base, size)
                 root_rows = np.arange(base_table.view.count, dtype=np.int32)
         else:
@@ -464,7 +465,7 @@ def synthesize(
             for item in roots:
                 nodes = item.nodes if isinstance(item, Configuration) else tuple(item)
                 n = len(tuple(nodes))
-                if not table_in_scope(n) or (
+                if not (views_fit and table_in_scope(n)) or (
                     table0 is not None and n != table0.view.size
                 ):
                     usable = False

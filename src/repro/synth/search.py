@@ -261,10 +261,11 @@ def simulate_to_quiescence(
 
 def _base_table_for(base: GatheringAlgorithm, packed: int):
     """The base algorithm's successor table for targeted replay, if usable."""
-    from ..core.table_kernel import successor_table, table_in_scope  # late: cycle
+    from ..core.table_kernel import successor_table, table_in_scope, view_in_scope  # late
 
     size = packed_count(packed)
-    if not table_in_scope(size) or not getattr(base, "deterministic", True):
+    fits = table_in_scope(size) and view_in_scope(base.visibility_range)
+    if not fits or not getattr(base, "deterministic", True):
         return None
     return successor_table(base, size)
 

@@ -13,7 +13,10 @@
 * :class:`FrozensetView` — a view held as frozensets of offsets and labels,
   the oracle of the bit-backed :class:`repro.core.view.View`;
 * :func:`first_firing_rule` — the linear scan over a rule list, the oracle of
-  the exact-view index of :class:`repro.synth.dsl.RuleSet`.
+  the exact-view index of :class:`repro.synth.dsl.RuleSet`;
+* :func:`lazy_fsync_summary` — the memoized per-row walk of the successor
+  function, the oracle of the pointer-doubling
+  :meth:`repro.core.table_kernel.SuccessorTable.fsync_summary`.
 """
 from __future__ import annotations
 
@@ -38,6 +41,18 @@ from repro.core.engine import (
     apply_moves_nodes,
     detect_collision_nodes,
     move_intents,
+)
+from repro.core.table_kernel import (
+    KIND_COLLISION,
+    KIND_DEADLOCK,
+    KIND_DISCONNECT,
+    KIND_GATHERED,
+    OUT_COLLISION,
+    OUT_DEADLOCK,
+    OUT_DISCONNECTED,
+    OUT_GATHERED,
+    OUT_LIVELOCK,
+    _FsyncSummary,
 )
 from repro.explore.transitions import (
     COLLISION_SINK,
@@ -262,3 +277,73 @@ def first_firing_rule(rules, view, mode: Optional[str] = None):
         if (mode is None or rule.mode == mode) and rule.matches(view):
             return rule
     return None
+
+
+def lazy_fsync_summary(table, starts: Iterable[int]) -> _FsyncSummary:
+    """The FSYNC summary of the rows reachable from ``starts``, one walk each.
+
+    Each row is resolved exactly once, cycles are detected exactly (matching
+    the engine's seen-set livelock semantics) and shared suffixes are shared
+    work.  Rows no start reaches keep outcome ``-1``.
+    """
+    count = table.view.count
+    summary = _FsyncSummary(
+        outcome=np.full(count, -1, dtype=np.int8),
+        rounds=np.zeros(count, dtype=np.int32),
+        moves=np.zeros(count, dtype=np.int64),
+        final=np.arange(count, dtype=np.int32),
+    )
+    outcome = summary.outcome
+    rounds = summary.rounds
+    moves = summary.moves
+    final = summary.final
+    kind = table.kind
+    succ = table.succ
+    mover_count = table.mover_count
+
+    terminal_outcome = {
+        KIND_GATHERED: OUT_GATHERED,
+        KIND_DEADLOCK: OUT_DEADLOCK,
+        KIND_COLLISION: OUT_COLLISION,
+    }
+    for start in starts:
+        if outcome[start] >= 0:
+            continue
+        path: List[int] = []
+        path_pos: Dict[int, int] = {}
+        current = start
+        while True:
+            if outcome[current] >= 0:
+                break
+            k = int(kind[current])
+            if k in terminal_outcome:
+                outcome[current] = terminal_outcome[k]
+                break
+            if k == KIND_DISCONNECT:
+                outcome[current] = OUT_DISCONNECTED
+                rounds[current] = 1
+                moves[current] = int(mover_count[current])
+                break
+            position = path_pos.get(current)
+            if position is not None:
+                cycle = path[position:]
+                length = len(cycle)
+                cycle_moves = int(sum(int(mover_count[c]) for c in cycle))
+                for member in cycle:
+                    outcome[member] = OUT_LIVELOCK
+                    rounds[member] = length
+                    moves[member] = cycle_moves
+                    final[member] = member
+                path = path[:position]
+                current = cycle[0]
+                break
+            path_pos[current] = len(path)
+            path.append(current)
+            current = int(succ[current])
+        for node in reversed(path):
+            nxt = int(succ[node])
+            outcome[node] = outcome[nxt]
+            rounds[node] = rounds[nxt] + 1
+            moves[node] = moves[nxt] + int(mover_count[node])
+            final[node] = final[nxt]
+    return summary

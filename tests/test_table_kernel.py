@@ -330,3 +330,30 @@ def test_explorer_table_kernel_requires_connectivity():
             require_connectivity=False,
             kernel="table",
         )
+
+
+def test_views_wider_than_the_view_column_fall_back_to_packed(tmp_path):
+    """Range-6 views (126 bits) cannot be tabulated: the table kernel must
+    decline them up front and answer through the packed fallback."""
+    from repro.core.sharded_tables import build_sharded_table
+    from repro.core.table_kernel import scoped_table
+    from repro.explore.transitions import build_transition_graph
+
+    name = "full-visibility-greedy"
+    assert scoped_table(create_algorithm(name), 5) is None
+    with pytest.raises(ValueError, match="visibility range 6"):
+        SuccessorTable.build(create_algorithm(name), 5)
+    with pytest.raises(ValueError, match="visibility range 6"):
+        build_sharded_table(create_algorithm(name), 5, str(tmp_path / "store"))
+
+    roots = enumerate_connected_configurations(5)
+    packed = run_many(roots, algorithm_name=name, kernel="packed")
+    table = run_many(roots, algorithm_name=name, kernel="table")
+    assert table.results == packed.results
+    graphs = [
+        build_transition_graph(roots, algorithm=create_algorithm(name), kernel=kernel)
+        for kernel in ("packed", "table")
+    ]
+    assert graphs[1].edges == graphs[0].edges
+    assert graphs[1].terminal == graphs[0].terminal
+    assert graphs[1].roots == graphs[0].roots
