@@ -92,6 +92,17 @@ _BUILTIN_CONFIGS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """Argparse ``type=`` for robot counts and worker counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed separately for the tests)."""
     parser = argparse.ArgumentParser(
@@ -137,7 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="count connected initial configurations",
         epilog="exit codes: 0 always (errors raise non-zero via argparse)",
     )
-    p_enum.add_argument("--size", type=int, default=7, help="number of robots (default 7)")
+    p_enum.add_argument(
+        "--size", type=_positive_int, default=7, help="number of robots (default 7)"
+    )
 
     p_verify = sub.add_parser(
         "verify",
@@ -151,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_algorithms(),
         help="algorithm to verify",
     )
-    p_verify.add_argument("--size", type=int, default=7)
+    p_verify.add_argument("--size", type=_positive_int, default=7)
     p_verify.add_argument("--max-rounds", type=int, default=1000)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=_positive_int, default=1)
     p_verify.add_argument(
         "--kernel",
         default="packed",
@@ -216,14 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="1000",
         help="comma-separated round budgets (default: 1000)",
     )
-    p_sweep.add_argument("--size", type=int, default=7, help="number of robots (default 7)")
+    p_sweep.add_argument(
+        "--size", type=_positive_int, default=7, help="number of robots (default 7)"
+    )
     p_sweep.add_argument(
         "--sample",
         type=int,
         default=1,
         help="keep every N-th configuration of the enumeration (default 1 = all)",
     )
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_positive_int, default=1)
     p_sweep.add_argument(
         "--kernel",
         default="packed",
@@ -253,14 +268,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="edge semantics: fsync (one edge per vertex) or ssync "
         "(one edge per adversarial activation choice)",
     )
-    p_explore.add_argument("--size", type=int, default=7, help="number of robots (default 7)")
+    p_explore.add_argument(
+        "--size", type=_positive_int, default=7, help="number of robots (default 7)"
+    )
     p_explore.add_argument(
         "--max-nodes",
         type=int,
         default=None,
         help="stop after expanding this many vertices (default: exhaustive)",
     )
-    p_explore.add_argument("--workers", type=int, default=1)
+    p_explore.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="worker processes for --kernel packed (default 1); --kernel table "
+        "expands every level in this process with array passes",
+    )
     p_explore.add_argument(
         "--kernel",
         default="packed",
@@ -306,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_algorithms(),
         help="base algorithm whose stays the synthesized rules may override",
     )
-    p_synth.add_argument("--size", type=int, default=7, help="number of robots (default 7)")
+    p_synth.add_argument(
+        "--size", type=_positive_int, default=7, help="number of robots (default 7)"
+    )
     p_synth.add_argument(
         "--max-iterations", type=int, default=8, help="CEGIS iterations (default 8)"
     )
@@ -350,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. the committed additive repair), or the literal name "
         "'learned' for the committed shibata-visibility2 repair",
     )
-    p_synth.add_argument("--workers", type=int, default=1)
+    p_synth.add_argument("--workers", type=_positive_int, default=1)
     p_synth.add_argument(
         "--kernel",
         default="auto",
@@ -423,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="server processes sharing the port via SO_REUSEPORT; tables are "
         "built once and shared as memory-mapped table stores (default 1)",
@@ -699,8 +724,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"unknown algorithms: {unknown}; available: {available_algorithms()}"
             )
-    if args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
     if args.workers > 1 and args.port == 0:
         raise SystemExit("--workers > 1 needs a fixed --port (SO_REUSEPORT)")
     service = GatheringService(

@@ -1,11 +1,12 @@
 """Word-at-a-time subset enumeration shared by the SSYNC expanders.
 
-Both SSYNC expansion paths — the packed expander in
-:mod:`repro.explore.transitions` and the table kernel's
-:meth:`~repro.core.table_kernel.SuccessorTable.expand_row` — enumerate the
-non-empty activation subsets of a vertex's mover set and keep the first edge
-reaching each successor.  The subset *order* is therefore part of the graph's
-byte-identity contract, so it lives here, once, with no dependencies.
+Both SSYNC expanders — the packed one in :mod:`repro.explore.transitions`,
+a word per subset, and the table kernel's array pass
+:meth:`~repro.core.table_kernel.SuccessorTable.expand_rows`, a row per
+subset — enumerate the non-empty activation subsets of a vertex's mover set
+and keep the first edge reaching each successor.  The subset *order* is
+therefore part of the graph's byte-identity contract, so it lives here,
+once, with no dependencies.
 """
 from __future__ import annotations
 

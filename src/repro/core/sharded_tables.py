@@ -35,7 +35,7 @@ only in where the arrays go, which gives two layouts of the one format:
 :class:`ShardedSuccessorTable` subclasses ``SuccessorTable`` and answers the
 same API — FSYNC execution, :meth:`~SuccessorTable.batch_outcomes` sweeps,
 :meth:`~SuccessorTable.fsync_verdict` censuses, SSYNC
-:meth:`~SuccessorTable.expand_row` slicing — streaming shard files through a
+:meth:`~SuccessorTable.expand_rows` slicing — streaming shard files through a
 small LRU of open memmaps, so the working set stays bounded however large
 the space is.  Byte identity with the in-RAM table for every size both tiers
 cover is property-tested (``tests/test_sharded_tables.py``).
@@ -50,7 +50,7 @@ import shutil
 import tempfile
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -524,16 +524,18 @@ class ShardedSuccessorTable(SuccessorTable):
         # No packed dictionary here: the canonical hash index answers.
         return self.view.row_of_nodes(unpack_nodes(packed))
 
-    def _ssync_destination_of_nodes(self, nodes) -> int:
-        # ``pack_nodes`` canonicalizes internally, so packing the successor
-        # node set directly equals the monolithic ``vt.packed[row]`` without
-        # any row lookup at all.
-        return pack_nodes(nodes)
-
-    def _ssync_destinations_of_canonical(self, canonical: "np.ndarray") -> List[int]:
-        return [
-            pack_nodes((int(q), int(r)) for q, r in block) for block in canonical
-        ]
+    def _gather_rows(self, rows: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+        shards = rows // self.shard_rows
+        dtypes = dict(_SHARD_FIELDS)
+        positions = np.empty((len(rows), self.view.size, 2), dtype=dtypes["positions"])
+        move_code = np.empty((len(rows), self.view.size), dtype=dtypes["move_code"])
+        for shard in np.unique(shards).tolist():
+            take = shards == shard
+            local = rows[take] - shard * self.shard_rows
+            arrays = self._shard_arrays(shard)
+            positions[take] = arrays["positions"][local]
+            move_code[take] = arrays["move_code"][local]
+        return positions, move_code
 
     def array_bytes(self) -> int:
         """Resident bytes: the narrow graph arrays + the sorted hash index."""

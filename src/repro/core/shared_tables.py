@@ -13,8 +13,8 @@ A table that already lives in a store (a shard store, or an in-RAM table
 persisted under ``REPRO_TABLE_CACHE``) is published as that store, with no
 copy.  Any other table is written to a private ``repro_tbl_<hex>`` directory
 under ``/dev/shm`` (the system temp dir where there is none), which the
-publisher owns: it must call :func:`unpublish_table` (the batch runner, the
-explorer and the service do so in ``finally`` blocks) to remove it.  Workers
+publisher owns: it must call :func:`unpublish_table` (the batch runner and
+the service do so in ``finally`` blocks) to remove it.  Workers
 only map: a mapping stays valid after its files are removed.
 """
 from __future__ import annotations

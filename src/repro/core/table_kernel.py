@@ -33,6 +33,10 @@ differs:
 FSYNC execution then reduces to one pointer-doubling pass over ``succ``
 (:func:`_summary_pass`) that resolves the outcome of every row at once, in
 ``O(N log N)`` vectorized work instead of a Python walk per row.
+Adversarial SSYNC expansion reuses the resolve core
+(:meth:`SuccessorTable.expand_rows`): activating a subset of a row's movers
+is the full-activation round with the other movers' codes zeroed, so every
+subset of every row resolves in one array pass.
 
 **Delta-aware invalidation** is what makes the kernel pay off inside the
 CEGIS loop (:mod:`repro.synth`): a candidate rule set touches a known set of
@@ -71,7 +75,6 @@ from ..obs import record_span as _obs_record_span
 from .algorithm import GatheringAlgorithm
 from .bitsets import subset_masks
 from .configuration import Configuration
-from .engine import _is_connected_nodes
 from .trace import Outcome
 from .view import View
 
@@ -124,11 +127,6 @@ _STATE_SPACE_GROWTH = 4.7
 #: ``(block, n, n)`` arrays of the view build and the successor resolution so
 #: peak memory stays a small multiple of the resident table, whatever `n` is.
 _BUILD_BLOCK = 8192
-
-#: Mover count from which the SSYNC expander switches from the word-at-a-time
-#: bitset scan to the fully vectorized subset pass: below it (< 64 subsets)
-#: per-call numpy overhead exceeds the whole Python scan.
-_VECTOR_SUBSET_MIN_MOVERS = 7
 
 #: Environment variable naming the default table-store directory.
 _TABLE_CACHE_ENV = "REPRO_TABLE_CACHE"
@@ -284,7 +282,7 @@ def record_peak_rss() -> int:
 
 @lru_cache(maxsize=None)
 def _subset_masks_array(m: int) -> "np.ndarray":
-    """:func:`subset_masks` as an int32 array (the vectorized expander's order)."""
+    """:func:`subset_masks` as an int32 array (the SSYNC expander's order)."""
     return np.fromiter(subset_masks(m), dtype=np.int32, count=(1 << m) - 1)
 
 #: Move codes: 0 = stay, ``i + 1`` = the i-th member of :class:`Direction`.
@@ -1266,15 +1264,25 @@ class SuccessorTable:
         return "round-limit", packed(current), packed(current)
 
     # --------------------------------------------------------- graph slicing
+    def _gather_rows(self, rows: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+        """Canonical positions and move codes of ``rows`` (overridable storage hook)."""
+        return self.view.positions[rows], self.move_code[rows]
+
     def expand_row(
         self, row: int, mode: str
     ) -> Tuple[Tuple[Tuple[int, int], ...], Optional[str]]:
-        """Table twin of :func:`repro.explore.transitions.expand_packed`.
+        """:meth:`expand_rows` for one row."""
+        return self.expand_rows([row], mode)[0]
 
-        Byte-identical edges and terminal kinds; under SSYNC the activation
-        subsets are enumerated in the same increasing-cardinality order over
-        the same position-sorted mover list, so the first-edge-per-successor
-        dedup picks the same representatives.
+    def expand_rows(
+        self, rows: Iterable[int], mode: str
+    ) -> List[Tuple[Tuple[Tuple[int, int], ...], Optional[str]]]:
+        """Table twin of :func:`repro.explore.transitions.expand_packed`, per row.
+
+        Returns ``(edges, terminal)`` for every row of ``rows``, in order:
+        byte-identical edges and terminal kinds.  FSYNC edges are read off
+        ``kind`` / ``succ``; SSYNC rows not yet in the lineage memo are
+        expanded together by :meth:`_ssync_pass`.
         """
         from ..explore.transitions import (  # late: avoids an import cycle
             COLLISION_SINK,
@@ -1283,224 +1291,117 @@ class SuccessorTable:
             TERMINAL_GATHERED,
         )
 
-        vt = self.view
-        if self.mover_count[row] == 0:
-            kind = TERMINAL_GATHERED if vt.gathered[row] else TERMINAL_DEADLOCK
-            return (), kind
-        bits = int(self.mover_bits[row])
+        rows = np.asarray(rows, dtype=np.int64)
+        unique = np.unique(rows)
+        quiescent = self.mover_count[unique] == 0
+        moving = unique[~quiescent]
+        results: Dict[int, Tuple[Tuple[Tuple[int, int], ...], Optional[str]]] = {}
+        still = unique[quiescent]
+        for row, gathered in zip(still.tolist(), self.view.gathered[still].tolist()):
+            results[row] = ((), TERMINAL_GATHERED if gathered else TERMINAL_DEADLOCK)
         if mode == "fsync":
-            k = int(self.kind[row])
-            if k == KIND_COLLISION:
-                destination = COLLISION_SINK
-            elif k == KIND_DISCONNECT:
-                destination = DISCONNECT_SINK
-            else:
-                destination = self.packed_of_row(int(self.succ[row]))
-            return ((bits, destination),), None
-
-        # SSYNC: one edge per distinct activation effect over mover subsets.
-        cache = self._ssync_local if row in self._ssync_dirty else self._ssync_cache
-        cached = cache.get(row)
-        if cached is not None:
-            _obs.counter("ssync.expand_cache_hits").inc()
-            return cached
-        _obs.counter("ssync.expand_cache_misses").inc()
-        if int(self.mover_count[row]) >= _VECTOR_SUBSET_MIN_MOVERS:
-            targets_seen = self._ssync_targets_vectorized(
-                row, COLLISION_SINK, DISCONNECT_SINK
-            )
-        else:
-            targets_seen = self._ssync_targets_bitset(
-                row, COLLISION_SINK, DISCONNECT_SINK
-            )
-        result = (
-            tuple((bits, destination) for destination, bits in targets_seen.items()),
-            None,
-        )
-        cache[row] = result
-        return result
-
-    def _ssync_targets_bitset(
-        self, row: int, COLLISION_SINK: int, DISCONNECT_SINK: int
-    ) -> Dict[int, int]:
-        """Word-at-a-time SSYNC expansion for small mover sets.
-
-        Per-mover interaction bitmasks are precomputed once; each activation
-        subset is then a single machine word ``s`` and the collision predicate
-        is pure bit arithmetic: mover ``a`` (active) collides iff its target
-        holds a non-mover (``onto_stayer``), a co-active mover targets the
-        same node (``same & s``), it swaps with a co-active mover
-        (``swap & s``), or it lands on an *inactive* mover (``onto & ~s``).
-        Subsets run in :func:`subset_masks` order, so the first-edge-per-
-        successor dedup is byte-identical to the old ``combinations`` loop.
-        """
-        n = self.view.size
-        positions = [(int(q), int(r)) for q, r in self._row_positions(row)]
-        mc = self.move_code[row]
-        mover_idx: List[int] = []
-        targets: List[Tuple[int, int]] = []
-        for i in range(n):
-            code = int(mc[i])
-            if code:
-                dq, dr = _DIRECTIONS[code - 1].value
-                mover_idx.append(i)
-                targets.append((positions[i][0] + dq, positions[i][1] + dr))
-        m = len(mover_idx)
-        slot_of = {i: a for a, i in enumerate(mover_idx)}
-        index_of_pos = {pos: i for i, pos in enumerate(positions)}
-        onto_stayer = 0
-        onto = [0] * m
-        swap = [0] * m
-        same = [0] * m
-        for a in range(m):
-            target = targets[a]
-            occupant = index_of_pos.get(target)
-            if occupant is not None:
-                b = slot_of.get(occupant)
-                if b is None:
-                    onto_stayer |= 1 << a
-                else:
-                    onto[a] |= 1 << b
-                    if targets[b] == positions[mover_idx[a]]:
-                        swap[a] |= 1 << b
-            for b in range(m):
-                if b != a and targets[b] == target:
-                    same[a] |= 1 << b
-        robot_bit = [1 << i for i in mover_idx]
-        full = (1 << m) - 1
-        targets_seen: Dict[int, int] = {}
-        for s in subset_masks(m):
-            collided = bool(s & onto_stayer)
-            if not collided:
-                rem = s
-                while rem:
-                    low = rem & -rem
-                    a = low.bit_length() - 1
-                    rem ^= low
-                    if (same[a] & s) or (swap[a] & s) or (onto[a] & ~s & full):
-                        collided = True
-                        break
-            if collided:
-                destination = COLLISION_SINK
-            else:
-                nodes_list = list(positions)
-                rem = s
-                while rem:
-                    low = rem & -rem
-                    a = low.bit_length() - 1
-                    rem ^= low
-                    nodes_list[mover_idx[a]] = targets[a]
-                nodes = frozenset(nodes_list)
-                if not _is_connected_nodes(nodes):
+            for row, bits, k, nxt in zip(
+                moving.tolist(),
+                self.mover_bits[moving].tolist(),
+                self.kind[moving].tolist(),
+                self.succ[moving].tolist(),
+            ):
+                if k == KIND_COLLISION:
+                    destination = COLLISION_SINK
+                elif k == KIND_DISCONNECT:
                     destination = DISCONNECT_SINK
                 else:
-                    destination = self._ssync_destination_of_nodes(nodes)
-            if destination not in targets_seen:
-                subset_bits = 0
-                rem = s
-                while rem:
-                    low = rem & -rem
-                    subset_bits |= robot_bit[low.bit_length() - 1]
-                    rem ^= low
-                targets_seen[destination] = subset_bits
-        return targets_seen
+                    destination = self.packed_of_row(nxt)
+                results[row] = (((bits, destination),), None)
+        else:
+            todo = []
+            for row in moving.tolist():
+                cached = self._ssync_memo(row).get(row)
+                if cached is None:
+                    todo.append(row)
+                else:
+                    results[row] = cached
+            if len(moving) > len(todo):
+                _obs.counter("ssync.expand_cache_hits").inc(len(moving) - len(todo))
+            if todo:
+                _obs.counter("ssync.expand_cache_misses").inc(len(todo))
+                for row, result in self._ssync_pass(np.array(todo, dtype=np.int64)):
+                    self._ssync_memo(row)[row] = results[row] = result
+        return [results[row] for row in rows.tolist()]
 
-    def _ssync_destination_of_nodes(self, nodes: "frozenset") -> int:
-        """Packed destination for a connected SSYNC successor node set.
+    def _ssync_memo(self, row: int) -> Dict:
+        """The memo holding ``row``'s SSYNC expansion.
 
-        The monolithic table answers through the lazy tuple index; the
-        sharded facade overrides with a direct :func:`pack_nodes` call
-        (valid because ``vt.packed[row]`` *is* the canonical packing).
+        The memo is shared along a derivation lineage; rows dirty relative to
+        the lineage root live in the table-local overlay instead.
         """
-        vt = self.view
-        aq, ar = min(nodes)
-        nxt = vt.tuple_index[tuple(sorted((q - aq, r - ar) for q, r in nodes))]
-        return int(vt.packed[nxt])
+        return self._ssync_local if row in self._ssync_dirty else self._ssync_cache
 
-    def _ssync_destinations_of_canonical(self, canonical: "np.ndarray") -> List[int]:
-        """Packed destinations for a batch of canonical ``(k, n, 2)`` blocks."""
-        vt = self.view
-        rows = vt.rows_of_canonical(
-            np.ascontiguousarray(canonical.reshape(len(canonical), -1))
-        )
-        if (rows < 0).any():  # pragma: no cover - the space is closed
-            raise RuntimeError(
-                "successor configuration missing from the state space"
-            )
-        packed = vt.packed
-        return [int(packed[int(r)]) for r in rows]
+    def _ssync_pass(
+        self, rows: "np.ndarray"
+    ) -> List[Tuple[int, Tuple[Tuple[Tuple[int, int], ...], None]]]:
+        """SSYNC edges of moving ``rows``: every activation subset in one array pass.
 
-    def _ssync_targets_vectorized(
-        self, row: int, COLLISION_SINK: int, DISCONNECT_SINK: int
-    ) -> Dict[int, int]:
-        """Vectorized SSYNC expansion: all ``2^m - 1`` subsets in one pass.
-
-        The collision predicate, the successor positions, the connectivity
-        check and the canonicalization all run as batched array operations
-        over the full subset axis (the helpers :func:`resolve_rows_arrays`
-        uses per row); only the final in-order dedup walks Python-side.
-        Subset order is :func:`subset_masks` order, keeping the minimal-mover
-        representatives byte-identical to the ``combinations`` path.
+        Activating a subset of a row's movers is the full-activation round
+        with the other movers' codes zeroed: they become stayers, so landing
+        on one is the move-onto-staying collision.  Each row is repeated once
+        per subset, in :func:`subset_masks` order, and the copies are
+        resolved by :func:`resolve_rows_arrays` in blocks of whole rows; the
+        first subset reaching each destination is kept, which is the
+        fewest-movers edge.
         """
+        from ..explore.transitions import COLLISION_SINK, DISCONNECT_SINK  # late: cycle
+
+        start_time = time.perf_counter()
         n = self.view.size
-        pos = np.asarray(self._row_positions(row), dtype=np.int16)  # (n, 2)
-        mc = self.move_code[row]
-        mover_idx = np.nonzero(mc)[0]  # ascending robot indices
-        m = len(mover_idx)
-        deltas = _DELTAS[mc[mover_idx]]  # (m, 2)
-        targets = pos[mover_idx] + deltas  # (m, 2)
-
-        pos_key = _sort_key(pos)  # (n,)
-        tgt_key = _sort_key(targets)  # (m,)
-        # onto[a, b]: mover a's target is mover b's current node.
-        hit = tgt_key[:, None] == pos_key[None, :]  # (m, n)
-        onto = hit[:, mover_idx]  # (m, m)
-        stayer = np.ones(n, dtype=bool)
-        stayer[mover_idx] = False
-        onto_stayer = hit[:, stayer].any(axis=1)  # (m,)
-        pair = onto & onto.T  # swap
-        same = tgt_key[:, None] == tgt_key[None, :]
-        np.fill_diagonal(same, False)
-        pair |= same
-        pair8 = pair.astype(np.uint8)
-        onto8 = onto.astype(np.uint8)
-
-        order = _subset_masks_array(m)  # (K,)
-        member = ((order[:, None] >> np.arange(m)) & 1).astype(bool)  # (K, m)
-        mem8 = member.astype(np.uint8)
-        collided = (member & onto_stayer[None, :]).any(axis=1)
-        collided |= np.einsum("ka,ab,kb->k", mem8, pair8, mem8, dtype=np.int16) > 0
-        collided |= np.einsum("ka,ab,kb->k", mem8, onto8, 1 - mem8, dtype=np.int16) > 0
-
-        K = len(order)
-        act = np.zeros((K, n), dtype=bool)
-        act[:, mover_idx] = member
-        full_targets = pos.copy()
-        full_targets[mover_idx] = targets
-        new_pos = np.where(act[:, :, None], full_targets[None, :, :], pos[None, :, :])
-
-        destinations: List[int] = [COLLISION_SINK] * K
-        ok = np.nonzero(~collided)[0]
-        if len(ok) > 0:
-            connected = _connected_mask(new_pos[ok])
-            for j in ok[~connected]:
-                destinations[j] = DISCONNECT_SINK
-            cidx = ok[connected]
-            if len(cidx) > 0:
-                canonical = canonicalize_positions(new_pos[cidx])
-                for j, dest in zip(
-                    cidx, self._ssync_destinations_of_canonical(canonical)
-                ):
-                    destinations[j] = dest
-
-        weights = 1 << np.arange(n, dtype=np.int32)
-        robot_bits = (act * weights).sum(axis=1)
-        targets_seen: Dict[int, int] = {}
-        for j in range(K):
-            destination = destinations[j]
-            if destination not in targets_seen:
-                targets_seen[destination] = int(robot_bits[j])
-        return targets_seen
+        width = self.view.count + 2  # destinations: the sinks (-2, -1), then rows
+        robot = np.arange(n, dtype=np.int32)
+        counts = self.mover_count[rows]
+        expanded: List[Tuple[int, Tuple[Tuple[Tuple[int, int], ...], None]]] = []
+        subsets = edges = 0
+        for m in np.unique(counts).tolist():
+            group = rows[counts == m]
+            masks = _subset_masks_array(m)
+            member = (masks[:, None] >> np.arange(m, dtype=np.int32)) & 1  # (K, m)
+            per_block = max(1, _BUILD_BLOCK // len(masks))
+            for first in range(0, len(group), per_block):
+                block = group[first : first + per_block]
+                pos, codes = self._gather_rows(block)
+                mover_of = np.nonzero(codes)[1].reshape(len(block), m)  # ascending robots
+                subset_bits = (member[None] << mover_of[:, None, :]).sum(axis=2)  # (B, K)
+                active = ((subset_bits[:, :, None] >> robot) & 1).astype(bool)
+                sub_codes = np.where(active, codes[:, None, :], 0).reshape(-1, n)
+                bits, _, kind, succ, _ = resolve_rows_arrays(
+                    np.repeat(pos, len(masks), axis=0),
+                    sub_codes,
+                    np.zeros(len(sub_codes), dtype=bool),
+                    self.view.rows_of_canonical,
+                )
+                destination = np.where(
+                    kind == KIND_COLLISION,
+                    COLLISION_SINK,
+                    np.where(kind == KIND_DISCONNECT, DISCONNECT_SINK, succ),
+                ).astype(np.int64)
+                owner = np.arange(len(sub_codes), dtype=np.int64) // len(masks)
+                _, kept = np.unique(owner * width + destination + 2, return_index=True)
+                kept.sort()  # back to (row, subset) order
+                bounds = np.searchsorted(owner[kept], np.arange(len(block) + 1)).tolist()
+                edge_list = [
+                    (b, d if d < 0 else self.packed_of_row(d))
+                    for b, d in zip(bits[kept].tolist(), destination[kept].tolist())
+                ]
+                for i, row in enumerate(block.tolist()):
+                    expanded.append((row, (tuple(edge_list[bounds[i] : bounds[i + 1]]), None)))
+                subsets += len(sub_codes)
+                edges += len(kept)
+        _obs_record_span(
+            "table.ssync_expand",
+            time.perf_counter() - start_time,
+            rows=len(rows),
+            subsets=subsets,
+            edges=edges,
+        )
+        return expanded
 
     # ------------------------------------------------------- cegis fast path
     def fsync_verdict(self, root_rows: "np.ndarray") -> "TableFsyncVerdict":

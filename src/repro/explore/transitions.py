@@ -23,9 +23,12 @@ same successor; the builder keeps one representative edge per successor, the
 one with the fewest movers (subsets are enumerated in increasing-cardinality
 order), which later gives the shortest possible per-round witnesses.
 
-Frontier expansion is embarrassingly parallel, so the builder fans chunks of
-the BFS frontier out through :func:`repro.core.runner.run_chunked_tasks`, the
-same primitive the batch runner uses for exhaustive sweeps.
+The builder expands the BFS frontier one level at a time.  The packed kernel
+expands vertex by vertex and fans chunks of a level out through
+:func:`repro.core.runner.run_chunked_tasks`, the same primitive the batch
+runner uses for exhaustive sweeps.  The table kernel expands a whole level
+with one array pass per successor table
+(:meth:`repro.core.table_kernel.SuccessorTable.expand_rows`), in process.
 """
 from __future__ import annotations
 
@@ -255,11 +258,12 @@ def expand_packed(
 
 
 def _table_expander(algorithm, mode: str, require_connectivity: bool):
-    """An ``expand_packed`` twin that slices the successor table.
+    """Expand a batch of vertices by slicing the successor tables.
 
     Vertices inside a table tier's scope (in RAM, or streamed from the disk
-    tier past the in-RAM bound) are answered from the materialized arrays
-    (no views, no ``algorithm.compute``).  Anything else — oversized or
+    tier past the in-RAM bound) are answered from the materialized arrays —
+    one :meth:`~repro.core.table_kernel.SuccessorTable.expand_rows` call per
+    table, no views, no ``algorithm.compute``.  Anything else — oversized or
     disconnected vertices — falls back to :func:`expand_packed`, so the
     resulting graph is byte-identical either way.
     """
@@ -269,17 +273,36 @@ def _table_expander(algorithm, mode: str, require_connectivity: bool):
     #: Table per vertex size (``None`` = no tier covers it), resolved once.
     tables: Dict[int, object] = {}
 
-    def expand(packed: int) -> Tuple[Tuple[Edge, ...], Optional[str]]:
-        size = packed_count(packed)
-        if size in tables:
+    def expand(batch: List[int]) -> List[Tuple[int, Tuple[Edge, ...], Optional[str]]]:
+        expansions: Dict[int, Tuple[Tuple[Edge, ...], Optional[str]]] = {}
+        by_size: Dict[int, Tuple[List[int], List[int]]] = {}
+        for packed in batch:
+            size = packed_count(packed)
+            if size not in tables:
+                tables[size] = scoped_table(algorithm, size) if deterministic else None
             table = tables[size]
-        else:
-            table = tables[size] = scoped_table(algorithm, size) if deterministic else None
-        if table is not None:
-            row = table.row_of_packed(packed)
-            if row is not None:
-                return table.expand_row(row, mode)
-        return expand_packed(packed, algorithm, mode, require_connectivity)
+            row = None if table is None else table.row_of_packed(packed)
+            if row is None:
+                expansions[packed] = expand_packed(packed, algorithm, mode, require_connectivity)
+            else:
+                vertices, rows = by_size.setdefault(size, ([], []))
+                vertices.append(packed)
+                rows.append(row)
+        for size, (vertices, rows) in by_size.items():
+            expansions.update(zip(vertices, tables[size].expand_rows(rows, mode)))
+        return [(packed, *expansions[packed]) for packed in batch]
+
+    return expand
+
+
+def _packed_expander(algorithm, mode: str, require_connectivity: bool):
+    """Expand a batch of vertices one :func:`expand_packed` call at a time."""
+
+    def expand(batch: List[int]) -> List[Tuple[int, Tuple[Edge, ...], Optional[str]]]:
+        return [
+            (packed, *expand_packed(packed, algorithm, mode, require_connectivity))
+            for packed in batch
+        ]
 
     return expand
 
@@ -288,7 +311,7 @@ def _table_expander(algorithm, mode: str, require_connectivity: bool):
 # Graph construction (serial or parallel frontier expansion).
 # ---------------------------------------------------------------------------
 
-_ExpandPayload = Tuple[str, str, List[int], bool, Optional[str], str, Tuple]
+_ExpandPayload = Tuple[str, str, List[int], bool, Optional[str]]
 
 
 def _expand_chunk(
@@ -301,29 +324,14 @@ def _expand_chunk(
     With a ``cache_dir`` the worker shares the on-disk decision cache
     (:mod:`repro.core.decision_cache`), so frontier chunks expanded by
     different processes stop recomputing each other's Look–Compute table.
-    Table handles (``kernel="table"``) are attached once per process, so
-    every worker slices the parent's one successor table instead of building
-    its own.
     """
-    algorithm_name, mode, packed_list, require_connectivity, cache_dir, kernel, handles = payload
+    algorithm_name, mode, packed_list, require_connectivity, cache_dir = payload
     algorithm = worker_algorithm(algorithm_name)
-    if handles:
-        from ..core.shared_tables import attach_table  # late: avoids an import cycle
-
-        for handle in handles:
-            attach_table(handle)
     if cache_dir is not None:
         from ..core.decision_cache import load_shared_cache  # late: avoids an import cycle
 
         load_shared_cache(algorithm, cache_dir)
-    if kernel == "table" and require_connectivity:
-        expand = _table_expander(algorithm, mode, require_connectivity)
-        results = [(packed, *expand(packed)) for packed in packed_list]
-    else:
-        results = [
-            (packed, *expand_packed(packed, algorithm, mode, require_connectivity))
-            for packed in packed_list
-        ]
+    results = _packed_expander(algorithm, mode, require_connectivity)(packed_list)
     if cache_dir is not None:
         from ..core.decision_cache import persist_shared_cache
 
@@ -361,19 +369,22 @@ def build_transition_graph(
     exactly once; ``max_nodes`` bounds the number of *expanded* vertices (the
     remainder of the frontier is recorded as :attr:`TransitionGraph.unexplored`
     and the graph is marked truncated).  Exactly one of ``algorithm`` /
-    ``algorithm_name`` must be given; parallel expansion (``workers > 1``)
-    requires the named form, mirroring :func:`repro.core.runner.run_many`.
-    One spawn pool serves the whole build, but workers rebuild the algorithm
-    (and its decision cache) per chunk, so parallelism only pays off well
-    beyond the seven-robot graph — the full 3652-vertex build is ~0.5s
-    serial, which spawn startup alone can exceed.
+    ``algorithm_name`` must be given; ``workers > 1`` requires the named
+    form, mirroring :func:`repro.core.runner.run_many`.
 
-    ``kernel="table"`` expands vertices by slicing the materialized successor
-    table (:mod:`repro.core.table_kernel`) instead of re-running Look–Compute
-    per vertex — byte-identical graphs, roughly an order of magnitude faster
-    for FSYNC.  It requires ``require_connectivity=True`` (the table treats
-    disconnection as a sink) and falls back to the packed expansion for
-    vertices outside the table's scope.
+    ``kernel="packed"`` re-runs Look–Compute per vertex; ``workers > 1``
+    fans the levels out over one spawn pool for the whole build.  Workers
+    rebuild the algorithm (and its decision cache), so the pool pays off
+    only on large graphs: the serial n=7 build takes about half a second,
+    which spawn start-up alone can exceed.
+
+    ``kernel="table"`` expands each level by slicing the materialized
+    successor tables (:mod:`repro.core.table_kernel`) in this process and
+    ignores ``workers``: byte-identical graphs, and the whole adversarial
+    SSYNC n=8 build, table included, in about a second.  It requires
+    ``require_connectivity=True`` (the table treats disconnection as a sink)
+    and falls back to the packed expansion for vertices outside the table's
+    scope.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; available: {MODES}")
@@ -407,44 +418,19 @@ def build_transition_graph(
     frontier: List[int] = list(packed_roots)
     expanded = 0
     budget = max_nodes if max_nodes is not None else float("inf")
+    expander = _table_expander if kernel == "table" else _packed_expander
+    expand = expander(algorithm, mode, require_connectivity)
     # One pool for the whole build: the BFS fans out once per level, and a
-    # fresh spawn pool per level would dominate the ~0.5s full-graph build.
+    # fresh spawn pool per level would dominate the build.
     pool = None
-    if workers > 1:
+    if workers > 1 and kernel == "packed":
         import multiprocessing
         import os
 
         pool = multiprocessing.get_context("spawn").Pool(
             processes=min(workers, os.cpu_count() or 1)
         )
-
-    expand = (
-        _table_expander(algorithm, mode, require_connectivity)
-        if kernel == "table"
-        else None
-    )
-    published: List = []
     try:
-        # Parallel table exploration: build the successor tables for the root
-        # sizes once (the Compute fan-out reuses the pool), publish each as a
-        # table store and hand every worker the handles — rounds preserve
-        # the robot count, so root sizes cover the graph.
-        if (
-            pool is not None
-            and kernel == "table"
-            and getattr(algorithm, "deterministic", True)
-        ):
-            from ..core.shared_tables import publish_table  # late: import cycle
-            from ..core.table_kernel import scoped_table
-
-            for table_size in sorted({packed_count(p) for p in packed_roots}):
-                table = scoped_table(
-                    algorithm, table_size, workers=workers, pool=pool,
-                    algorithm_name=resolved_name,
-                )
-                if table is not None:
-                    published.append(publish_table(table, resolved_name))
-        handles = tuple(published)
         while frontier and expanded < budget:
             take = int(min(len(frontier), budget - expanded))
             batch, frontier = frontier[:take], frontier[take:]
@@ -456,8 +442,6 @@ def build_transition_graph(
                         batch[i : i + chunk_size],
                         require_connectivity,
                         None if cache_dir is None else str(cache_dir),
-                        kernel,
-                        handles,
                     )
                     for i in range(0, len(batch), chunk_size)
                 ]
@@ -467,13 +451,8 @@ def build_transition_graph(
                 ):
                     _obs.merge(delta)
                     results.extend(chunk)
-            elif expand is not None:
-                results = [(packed, *expand(packed)) for packed in batch]
             else:
-                results = [
-                    (packed, *expand_packed(packed, algorithm, mode, require_connectivity))
-                    for packed in batch
-                ]
+                results = expand(batch)
             expanded += len(results)
             _obs.counter("explore.vertices_expanded").inc(len(results))
             _obs.histogram("explore.frontier_size", DEFAULT_COUNT_BUCKETS).observe(
@@ -495,11 +474,6 @@ def build_transition_graph(
         if pool is not None:
             pool.terminate()
             pool.join()
-        if published:
-            from ..core.shared_tables import unpublish_table
-
-            for handle in published:
-                unpublish_table(handle)
 
     if cache_dir is not None:
         from ..core.decision_cache import persist_shared_cache

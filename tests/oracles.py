@@ -16,7 +16,10 @@
   the exact-view index of :class:`repro.synth.dsl.RuleSet`;
 * :func:`lazy_fsync_summary` — the memoized per-row walk of the successor
   function, the oracle of the pointer-doubling
-  :meth:`repro.core.table_kernel.SuccessorTable.fsync_summary`.
+  :meth:`repro.core.table_kernel.SuccessorTable.fsync_summary`;
+* :func:`rowwise_expansion` — the word-at-a-time walk over one row's
+  activation subsets, the oracle of the array-pass
+  :meth:`repro.core.table_kernel.SuccessorTable.expand_rows`.
 """
 from __future__ import annotations
 
@@ -42,7 +45,9 @@ from repro.core.engine import (
     detect_collision_nodes,
     move_intents,
 )
+from repro.core.bitsets import subset_masks
 from repro.core.table_kernel import (
+    _DIRECTIONS,
     KIND_COLLISION,
     KIND_DEADLOCK,
     KIND_DISCONNECT,
@@ -347,3 +352,104 @@ def lazy_fsync_summary(table, starts: Iterable[int]) -> _FsyncSummary:
             moves[node] = moves[nxt] + int(mover_count[node])
             final[node] = final[nxt]
     return summary
+
+
+def rowwise_expansion(
+    table, row: int, mode: str
+) -> Tuple[Tuple[Tuple[int, int], ...], Optional[str]]:
+    """One row's edges, walking its activation subsets one machine word at a time.
+
+    Per-mover interaction bitmasks are precomputed once; each activation
+    subset is then a single machine word ``s`` and the collision predicate
+    is pure bit arithmetic: mover ``a`` (active) collides iff its target
+    holds a non-mover (``onto_stayer``), a co-active mover targets the
+    same node (``same & s``), it swaps with a co-active mover
+    (``swap & s``), or it lands on an *inactive* mover (``onto & ~s``).
+    Subsets run in :func:`subset_masks` order and the first subset reaching
+    each destination is kept.  Works on either table tier: ``pack_nodes``
+    canonicalizes, so it equals the row's packed form.
+    """
+    if table.mover_count[row] == 0:
+        gathered = table.view.gathered[row]
+        return (), TERMINAL_GATHERED if gathered else TERMINAL_DEADLOCK
+    bits = int(table.mover_bits[row])
+    if mode == "fsync":
+        k = int(table.kind[row])
+        if k == KIND_COLLISION:
+            destination = COLLISION_SINK
+        elif k == KIND_DISCONNECT:
+            destination = DISCONNECT_SINK
+        else:
+            destination = table.packed_of_row(int(table.succ[row]))
+        return ((bits, destination),), None
+
+    n = table.view.size
+    positions = [(int(q), int(r)) for q, r in table._row_positions(row)]
+    mc = table.move_code[row]
+    mover_idx: List[int] = []
+    targets: List[Tuple[int, int]] = []
+    for i in range(n):
+        code = int(mc[i])
+        if code:
+            dq, dr = _DIRECTIONS[code - 1].value
+            mover_idx.append(i)
+            targets.append((positions[i][0] + dq, positions[i][1] + dr))
+    m = len(mover_idx)
+    slot_of = {i: a for a, i in enumerate(mover_idx)}
+    index_of_pos = {pos: i for i, pos in enumerate(positions)}
+    onto_stayer = 0
+    onto = [0] * m
+    swap = [0] * m
+    same = [0] * m
+    for a in range(m):
+        target = targets[a]
+        occupant = index_of_pos.get(target)
+        if occupant is not None:
+            b = slot_of.get(occupant)
+            if b is None:
+                onto_stayer |= 1 << a
+            else:
+                onto[a] |= 1 << b
+                if targets[b] == positions[mover_idx[a]]:
+                    swap[a] |= 1 << b
+        for b in range(m):
+            if b != a and targets[b] == target:
+                same[a] |= 1 << b
+    robot_bit = [1 << i for i in mover_idx]
+    full = (1 << m) - 1
+    targets_seen: Dict[int, int] = {}
+    for s in subset_masks(m):
+        collided = bool(s & onto_stayer)
+        if not collided:
+            rem = s
+            while rem:
+                low = rem & -rem
+                a = low.bit_length() - 1
+                rem ^= low
+                if (same[a] & s) or (swap[a] & s) or (onto[a] & ~s & full):
+                    collided = True
+                    break
+        if collided:
+            destination = COLLISION_SINK
+        else:
+            nodes_list = list(positions)
+            rem = s
+            while rem:
+                low = rem & -rem
+                a = low.bit_length() - 1
+                rem ^= low
+                nodes_list[mover_idx[a]] = targets[a]
+            nodes = frozenset(nodes_list)
+            if not _is_connected_nodes(nodes):
+                destination = DISCONNECT_SINK
+            else:
+                destination = pack_nodes(nodes)
+        if destination not in targets_seen:
+            subset_bits = 0
+            rem = s
+            while rem:
+                low = rem & -rem
+                subset_bits |= robot_bit[low.bit_length() - 1]
+                rem ^= low
+            targets_seen[destination] = subset_bits
+    return tuple((bits, destination) for destination, bits in targets_seen.items()), None

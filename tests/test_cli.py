@@ -309,3 +309,34 @@ def test_telemetry_manifest_trace_and_run_id_correlation(tmp_path, capsys):
     assert records, "the sweep must emit at least the runner.batch span"
     assert {record["run"] for record in records} == {manifest["run_id"]}
     assert any(record["name"] == "runner.batch" for record in records)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--size", "0"],
+        ["verify", "--size", "0"],
+        ["sweep", "--size", "-1"],
+        ["explore", "--size", "0"],
+        ["synth", "--size", "-3"],
+        ["verify", "--workers", "-1"],
+        ["sweep", "--workers", "0"],
+        ["explore", "--workers", "0"],
+        ["synth", "--workers", "0"],
+        ["serve", "--workers", "0"],
+    ],
+)
+def test_size_and_workers_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "must be at least 1" in err
+
+
+def test_size_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["explore", "--size", "seven"])
+    assert excinfo.value.code == 2
+    assert "invalid int value: 'seven'" in capsys.readouterr().err
