@@ -4,9 +4,9 @@ Times the exhaustive FSYNC sweep of the paper's algorithm on a sample of the
 3652 initial configurations twice: once with the reference (View-object)
 kernel and once with the packed, memoized kernel, asserting that both produce
 identical outcomes and that the packed kernel is materially faster.  Also
-reports the decision-cache hit rate over the sample, which is the mechanism
-behind the speedup (a handful of distinct views decide tens of thousands of
-Look–Compute cycles).
+reports the in-memory decision cache hit rate over the sample, which is the
+mechanism behind the speedup (a handful of distinct views decide tens of
+thousands of Look–Compute cycles).
 """
 import glob
 import os
@@ -342,7 +342,7 @@ def test_decision_cache_hit_rate(benchmark, all_seven_robot_configurations,
     bench_timings["decision_cache_distinct_views"] = misses
     bench_timings["decision_cache_hit_rate"] = round(hit_rate, 4)
     print_table(
-        "E9: decision-cache effectiveness (457-configuration sample)",
+        "E9: decision cache effectiveness (457-configuration sample)",
         [
             {
                 "look-compute cycles": lookups,

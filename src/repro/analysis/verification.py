@@ -145,7 +145,6 @@ def verify_all_configurations(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     workers: int = 1,
     chunk_size: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     kernel: str = "packed",
 ) -> VerificationReport:
     """Run the paper's exhaustive verification (experiment E2).
@@ -170,7 +169,6 @@ def verify_all_configurations(
         max_rounds=max_rounds,
         workers=workers,
         chunk_size=chunk_size,
-        cache_dir=cache_dir,
         kernel=kernel,
     )
     return VerificationReport(algorithm_name=batch.algorithm_name, results=batch.results)

@@ -57,7 +57,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .algorithms import available_algorithms, create_algorithm
 from .algorithms.range1 import CANDIDATE_TABLES, RuleTableAlgorithm, line_configuration
@@ -93,7 +93,7 @@ _BUILTIN_CONFIGS = {
 
 
 def _positive_int(text: str) -> int:
-    """Argparse ``type=`` for robot counts and worker counts."""
+    """Argparse ``type=`` for robot, worker, round and vertex counts."""
     try:
         value = int(text)
     except ValueError:
@@ -101,6 +101,11 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _positive_int_list(text: str) -> List[int]:
+    """Argparse ``type=`` for a comma-separated list of positive integers."""
+    return [_positive_int(part) for part in text.split(",") if part.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="algorithm to verify",
     )
     p_verify.add_argument("--size", type=_positive_int, default=7)
-    p_verify.add_argument("--max-rounds", type=int, default=1000)
+    p_verify.add_argument("--max-rounds", type=_positive_int, default=1000)
     p_verify.add_argument("--workers", type=_positive_int, default=1)
     p_verify.add_argument(
         "--kernel",
@@ -173,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("packed", "reference", "table"),
         help="simulation kernel: table = vectorized successor-table sweep "
         "(byte-identical, fastest)",
-    )
-    p_verify.add_argument(
-        "--decision-cache",
-        default=None,
-        metavar="DIR",
-        help="directory for the persistent cross-worker decision cache",
     )
     p_verify.add_argument("--json", action="store_true", help="emit the full JSON report")
 
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="built-in configuration name (%s) or a JSON list of [q, r] pairs"
         % ", ".join(sorted(_BUILTIN_CONFIGS)),
     )
-    p_trace.add_argument("--max-rounds", type=int, default=200)
+    p_trace.add_argument("--max-rounds", type=_positive_int, default=200)
     p_trace.add_argument("--ascii", action="store_true", help="ASCII-only symbols")
     p_trace.add_argument("--json", action="store_true", help="emit the trace as JSON")
 
@@ -226,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--max-rounds-grid",
+        type=_positive_int_list,
         default="1000",
         help="comma-separated round budgets (default: 1000)",
     )
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--sample",
-        type=int,
+        type=_positive_int,
         default=1,
         help="keep every N-th configuration of the enumeration (default 1 = all)",
     )
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explore.add_argument(
         "--max-nodes",
-        type=int,
+        type=_positive_int,
         default=None,
         help="stop after expanding this many vertices (default: exhaustive)",
     )
@@ -307,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the JSON report to FILE (keeps stdout free of JSON; "
         "implies the JSON payload regardless of --json)",
-    )
-    p_explore.add_argument(
-        "--decision-cache",
-        default=None,
-        metavar="DIR",
-        help="directory for the persistent cross-worker decision cache",
     )
 
     p_synth = sub.add_parser(
@@ -412,12 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the JSON result (summary + progress + rule set) to FILE",
     )
-    p_synth.add_argument(
-        "--decision-cache",
-        default=None,
-        metavar="DIR",
-        help="directory for the persistent cross-worker decision cache",
-    )
     p_synth.add_argument("--json", action="store_true", help="emit the result as JSON")
     p_synth.add_argument(
         "--quiet", action="store_true", help="suppress per-iteration progress lines"
@@ -486,7 +474,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         size=args.size,
         max_rounds=args.max_rounds,
         workers=args.workers,
-        cache_dir=args.decision_cache,
         kernel=args.kernel,
     )
     if args.json:
@@ -534,17 +521,9 @@ def _cmd_range1(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     algorithms = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     schedulers = [spec.strip() for spec in args.schedulers.split(",") if spec.strip()]
-    try:
-        budgets = [int(v) for v in args.max_rounds_grid.split(",") if v.strip()]
-    except ValueError:
-        raise SystemExit(
-            f"--max-rounds-grid must be comma-separated integers, got {args.max_rounds_grid!r}"
-        )
     unknown = [name for name in algorithms if name not in available_algorithms()]
     if unknown:
         raise SystemExit(f"unknown algorithms: {unknown}; available: {available_algorithms()}")
-    if args.sample < 1:
-        raise SystemExit("--sample must be at least 1")
     from .core.scheduler import scheduler_from_spec
 
     for spec in schedulers:
@@ -559,7 +538,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cells = run_sweep(
         algorithms,
         scheduler_specs=schedulers,
-        max_rounds_grid=budgets,
+        max_rounds_grid=args.max_rounds_grid,
         configurations=configurations,
         workers=args.workers,
         kernel=args.kernel,
@@ -588,8 +567,6 @@ def _write_output(path: str, payload: object) -> None:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    if args.max_nodes is not None and args.max_nodes < 1:
-        raise SystemExit("--max-nodes must be at least 1")
     report = explore(
         algorithm_name=args.algorithm,
         size=args.size,
@@ -597,7 +574,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         max_nodes=args.max_nodes,
         workers=args.workers,
         with_witnesses=not args.no_witnesses,
-        cache_dir=args.decision_cache,
         kernel=args.kernel,
     )
     payload = None
@@ -656,7 +632,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             ssync_validate=not args.no_ssync_validate,
             checkpoint_path=args.checkpoint,
             resume=args.resume,
-            cache_dir=args.decision_cache,
             progress=progress,
             allow_amend=args.allow_amend,
             amend_branch=args.amend_branch,

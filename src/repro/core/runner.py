@@ -17,8 +17,9 @@ This module is that subsystem.  It owns
 
 Serial batches reuse one algorithm instance for every execution, so the
 engine's decision cache (see :mod:`repro.core.engine`) is shared across the
-whole sweep; parallel workers rebuild the algorithm from the registry once per
-chunk and amortize the cache within it.
+whole sweep; each parallel worker process builds the algorithm once
+(:func:`worker_algorithm`) and reuses it, cache included, for every chunk it
+executes.
 """
 from __future__ import annotations
 
@@ -171,7 +172,7 @@ def run_chunked_tasks(
             yield result
 
 
-_ChunkPayload = Tuple[str, Optional[str], List[NodeTuple], int, str, Optional[str], Tuple]
+_ChunkPayload = Tuple[str, Optional[str], List[NodeTuple], int, str, Tuple]
 
 #: Per-worker-process algorithm instances, keyed by registry name.  Reusing
 #: one instance across a worker's chunks is what the serial path does for the
@@ -199,33 +200,26 @@ def _execute_chunk(payload: _ChunkPayload) -> Tuple[List[ConfigurationResult], D
 
     The payload carries only picklable primitives (names, specs, node tuples
     and table handles); the algorithm is resolved through the
-    per-process registry and the scheduler rebuilt per chunk.  With a
-    ``cache_dir`` the worker adopts the shared on-disk decision cache before
-    executing and merges its new decisions back afterwards, so parallel
-    workers stop recomputing each other's Look–Compute table.  Table handles
+    per-process registry and the scheduler rebuilt per chunk.  Table handles
     (``kernel="table"``) are attached once per process: every chunk then
     answers from the parent's successor table instead of re-simulating or
     rebuilding per worker.
     """
     chunk_start = time.perf_counter()
-    algorithm_name, scheduler_spec, node_tuples, max_rounds, kernel, cache_dir, handles = payload
+    algorithm_name, scheduler_spec, node_tuples, max_rounds, kernel, handles = payload
     algorithm = worker_algorithm(algorithm_name)
     if handles:
         from .shared_tables import attach_table  # late: avoids an import cycle
 
         for handle in handles:
             attach_table(handle)
-    if cache_dir is not None:
-        from .decision_cache import load_shared_cache  # late: avoids an import cycle
-
-        load_shared_cache(algorithm, cache_dir)
     scheduler = scheduler_from_spec(scheduler_spec)
     if (
         kernel == "table"
         and isinstance(scheduler, FullySynchronousScheduler)
         and getattr(algorithm, "deterministic", True)
     ):
-        results = _table_batch_results(list(node_tuples), algorithm, max_rounds)
+        results = _table_batch_results(node_tuples, algorithm, max_rounds)
     else:
         results = [
             execute_configuration(
@@ -233,10 +227,6 @@ def _execute_chunk(payload: _ChunkPayload) -> Tuple[List[ConfigurationResult], D
             )
             for nodes in node_tuples
         ]
-    if cache_dir is not None:
-        from .decision_cache import persist_shared_cache
-
-        persist_shared_cache(algorithm, cache_dir)
     # Per-chunk wall time: the histogram is what makes parallel load
     # imbalance visible (a few slow chunks dominating the sweep shows up as
     # a long tail here long before it shows in the aggregate speedup).
@@ -245,7 +235,7 @@ def _execute_chunk(payload: _ChunkPayload) -> Tuple[List[ConfigurationResult], D
 
 
 def _table_batch_results(
-    items: List[ConfigurationLike],
+    items: Iterable[ConfigurationLike],
     algorithm: GatheringAlgorithm,
     max_rounds: int,
 ) -> List[ConfigurationResult]:
@@ -263,16 +253,10 @@ def _table_batch_results(
 
     from .table_kernel import scoped_table  # late: avoids an import cycle
 
-    node_lists: List[NodeTuple] = []
-    for item in items:
-        if isinstance(item, Configuration):
-            node_lists.append(tuple((c.q, c.r) for c in item.sorted_nodes()))
-        else:
-            node_lists.append(tuple(sorted((int(q), int(r)) for q, r in item)))
-
+    node_lists = _node_tuples(items)
     tables: Dict[int, object] = {}
     rows_by_size: Dict[int, List[Tuple[int, int]]] = {}
-    results: List[Optional[ConfigurationResult]] = [None] * len(items)
+    results: List[Optional[ConfigurationResult]] = [None] * len(node_lists)
     positions_by_size: Dict[int, List[int]] = {}
     for position, nodes in enumerate(node_lists):
         positions_by_size.setdefault(len(nodes), []).append(position)
@@ -295,7 +279,7 @@ def _table_batch_results(
             row = int(rows[i]) if rows is not None else -1
             if row < 0:
                 results[position] = execute_configuration(
-                    items[position], algorithm, max_rounds=max_rounds, kernel="packed"
+                    node_lists[position], algorithm, max_rounds=max_rounds, kernel="packed"
                 )
             else:
                 rows_by_size.setdefault(size, []).append((position, row))
@@ -318,13 +302,17 @@ def _table_batch_results(
 
 
 def _node_tuples(configurations: Iterable[ConfigurationLike]) -> List[NodeTuple]:
-    tuples: List[NodeTuple] = []
-    for item in configurations:
-        if isinstance(item, Configuration):
-            tuples.append(tuple((c.q, c.r) for c in item.sorted_nodes()))
-        else:
-            tuples.append(tuple((int(q), int(r)) for q, r in item))
-    return tuples
+    """Sorted ``(q, r)`` tuples — the canonical node form of every batch path.
+
+    Sorting never changes a result: :func:`execute_configuration` rebuilds a
+    :class:`Configuration` (a node set) and reports its sorted nodes.
+    """
+    return [
+        tuple((c.q, c.r) for c in item.sorted_nodes())
+        if isinstance(item, Configuration)
+        else tuple(sorted((int(q), int(r)) for q, r in item))
+        for item in configurations
+    ]
 
 
 def iter_result_chunks(
@@ -336,7 +324,6 @@ def iter_result_chunks(
     workers: int = 1,
     chunk_size: Optional[int] = None,
     kernel: str = "packed",
-    cache_dir: Optional[str] = None,
 ) -> Iterator[List[ConfigurationResult]]:
     """Execute every configuration, yielding results chunk by chunk, in order.
 
@@ -348,9 +335,6 @@ def iter_result_chunks(
     ``chunk_size=None`` (the default) autotunes the parallel chunk size from
     the batch row count (:func:`autotune_chunk_size`); serial streaming uses
     :data:`DEFAULT_CHUNK_SIZE`.
-    ``cache_dir`` names a directory for the persistent cross-worker decision
-    cache (:mod:`repro.core.decision_cache`); both the serial and the
-    parallel path adopt it on entry and merge their decisions back.
     """
     # Counting happens here — once per yielded chunk, after worker deltas
     # merge — so serial and parallel sweeps report identically and
@@ -364,7 +348,6 @@ def iter_result_chunks(
         workers=workers,
         chunk_size=chunk_size,
         kernel=kernel,
-        cache_dir=cache_dir,
     ):
         if chunk:
             _obs.counter("runner.configurations").inc(len(chunk))
@@ -386,7 +369,6 @@ def _iter_result_chunks_uncounted(
     workers: int = 1,
     chunk_size: Optional[int] = None,
     kernel: str = "packed",
-    cache_dir: Optional[str] = None,
 ) -> Iterator[List[ConfigurationResult]]:
     """The streaming core behind :func:`iter_result_chunks` (no telemetry)."""
     if (algorithm is None) == (algorithm_name is None):
@@ -401,10 +383,6 @@ def _iter_result_chunks_uncounted(
             from ..algorithms.registry import create_algorithm  # late: import cycle
 
             algorithm = create_algorithm(algorithm_name)
-        if cache_dir is not None:
-            from .decision_cache import load_shared_cache  # late: import cycle
-
-            load_shared_cache(algorithm, cache_dir)
         scheduler_obj = scheduler_from_spec(scheduler)
         if (
             kernel == "table"
@@ -413,13 +391,9 @@ def _iter_result_chunks_uncounted(
         ):
             # The table fast path: one build + one functional-graph summary pass
             # answers the whole FSYNC batch (no per-execution simulation).
-            results = _table_batch_results(list(configurations), algorithm, max_rounds)
+            results = _table_batch_results(configurations, algorithm, max_rounds)
             for start in range(0, len(results), chunk_size):
                 yield results[start : start + chunk_size]
-            if cache_dir is not None:
-                from .decision_cache import persist_shared_cache
-
-                persist_shared_cache(algorithm, cache_dir)
             return
         chunk: List[ConfigurationResult] = []
         for item in configurations:
@@ -437,10 +411,6 @@ def _iter_result_chunks_uncounted(
                 chunk = []
         if chunk:
             yield chunk
-        if cache_dir is not None:
-            from .decision_cache import persist_shared_cache
-
-            persist_shared_cache(algorithm, cache_dir)
         return
 
     if algorithm_name is None:
@@ -483,7 +453,6 @@ def _iter_result_chunks_uncounted(
                 node_tuples[i : i + chunk_size],
                 max_rounds,
                 kernel,
-                None if cache_dir is None else str(cache_dir),
                 tuple(published),
             )
             for i in range(0, len(node_tuples), chunk_size)
@@ -563,7 +532,6 @@ def run_many(
     workers: int = 1,
     chunk_size: Optional[int] = None,
     kernel: str = "packed",
-    cache_dir: Optional[str] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> ExecutionBatch:
     """Execute every configuration and collect the results into a batch.
@@ -605,7 +573,6 @@ def run_many(
         workers=workers,
         chunk_size=effective_chunk,
         kernel=kernel,
-        cache_dir=cache_dir,
     ):
         batch.results.extend(chunk)
         if progress is not None:

@@ -44,8 +44,10 @@ Readers map the files read-only; the page cache is the shared memory.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -85,6 +87,7 @@ __all__ = [
     "SHARD_FORMAT",
     "ShardedTableError",
     "ShardedSuccessorTable",
+    "cache_key",
     "sharded_table_dir",
     "table_store_dir",
     "build_sharded_table",
@@ -138,6 +141,30 @@ class ShardedTableError(RuntimeError):
 # Layout.
 # ---------------------------------------------------------------------------
 
+_SANITIZE = re.compile(r"[^A-Za-z0-9._-]+")
+
+
+def cache_key(algorithm: GatheringAlgorithm) -> str:
+    """Stable file-name fingerprint of an algorithm's decisions.
+
+    The digest covers the registry name, the package version and the
+    algorithm's optional ``cache_fingerprint`` (a content hash set by
+    algorithms whose behaviour is data-driven, e.g. a synthesized rule set) —
+    so a store built under one semantics is never opened by another.  A
+    release bump conservatively invalidates every store; stores are a cache
+    and rebuild on demand.
+    """
+    from .. import __version__  # late: the package initializes core first
+
+    name = algorithm.name
+    fingerprint = getattr(algorithm, "cache_fingerprint", "")
+    digest = hashlib.sha256(
+        f"{name}\x00{__version__}\x00{fingerprint}".encode("utf-8")
+    ).hexdigest()[:8]
+    safe = _SANITIZE.sub("_", name).strip("_") or "algorithm"
+    return f"{safe}.r{algorithm.visibility_range}.{digest}"
+
+
 def _cache_root(cache_dir: Optional[str]) -> str:
     """The directory shard stores live under (arg > env > tempdir)."""
     root = cache_dir or os.environ.get(_TABLE_CACHE_ENV)
@@ -160,12 +187,10 @@ def sharded_table_dir(
 ) -> str:
     """Shard-store directory of one (algorithm fingerprint, size, shard size).
 
-    The name embeds the algorithm's decision-cache key, so a release bump or
+    The name embeds the algorithm's :func:`cache_key`, so a release bump or
     a changed rule set can never adopt stale shards; CI keys its
     ``actions/cache`` entry on the same inputs.
     """
-    from .decision_cache import cache_key  # late: avoids an import cycle
-
     rows = shard_rows if shard_rows is not None else default_shard_rows()
     return os.path.join(
         _cache_root(cache_dir), f"shards-{cache_key(algorithm)}-n{size}-r{rows}"
@@ -176,8 +201,6 @@ def table_store_dir(
     algorithm: GatheringAlgorithm, size: int, cache_dir: Optional[str] = None
 ) -> str:
     """Store directory of one in-RAM (algorithm fingerprint, size) table."""
-    from .decision_cache import cache_key  # late: avoids an import cycle
-
     return os.path.join(_cache_root(cache_dir), f"table-{cache_key(algorithm)}-n{size}")
 
 

@@ -81,7 +81,6 @@ def explore(
     chunk_size: int = 256,
     require_connectivity: bool = True,
     with_witnesses: bool = True,
-    cache_dir: Optional[str] = None,
     kernel: str = "packed",
 ) -> ExplorationReport:
     """Explore, classify and witness in one call.
@@ -107,7 +106,6 @@ def explore(
         workers=workers,
         chunk_size=chunk_size,
         require_connectivity=require_connectivity,
-        cache_dir=cache_dir,
         kernel=kernel,
     )
     start = time.perf_counter()

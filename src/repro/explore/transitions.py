@@ -311,7 +311,7 @@ def _packed_expander(algorithm, mode: str, require_connectivity: bool):
 # Graph construction (serial or parallel frontier expansion).
 # ---------------------------------------------------------------------------
 
-_ExpandPayload = Tuple[str, str, List[int], bool, Optional[str]]
+_ExpandPayload = Tuple[str, str, List[int], bool]
 
 
 def _expand_chunk(
@@ -321,21 +321,13 @@ def _expand_chunk(
 
     Returns the expansions plus the worker registry's drained metrics delta
     (:func:`repro.obs.metrics.export_delta`) for the parent to merge.
-    With a ``cache_dir`` the worker shares the on-disk decision cache
-    (:mod:`repro.core.decision_cache`), so frontier chunks expanded by
-    different processes stop recomputing each other's Look–Compute table.
+    The algorithm, and with it its decision cache, is the worker process's
+    shared instance (:func:`repro.core.runner.worker_algorithm`), so every
+    chunk a process expands reuses the decisions of its earlier chunks.
     """
-    algorithm_name, mode, packed_list, require_connectivity, cache_dir = payload
+    algorithm_name, mode, packed_list, require_connectivity = payload
     algorithm = worker_algorithm(algorithm_name)
-    if cache_dir is not None:
-        from ..core.decision_cache import load_shared_cache  # late: avoids an import cycle
-
-        load_shared_cache(algorithm, cache_dir)
     results = _packed_expander(algorithm, mode, require_connectivity)(packed_list)
-    if cache_dir is not None:
-        from ..core.decision_cache import persist_shared_cache
-
-        persist_shared_cache(algorithm, cache_dir)
     return results, _obs.export_delta()
 
 
@@ -360,7 +352,6 @@ def build_transition_graph(
     workers: int = 1,
     chunk_size: int = 256,
     require_connectivity: bool = True,
-    cache_dir: Optional[str] = None,
     kernel: str = "packed",
 ) -> TransitionGraph:
     """Explore the transition graph reachable from ``roots`` exhaustively.
@@ -373,8 +364,8 @@ def build_transition_graph(
     form, mirroring :func:`repro.core.runner.run_many`.
 
     ``kernel="packed"`` re-runs Look–Compute per vertex; ``workers > 1``
-    fans the levels out over one spawn pool for the whole build.  Workers
-    rebuild the algorithm (and its decision cache), so the pool pays off
+    fans the levels out over one spawn pool for the whole build.  Each worker
+    builds the algorithm (and its decision cache) once, so the pool pays off
     only on large graphs: the serial n=7 build takes about half a second,
     which spawn start-up alone can exceed.
 
@@ -401,10 +392,6 @@ def build_transition_graph(
 
         algorithm = create_algorithm(algorithm_name)
     resolved_name = algorithm_name or algorithm.name
-    if cache_dir is not None:
-        from ..core.decision_cache import load_shared_cache  # late: avoids an import cycle
-
-        load_shared_cache(algorithm, cache_dir)
 
     start = time.perf_counter()
     packed_roots = _pack_roots(roots)
@@ -441,7 +428,6 @@ def build_transition_graph(
                         mode,
                         batch[i : i + chunk_size],
                         require_connectivity,
-                        None if cache_dir is None else str(cache_dir),
                     )
                     for i in range(0, len(batch), chunk_size)
                 ]
@@ -474,11 +460,6 @@ def build_transition_graph(
         if pool is not None:
             pool.terminate()
             pool.join()
-
-    if cache_dir is not None:
-        from ..core.decision_cache import persist_shared_cache
-
-        persist_shared_cache(algorithm, cache_dir)
 
     graph.unexplored = frozenset(frontier)
     graph.elapsed_seconds = time.perf_counter() - start

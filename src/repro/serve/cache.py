@@ -2,7 +2,7 @@
 
 The census and witness endpoints answer pure functions of (algorithm
 fingerprint, root, round budget): the fingerprint — the same digest that
-keys the on-disk decision cache (:func:`repro.core.decision_cache.cache_key`)
+names the on-disk table stores (:func:`repro.core.sharded_tables.cache_key`)
 — covers the registry name, the package version and any data-driven
 ``cache_fingerprint``, so a cached entry can never leak across algorithm
 semantics or releases.  Every cache reports ``serve.cache.<name>.hits`` /

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.registry import available_algorithms
 from ..core.configuration import Configuration
-from ..core.decision_cache import cache_key
+from ..core.sharded_tables import cache_key
 from ..core.engine import run_execution
 from ..core.runner import ConfigurationResult, execute_configuration, worker_algorithm
 from ..core.scheduler import scheduler_from_spec
@@ -195,7 +195,7 @@ class GatheringService:
             ]
         from ..core.runner import _table_batch_results
 
-        return _table_batch_results(list(configurations), algorithm, max_rounds)
+        return _table_batch_results(configurations, algorithm, max_rounds)
 
     async def submit_batched(
         self,

@@ -373,7 +373,6 @@ def synthesize(
     checkpoint_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     ruleset_name: Optional[str] = None,
-    cache_dir: Optional[str] = None,
     progress: Optional[Progress] = None,
     allow_amend: bool = False,
     amend_branch: int = 10,
@@ -389,10 +388,7 @@ def synthesize(
     ``size``-robot connected configurations).  ``checkpoint_path`` persists
     the search state as JSON after every iteration; with ``resume=True`` an
     existing checkpoint seeds the assignments and blocked pairs, so
-    interrupted long searches continue instead of restarting.  ``cache_dir``
-    shares the base algorithm's memoized Look–Compute table on disk
-    (:mod:`repro.core.decision_cache`) across the run's exhaustive
-    explorations, worker processes and repeated invocations.
+    interrupted long searches continue instead of restarting.
 
     ``allow_amend=True`` opens the amending repair space: the chain search
     may replace printed moves (see :mod:`repro.synth.search`) and every
@@ -429,10 +425,6 @@ def synthesize(
 
         base = create_algorithm(base_name)
     resolved_base_name = base_name or base.name
-    if cache_dir is not None:
-        from ..core.decision_cache import load_shared_cache
-
-        load_shared_cache(base, cache_dir)
 
     if kernel == "auto":
         from ..core.engine import default_kernel
@@ -807,11 +799,6 @@ def synthesize(
         else:
             validated = False
         checkpoint(dict(report.root_census), base_census)
-
-    if cache_dir is not None:
-        from ..core.decision_cache import persist_shared_cache
-
-        persist_shared_cache(base, cache_dir)
 
     name = ruleset_name or f"synth[{resolved_base_name}]"
     result = SynthesisResult(

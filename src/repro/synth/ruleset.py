@@ -83,8 +83,8 @@ class OverrideAlgorithm(GatheringAlgorithm):
             f"{base.name}+overrides[{len(self.overrides)}"
             + (f"+{len(self.amendments)}a]" if self.amendments else "]")
         )
-        # Distinguish same-named compositions with different contents for the
-        # persistent decision cache (see repro.core.decision_cache.cache_key).
+        # Distinguish same-named compositions with different contents in the
+        # table-store fingerprint (see repro.core.sharded_tables.cache_key).
         self.cache_fingerprint = ",".join(
             [
                 f"{bitmask:x}:{direction.name}"
@@ -211,9 +211,9 @@ def ruleset_algorithm(
     """Compose ``base`` with a rule set under the standard additive semantics.
 
     The composition carries a ``cache_fingerprint`` derived from the rule-set
-    content, so the persistent decision cache
-    (:mod:`repro.core.decision_cache`) never serves decisions of an older
-    rule set under the same registered name.
+    content, so a table store (:func:`repro.core.sharded_tables.cache_key`)
+    never serves decisions of an older rule set under the same registered
+    name.
     """
     algorithm = ComposedAlgorithm(base, ruleset, name=name or f"{base.name}+{ruleset.name}")
     algorithm.cache_fingerprint = _ruleset_fingerprint(ruleset)

@@ -335,6 +335,31 @@ def test_size_and_workers_must_be_positive(argv, capsys):
     assert "must be at least 1" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-rounds"],
+        ["trace", "--max-rounds"],
+        ["explore", "--max-nodes"],
+        ["sweep", "--sample"],
+        ["sweep", "--max-rounds-grid"],
+    ],
+)
+def test_budget_flags_must_be_positive(argv, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [value])
+    assert excinfo.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_max_rounds_grid_checks_every_entry(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--max-rounds-grid", "50,x"])
+    assert excinfo.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_size_must_be_an_integer(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["explore", "--size", "seven"])

@@ -145,5 +145,6 @@ def test_cli_explore_max_nodes_truncates(capsys):
 
 
 def test_cli_explore_rejects_bad_max_nodes():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as excinfo:
         main(["explore", "--max-nodes", "0"])
+    assert excinfo.value.code == 2

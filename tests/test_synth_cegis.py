@@ -280,17 +280,3 @@ def test_resume_with_missing_checkpoint_raises(tmp_path, recovery_roots):
             checkpoint_path=tmp_path / "never-written.json",
             resume=True,
         )
-
-
-def test_synthesize_shares_the_decision_cache(tmp_path, recovery_roots):
-    from repro.core.decision_cache import cache_file
-
-    result = synthesize(
-        base_name=ABLATED,
-        roots=recovery_roots[:10],
-        max_iterations=1,
-        ssync_validate=False,
-        cache_dir=str(tmp_path),
-    )
-    assert result.explores >= 1
-    assert cache_file(tmp_path, create_algorithm(ABLATED)).exists()

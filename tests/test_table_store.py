@@ -20,9 +20,8 @@ np = pytest.importorskip("numpy")
 
 from repro.algorithms import create_algorithm
 from repro.core import shared_tables
-from repro.core.decision_cache import cache_key
 from repro.core.runner import iter_result_chunks, worker_algorithm
-from repro.core.sharded_tables import open_table_store, table_store_dir
+from repro.core.sharded_tables import cache_key, open_table_store, table_store_dir
 from repro.core.shared_tables import attach_table, publish_table, unpublish_table
 from repro.core.table_kernel import (
     SUCC_ARRAY_FIELDS,
@@ -31,6 +30,7 @@ from repro.core.table_kernel import (
     successor_table,
 )
 from repro.enumeration.polyhex import FIXED_POLYHEX_COUNTS, enumerate_canonical_node_sets
+from repro.grid.directions import Direction
 from repro.obs import metrics
 
 ALGORITHM = "shibata-visibility2"
@@ -132,6 +132,30 @@ def test_environment_variable_enables_the_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TABLE_CACHE", "/nonexistent/never-created")
     successor_table(_fresh_algorithm(), 4, disk_cache=cache_dir)
     assert not os.path.exists("/nonexistent")
+
+
+def test_cache_key_is_filename_safe_and_distinct():
+    full = create_algorithm("shibata-visibility2")
+    ablated = create_algorithm("shibata-visibility2[minus-R4]")
+    assert cache_key(full) != cache_key(ablated)
+    for key in (cache_key(full), cache_key(ablated)):
+        assert "/" not in key and "[" not in key
+
+
+def test_cache_key_distinguishes_rule_set_content():
+    # Same registry name, different data-driven behaviour: the fingerprint
+    # must keep their table stores apart.
+    from repro.synth import OverrideAlgorithm
+
+    base = create_algorithm("shibata-visibility2")
+    east = OverrideAlgorithm(base, {3: Direction.E}, name="same-name")
+    west = OverrideAlgorithm(base, {3: Direction.W}, name="same-name")
+    assert cache_key(east) != cache_key(west)
+
+
+def test_registered_synth_algorithm_carries_a_fingerprint():
+    algorithm = create_algorithm("shibata-visibility2-synth")
+    assert getattr(algorithm, "cache_fingerprint", "")
 
 
 def test_derived_algorithm_tables_cache_under_their_own_fingerprint(tmp_path):
