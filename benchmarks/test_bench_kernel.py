@@ -2,8 +2,9 @@
 
 Times the exhaustive FSYNC sweep of the paper's algorithm on a sample of the
 3652 initial configurations twice: once with the reference (View-object)
-kernel and once with the packed, memoized kernel, asserting that both produce
-identical outcomes and that the packed kernel is materially faster.  Also
+engine, the test oracle ``oracles.reference_execution``, and once with the
+packed, memoized kernel, asserting that both produce identical outcomes and
+that the packed kernel is materially faster.  Also
 reports the in-memory decision cache hit rate over the sample, which is the
 mechanism behind the speedup (a handful of distinct views decide tens of
 thousands of Look–Compute cycles).
@@ -25,9 +26,11 @@ from repro.analysis.census_pins import (
     PINNED_CENSUS_N10,
     census_ok,
 )
-from repro.core.runner import run_many, run_sweep
+from repro.core.runner import ConfigurationResult, ExecutionBatch, run_many, run_sweep
 from repro.core.table_kernel import clear_table_caches
 from repro.enumeration.polyhex import enumerate_connected_configurations
+
+from oracles import reference_execution
 
 
 def _sweep(configurations, kernel):
@@ -37,12 +40,34 @@ def _sweep(configurations, kernel):
     return batch, time.perf_counter() - start
 
 
+def _reference_sweep(configurations):
+    """The oracle engine over ``configurations``, summarized like ``run_many``."""
+    algorithm = ShibataGatheringAlgorithm()
+    start = time.perf_counter()
+    batch = ExecutionBatch(algorithm_name=algorithm.name, max_rounds=600)
+    for configuration in configurations:
+        trace = reference_execution(
+            configuration, algorithm, max_rounds=600, record_rounds=False
+        )
+        batch.results.append(
+            ConfigurationResult(
+                initial_nodes=tuple((c.q, c.r) for c in configuration.sorted_nodes()),
+                outcome=trace.outcome,
+                rounds=trace.num_rounds,
+                total_moves=trace.total_moves,
+                initial_diameter=configuration.diameter(),
+                collision_kind=trace.collision_kind,
+            )
+        )
+    return batch, time.perf_counter() - start
+
+
 @pytest.mark.benchmark(group="E9-kernel")
 def test_packed_kernel_speedup(benchmark, all_seven_robot_configurations,
                                print_table, bench_timings):
     sample = all_seven_robot_configurations[::4]  # 913 configurations
 
-    reference_batch, reference_seconds = _sweep(sample, "reference")
+    reference_batch, reference_seconds = _reference_sweep(sample)
     packed_batch, packed_seconds = _sweep(sample, "packed")
 
     # The memoized kernel must be an exact drop-in: identical per-configuration
@@ -58,7 +83,7 @@ def test_packed_kernel_speedup(benchmark, all_seven_robot_configurations,
     bench_timings["kernel_packed_seconds"] = round(packed_seconds, 4)
     bench_timings["kernel_speedup"] = round(speedup, 2)
     print_table(
-        "E9: packed kernel vs reference kernel (913-configuration sample)",
+        "E9: packed kernel vs reference engine (913-configuration sample)",
         [
             {
                 "reference seconds": round(reference_seconds, 3),
@@ -321,7 +346,7 @@ def test_decision_cache_hit_rate(benchmark, all_seven_robot_configurations,
     The packed kernel counts every Look-Compute lookup and every cache miss
     into the ``decision_cache.*`` telemetry counters, so the hit rate is
     measured on the exact production path rather than re-derived through a
-    counting wrapper on the slow reference kernel.  Draining the registry
+    counting wrapper on the slow reference engine.  Draining the registry
     before and after the sweep isolates this sweep's counts.
     """
     sample = all_seven_robot_configurations[::8]  # 457 configurations

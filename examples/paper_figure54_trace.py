@@ -10,7 +10,7 @@ Run with:  python examples/paper_figure54_trace.py
 """
 from repro import Configuration, ShibataGatheringAlgorithm
 from repro.algorithms.base_node import determine_base_label
-from repro.core.engine import apply_moves, compute_moves
+from repro.core.engine import step_nodes
 from repro.core.view import view_of
 from repro.viz import render_configuration
 
@@ -32,10 +32,13 @@ def main() -> None:
             base = determine_base_label(view)
             move_name = move.name if move is not None else "stay"
             print(f"  robot at {tuple(position)}: base={base} rule={rule:<10} -> {move_name}")
-        moves = compute_moves(configuration, algorithm)
+        next_nodes, moves, collision = step_nodes(configuration.nodes, algorithm)
+        if collision is not None:
+            print(f"collision: {collision[0]} at {collision[1]}")
+            break
         if not moves:
             break
-        configuration = apply_moves(configuration, moves)
+        configuration = Configuration(next_nodes)
         print()
 
     print()

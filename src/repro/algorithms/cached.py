@@ -1,6 +1,6 @@
 """Memoized algorithm wrapper around the engine's decision cache.
 
-The engine memoizes every deterministic algorithm transparently (see
+The engine memoizes every algorithm transparently (see
 :func:`repro.core.engine.decision_cache_for`); :class:`CachedAlgorithm` makes
 that cache a first-class object.  Wrapping an algorithm
 
@@ -41,23 +41,16 @@ class CacheInfo(NamedTuple):
 
 
 class CachedAlgorithm(GatheringAlgorithm):
-    """Wrap a deterministic algorithm with an explicit decision cache.
+    """Wrap an algorithm with an explicit decision cache.
 
     Parameters
     ----------
     inner:
-        The algorithm to memoize.  It must be deterministic (pure function of
-        the view); randomized algorithms are rejected because caching would
-        change their behaviour.
+        The algorithm to memoize (a pure function of the view, like every
+        :class:`~repro.core.algorithm.GatheringAlgorithm`).
     """
 
-    deterministic = True
-
     def __init__(self, inner: GatheringAlgorithm) -> None:
-        if not getattr(inner, "deterministic", True):
-            raise ValueError(
-                f"cannot cache non-deterministic algorithm {inner.name!r}"
-            )
         if isinstance(inner, CachedAlgorithm):
             inner = inner.inner
         self.inner = inner

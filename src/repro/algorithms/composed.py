@@ -61,7 +61,6 @@ class ComposedAlgorithm(GatheringAlgorithm):
         self.base = base
         self.extension = extension
         self.visibility_range = base.visibility_range
-        self.deterministic = getattr(base, "deterministic", True)
         extension_name = getattr(extension, "name", None) or getattr(
             extension, "__name__", "extension"
         )

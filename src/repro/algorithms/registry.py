@@ -29,8 +29,8 @@ def create_algorithm(name: str, cached: bool = False) -> GatheringAlgorithm:
 
     With ``cached=True`` the instance is wrapped in
     :class:`~repro.algorithms.cached.CachedAlgorithm`, exposing the decision
-    cache and its statistics explicitly (the engine memoizes deterministic
-    algorithms either way).
+    cache and its statistics explicitly (the engine memoizes every algorithm
+    either way).
 
     Raises
     ------

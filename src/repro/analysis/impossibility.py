@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..algorithms.range1 import RuleTable, RuleTableAlgorithm, ViewKey, line_configuration
 from ..core.configuration import Configuration
-from ..core.engine import apply_moves, detect_collision
+from ..core.engine import apply_moves_nodes, detect_collision_nodes
 from ..grid.coords import Coord
 from ..grid.directions import DIRECTIONS, Direction, direction_from_vector
 from ..grid.packing import disk_offsets, offset_bit_table, pack_nodes
@@ -146,10 +146,10 @@ def simulate_with_partial_table(
             if configuration.is_gathered():
                 return SimulationProbe(status="gathered")
             return SimulationProbe(status="failed", reason="deadlock")
-        collision = detect_collision(configuration, moves)
+        collision = detect_collision_nodes(configuration.nodes, moves)
         if collision is not None:
             return SimulationProbe(status="failed", reason=f"collision:{collision[0]}")
-        configuration = apply_moves(configuration, moves)
+        configuration = Configuration(apply_moves_nodes(configuration.nodes, moves))
         if not configuration.is_connected():
             return SimulationProbe(status="failed", reason="disconnected")
         key2 = pack_nodes(configuration.nodes)

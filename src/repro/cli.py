@@ -65,7 +65,7 @@ from .analysis.impossibility import default_gadget_suite, search_rule_space
 from .analysis.synth_progress import synth_progress
 from .analysis.verification import verify_all_configurations, verify_configurations
 from .core.configuration import Configuration, hexagon, line
-from .core.engine import run_execution
+from .core.engine import KERNELS, run_execution
 from .core.runner import run_sweep
 from .enumeration.polyhex import count_connected_configurations
 from .explore import MODES, explore
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--kernel",
         default="packed",
-        choices=("packed", "reference", "table"),
+        choices=KERNELS,
         help="simulation kernel: table = vectorized successor-table sweep "
         "(byte-identical, fastest)",
     )
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--kernel",
         default="packed",
-        choices=("packed", "reference", "table"),
+        choices=KERNELS,
         help="simulation kernel (table batches FSYNC cells through the "
         "successor table)",
     )

@@ -1,21 +1,8 @@
 """Robot-system core: configurations, views, algorithms, schedulers and the engine."""
 from .algorithm import FunctionAlgorithm, GatheringAlgorithm, Move, StayAlgorithm
 from .configuration import GATHERING_SIZE, Configuration, from_offsets, hexagon, line
-from .engine import (
-    DEFAULT_MAX_ROUNDS,
-    apply_moves,
-    compute_moves,
-    detect_collision,
-    run_execution,
-    step,
-)
-from .errors import (
-    CollisionError,
-    DisconnectionError,
-    InvalidConfigurationError,
-    ReproError,
-    SimulationLimitError,
-)
+from .engine import DEFAULT_MAX_ROUNDS, run_execution
+from .errors import InvalidConfigurationError, ReproError
 from .runner import (
     ConfigurationResult,
     ExecutionBatch,
@@ -40,8 +27,6 @@ __all__ = [
     "DEFAULT_MAX_ROUNDS",
     "Configuration",
     "ConfigurationResult",
-    "CollisionError",
-    "DisconnectionError",
     "ExecutionBatch",
     "ExecutionTrace",
     "FullySynchronousScheduler",
@@ -55,14 +40,10 @@ __all__ = [
     "RoundRecord",
     "RoundRobinScheduler",
     "Scheduler",
-    "SimulationLimitError",
     "StayAlgorithm",
     "SweepCell",
     "View",
     "all_views_of",
-    "apply_moves",
-    "compute_moves",
-    "detect_collision",
     "execute_configuration",
     "from_offsets",
     "hexagon",
@@ -72,6 +53,5 @@ __all__ = [
     "run_many",
     "run_sweep",
     "scheduler_from_spec",
-    "step",
     "view_of",
 ]

@@ -29,6 +29,11 @@ class GatheringAlgorithm(abc.ABC):
     Look–Compute–Move cycle.  ``visibility_range`` declares how far the robots
     running this algorithm can see; the engine builds views of exactly that
     range.
+
+    :meth:`compute` must be a pure function of the view, as the paper's model
+    of oblivious deterministic robots requires.  Every kernel relies on it:
+    the packed kernel memoizes decisions per view bitmask, and the table
+    kernel resolves each unique view once for a whole configuration space.
     """
 
     #: Visibility range the algorithm is designed for.
@@ -36,12 +41,6 @@ class GatheringAlgorithm(abc.ABC):
 
     #: Human-readable name used by the registry, the CLI and benchmark reports.
     name: str = "abstract"
-
-    #: Whether :meth:`compute` is a pure function of the view.  The model of
-    #: the paper requires determinism, and the engine's memoized kernel relies
-    #: on it; set to ``False`` only for experimental randomized algorithms, in
-    #: which case the engine falls back to the uncached reference path.
-    deterministic: bool = True
 
     @abc.abstractmethod
     def compute(self, view: View) -> Move:
@@ -58,11 +57,10 @@ class FunctionAlgorithm(GatheringAlgorithm):
     """Wrap a plain function ``View -> Move`` as an algorithm object."""
 
     def __init__(self, func: Callable[[View], Move], visibility_range: int,
-                 name: str = "function", deterministic: bool = True) -> None:
+                 name: str = "function") -> None:
         self._func = func
         self.visibility_range = visibility_range
         self.name = name
-        self.deterministic = deterministic
 
     def compute(self, view: View) -> Move:
         return self._func(view)

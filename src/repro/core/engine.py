@@ -18,17 +18,20 @@ detection.
 
 Two kernels implement the same semantics:
 
-* ``kernel="packed"`` (the default) runs on plain coordinate sets and packed
-  integers from :mod:`repro.grid.packing`.  The Look phase computes one view
-  bitmask per robot in a single pass over the occupancy set, and the Compute
-  phase resolves each bitmask through a per-algorithm **decision cache** —
-  algorithms are deterministic functions of the view, so the cache is exact
-  and makes Compute amortized O(1) across an exhaustive sweep.
-* ``kernel="reference"`` is the original object-based path
-  (:class:`~repro.core.view.View` construction plus a fresh
-  ``algorithm.compute`` call per robot per round).  It is kept both as the
-  executable specification the packed kernel is tested against and as the
-  fallback for algorithms that declare themselves non-deterministic.
+* ``kernel="packed"`` runs on plain coordinate sets and packed integers from
+  :mod:`repro.grid.packing`.  The Look phase computes one view bitmask per
+  robot in a single pass over the occupancy set, and the Compute phase
+  resolves each bitmask through a per-algorithm **decision cache** — every
+  algorithm is a deterministic function of the view, as the paper's model
+  requires, so the cache is exact and makes Compute amortized O(1) across an
+  exhaustive sweep.
+* ``kernel="table"`` answers from the precomputed successor table of
+  :mod:`repro.core.table_kernel` and falls back to ``"packed"`` outside the
+  table's scope.
+
+The View-object engine both kernels are held to (a fresh
+:class:`~repro.core.view.View` and ``algorithm.compute`` call per robot per
+round) lives in the test suite as an oracle, ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -40,22 +43,17 @@ from ..grid.packing import offset_bit_table, pack_nodes
 from ..obs import metrics as _obs
 from .algorithm import GatheringAlgorithm
 from .configuration import Configuration
-from .errors import CollisionError
 from .scheduler import FullySynchronousScheduler, Scheduler
 from .trace import ExecutionTrace, Outcome, RoundRecord
-from .view import View, view_of
+from .view import View
 
 __all__ = [
-    "compute_moves",
     "compute_moves_packed",
     "move_intents",
-    "detect_collision",
     "detect_collision_nodes",
-    "apply_moves",
     "apply_moves_nodes",
     "decision_cache_for",
     "default_kernel",
-    "step",
     "step_nodes",
     "run_execution",
     "DEFAULT_MAX_ROUNDS",
@@ -69,14 +67,13 @@ __all__ = [
 DEFAULT_MAX_ROUNDS = 1000
 
 #: The available simulation kernels.
-KERNELS = ("packed", "reference", "table")
+KERNELS = ("packed", "table")
 
 
 def default_kernel() -> str:
     """The fastest kernel: ``"table"``, the vectorized successor-table kernel.
 
-    See :mod:`repro.core.table_kernel`; it is byte-identical to ``"packed"``
-    for deterministic algorithms.
+    See :mod:`repro.core.table_kernel`; it is byte-identical to ``"packed"``.
     """
     return "table"
 
@@ -87,18 +84,15 @@ _NEIGHBOR_DELTAS: Tuple[Tuple[int, int], ...] = tuple(d.value for d in Direction
 # Decision cache: memoized Compute phase.
 # ---------------------------------------------------------------------------
 
-def decision_cache_for(algorithm: GatheringAlgorithm) -> Optional[Dict[int, Optional[Direction]]]:
+def decision_cache_for(algorithm: GatheringAlgorithm) -> Dict[int, Optional[Direction]]:
     """The decision cache of ``algorithm``: ``view bitmask -> move``.
 
     The cache is attached to the algorithm instance so it persists across
     executions (an exhaustive sweep reuses one algorithm object for thousands
     of executions, and most views repeat).  Keys are view bitmasks for the
     algorithm's own ``visibility_range``, so the mapping is exact: the same
-    key always denotes the same view.  Returns ``None`` for algorithms that
-    declare themselves non-deterministic, which must not be memoized.
+    key always denotes the same view.
     """
-    if not getattr(algorithm, "deterministic", True):
-        return None
     cache = getattr(algorithm, "_decision_cache", None)
     if cache is None:
         cache = {}
@@ -111,24 +105,15 @@ def compute_moves_packed(
     algorithm: GatheringAlgorithm,
     activated: Optional[Set[Coord]] = None,
 ) -> Dict[Coord, Direction]:
-    """Packed-kernel equivalent of :func:`compute_moves` on a plain node set.
+    """The moves of the activated robots of a plain node set for one round.
 
+    Returns a mapping ``position -> direction`` containing only the robots
+    that decided to move; robots that stay (or are not activated) are absent.
     Computes all view bitmasks in one pass over the occupancy set and resolves
     each through the algorithm's decision cache.
     """
     positions = sorted(Coord(n[0], n[1]) for n in occupied)
-    cache = decision_cache_for(algorithm)
-    if cache is None:
-        moves: Dict[Coord, Direction] = {}
-        config = Configuration(positions)
-        for position in positions:
-            if activated is not None and position not in activated:
-                continue
-            decision = algorithm.compute(view_of(config, position, algorithm.visibility_range))
-            if decision is not None:
-                moves[position] = decision
-        return moves
-    return _packed_moves(positions, algorithm, cache, activated)
+    return _packed_moves(positions, algorithm, decision_cache_for(algorithm), activated)
 
 
 def _packed_moves(
@@ -214,39 +199,18 @@ def step_nodes(
 
 
 # ---------------------------------------------------------------------------
-# Reference (View-object) Compute phase — the executable specification.
-# ---------------------------------------------------------------------------
-
-def compute_moves(
-    configuration: Configuration,
-    algorithm: GatheringAlgorithm,
-    activated: Optional[Set[Coord]] = None,
-) -> Dict[Coord, Direction]:
-    """Compute the moves of all activated robots for one round.
-
-    Returns a mapping ``position -> direction`` containing only the robots
-    that decided to move.  Robots that stay (or are not activated) are simply
-    absent from the mapping.
-    """
-    moves: Dict[Coord, Direction] = {}
-    for position in configuration.sorted_nodes():
-        if activated is not None and position not in activated:
-            continue
-        view = view_of(configuration, position, algorithm.visibility_range)
-        decision = algorithm.compute(view)
-        if decision is not None:
-            moves[position] = decision
-    return moves
-
-
-# ---------------------------------------------------------------------------
-# Collision detection and move application (shared by both kernels).
+# Collision detection and move application.
 # ---------------------------------------------------------------------------
 
 def detect_collision_nodes(
     occupied: Iterable[Tuple[int, int]], moves: Dict[Coord, Direction]
 ) -> Optional[Tuple[str, Tuple[Coord, ...]]]:
-    """:func:`detect_collision` on a plain occupancy set (the packed path)."""
+    """Check the three forbidden behaviours for a simultaneous move set.
+
+    Returns ``None`` if the move set is collision-free, otherwise a pair
+    ``(kind, nodes)`` where ``kind`` is ``"swap"``, ``"move-onto-staying"`` or
+    ``"same-target"`` and ``nodes`` identifies the offending nodes.
+    """
     occupied_set = occupied if isinstance(occupied, (set, frozenset)) else set(occupied)
     targets: Dict[Coord, Coord] = {
         source: Coord(source[0] + direction.value[0], source[1] + direction.value[1])
@@ -270,18 +234,6 @@ def detect_collision_nodes(
     return None
 
 
-def detect_collision(
-    configuration: Configuration, moves: Dict[Coord, Direction]
-) -> Optional[Tuple[str, Tuple[Coord, ...]]]:
-    """Check the three forbidden behaviours for a simultaneous move set.
-
-    Returns ``None`` if the move set is collision-free, otherwise a pair
-    ``(kind, nodes)`` where ``kind`` is ``"swap"``, ``"move-onto-staying"`` or
-    ``"same-target"`` and ``nodes`` identifies the offending nodes.
-    """
-    return detect_collision_nodes(configuration.nodes, moves)
-
-
 def apply_moves_nodes(
     occupied: Iterable[Tuple[int, int]], moves: Dict[Coord, Direction]
 ) -> FrozenSet[Coord]:
@@ -293,34 +245,6 @@ def apply_moves_nodes(
         arrivals.append(Coord(source[0] + direction.value[0], source[1] + direction.value[1]))
     nodes.update(arrivals)
     return frozenset(nodes)
-
-
-def apply_moves(
-    configuration: Configuration, moves: Dict[Coord, Direction]
-) -> Configuration:
-    """The configuration after simultaneously applying a collision-free move set."""
-    return Configuration(apply_moves_nodes(configuration.nodes, moves))
-
-
-def step(
-    configuration: Configuration,
-    algorithm: GatheringAlgorithm,
-    activated: Optional[Set[Coord]] = None,
-    strict: bool = True,
-) -> Tuple[Configuration, Dict[Coord, Direction]]:
-    """Execute one synchronous round and return the next configuration and moves.
-
-    With ``strict=True`` a collision raises :class:`CollisionError`; with
-    ``strict=False`` the caller is expected to have checked for collisions
-    already (used by the verification harness, which wants the structured
-    outcome rather than an exception).
-    """
-    moves = compute_moves(configuration, algorithm, activated)
-    if strict:
-        collision = detect_collision(configuration, moves)
-        if collision is not None:
-            raise CollisionError(collision[0], collision[1])
-    return apply_moves(configuration, moves), moves
 
 
 def _is_connected_nodes(nodes: FrozenSet[Coord]) -> bool:
@@ -374,17 +298,12 @@ def run_execution(
         If ``True``, an execution stops with :attr:`Outcome.DISCONNECTED` as
         soon as the configuration splits into several components.
     kernel:
-        ``"packed"`` (memoized bitmask kernel, the default) or
-        ``"reference"`` (original View-object path).  Both produce identical
-        traces for deterministic algorithms; non-deterministic algorithms are
-        always run on the reference kernel.
+        ``"packed"`` (memoized bitmask kernel, the default) or ``"table"``
+        (successor-table lookups, falling back to ``"packed"`` outside the
+        table's scope).  Both produce identical traces.
     """
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; available: {KERNELS}")
-    if kernel == "reference" or not getattr(algorithm, "deterministic", True):
-        return _run_execution_reference(
-            initial, algorithm, scheduler, max_rounds, record_rounds, require_connectivity
-        )
     if kernel == "table":
         # The table covers connected initial configurations within the soft
         # memory-estimated size bound, with connectivity enforced and views
@@ -437,7 +356,6 @@ def _run_execution_packed(
     is_fsync = isinstance(scheduler, FullySynchronousScheduler)
 
     cache = decision_cache_for(algorithm)
-    assert cache is not None  # run_execution dispatched deterministic algorithms here
 
     nodes: FrozenSet[Coord] = initial.nodes
     rounds: List[RoundRecord] = []
@@ -634,92 +552,6 @@ def _run_execution_table(
     return ExecutionTrace(
         initial=initial,
         final=Configuration(nodes),
-        outcome=outcome,
-        rounds=rounds,
-        termination_round=termination_round,
-        collision_kind=collision_kind,
-        cycle_start=cycle_start,
-        algorithm_name=algorithm.name,
-        scheduler_name=scheduler.name,
-        total_moves=total_moves,
-    )
-
-
-def _run_execution_reference(
-    initial: Configuration,
-    algorithm: GatheringAlgorithm,
-    scheduler: Optional[Scheduler],
-    max_rounds: int,
-    record_rounds: bool,
-    require_connectivity: bool,
-) -> ExecutionTrace:
-    """The original object-based execution loop (the seed engine semantics)."""
-    scheduler = scheduler or FullySynchronousScheduler()
-    scheduler.reset()
-    is_fsync = isinstance(scheduler, FullySynchronousScheduler)
-
-    configuration = initial
-    rounds: List[RoundRecord] = []
-    seen: Dict[Tuple[Coord, ...], int] = {initial.canonical_key(): 0}
-    outcome = Outcome.ROUND_LIMIT
-    collision_kind: Optional[str] = None
-    cycle_start: Optional[int] = None
-    termination_round = max_rounds
-    total_moves = 0
-
-    for round_index in range(max_rounds):
-        positions = configuration.sorted_nodes()
-        activated = scheduler.activated(round_index, positions)
-        moves = compute_moves(configuration, algorithm, activated)
-
-        if record_rounds:
-            rounds.append(
-                RoundRecord(
-                    index=round_index,
-                    configuration=configuration,
-                    moves=dict(moves),
-                    activated=tuple(sorted(activated)),
-                )
-            )
-
-        if not moves:
-            # Quiescence.  Under FSYNC this is permanent; under SSYNC it is
-            # only permanent when every robot was activated this round.
-            if is_fsync or activated == set(positions):
-                outcome = (
-                    Outcome.GATHERED if configuration.is_gathered() else Outcome.DEADLOCK
-                )
-                termination_round = round_index
-                break
-            continue
-
-        collision = detect_collision(configuration, moves)
-        if collision is not None:
-            outcome = Outcome.COLLISION
-            collision_kind = collision[0]
-            termination_round = round_index
-            break
-
-        configuration = apply_moves(configuration, moves)
-        total_moves += len(moves)
-
-        if require_connectivity and not configuration.is_connected():
-            outcome = Outcome.DISCONNECTED
-            termination_round = round_index + 1
-            break
-
-        if is_fsync:
-            key = configuration.canonical_key()
-            if key in seen:
-                outcome = Outcome.LIVELOCK
-                cycle_start = seen[key]
-                termination_round = round_index + 1
-                break
-            seen[key] = round_index + 1
-
-    return ExecutionTrace(
-        initial=initial,
-        final=configuration,
         outcome=outcome,
         rounds=rounds,
         termination_round=termination_round,

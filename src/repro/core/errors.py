@@ -4,9 +4,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "InvalidConfigurationError",
-    "CollisionError",
-    "DisconnectionError",
-    "SimulationLimitError",
 ]
 
 
@@ -22,31 +19,3 @@ class InvalidConfigurationError(ReproError, ValueError):
     of a different size.
     """
 
-
-class CollisionError(ReproError, RuntimeError):
-    """A forbidden robot behaviour occurred during a Move phase.
-
-    The paper (Section II-A) forbids three behaviours: (a) two robots swap
-    along an edge, (b) a robot moves onto a node where another robot stays,
-    and (c) several robots move onto the same empty node.  The ``kind``
-    attribute records which of the three occurred and ``nodes`` the nodes
-    involved.
-    """
-
-    def __init__(self, kind: str, nodes, message: str = "") -> None:
-        self.kind = kind
-        self.nodes = tuple(nodes)
-        super().__init__(message or f"collision ({kind}) involving nodes {self.nodes}")
-
-
-class DisconnectionError(ReproError, RuntimeError):
-    """The configuration became disconnected during an execution.
-
-    Because robots are oblivious and have limited visibility, a robot with no
-    robot node in view can never re-join the rest of the system; the paper
-    therefore treats disconnection as an unrecoverable failure.
-    """
-
-
-class SimulationLimitError(ReproError, RuntimeError):
-    """An execution exceeded the configured round budget without terminating."""

@@ -35,7 +35,7 @@ from ..obs import metrics as _obs
 from ..obs import record_span as _obs_record_span
 from .algorithm import GatheringAlgorithm
 from .configuration import Configuration
-from .engine import DEFAULT_MAX_ROUNDS, run_execution
+from .engine import DEFAULT_MAX_ROUNDS, KERNELS, run_execution
 from .scheduler import FullySynchronousScheduler, Scheduler, scheduler_from_spec
 from .trace import Outcome
 
@@ -214,11 +214,7 @@ def _execute_chunk(payload: _ChunkPayload) -> Tuple[List[ConfigurationResult], D
         for handle in handles:
             attach_table(handle)
     scheduler = scheduler_from_spec(scheduler_spec)
-    if (
-        kernel == "table"
-        and isinstance(scheduler, FullySynchronousScheduler)
-        and getattr(algorithm, "deterministic", True)
-    ):
+    if kernel == "table" and isinstance(scheduler, FullySynchronousScheduler):
         results = _table_batch_results(node_tuples, algorithm, max_rounds)
     else:
         results = [
@@ -375,6 +371,8 @@ def _iter_result_chunks_uncounted(
         raise ValueError("provide exactly one of algorithm / algorithm_name")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; available: {KERNELS}")
 
     if workers <= 1:
         if chunk_size is None:
@@ -384,11 +382,7 @@ def _iter_result_chunks_uncounted(
 
             algorithm = create_algorithm(algorithm_name)
         scheduler_obj = scheduler_from_spec(scheduler)
-        if (
-            kernel == "table"
-            and isinstance(scheduler_obj, FullySynchronousScheduler)
-            and getattr(algorithm, "deterministic", True)
-        ):
+        if kernel == "table" and isinstance(scheduler_obj, FullySynchronousScheduler):
             # The table fast path: one build + one functional-graph summary pass
             # answers the whole FSYNC batch (no per-execution simulation).
             results = _table_batch_results(configurations, algorithm, max_rounds)
@@ -428,7 +422,7 @@ def _iter_result_chunks_uncounted(
     published: List = []
     try:
         builder = worker_algorithm(algorithm_name) if kernel == "table" else None
-        if builder is not None and builder.deterministic and node_tuples:
+        if builder is not None and node_tuples:
             # Build the successor tables once in the parent (the Compute
             # fan-out itself runs on the pool) and publish each as a table
             # store: every worker maps the one table instead of rebuilding —

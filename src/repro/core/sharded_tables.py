@@ -337,8 +337,6 @@ def build_sharded_table(
     The files are written into a temporary sibling that is renamed into
     place (see :func:`_install_store`).
     """
-    if not getattr(algorithm, "deterministic", True):
-        raise ValueError("the table kernel requires a deterministic algorithm")
     rows_per_shard = shard_rows if shard_rows is not None else default_shard_rows()
     if rows_per_shard < 1:
         raise ValueError("shard_rows must be at least 1")

@@ -709,7 +709,6 @@ def _decision_pass(
 
     start_time = time.perf_counter()
     cache = decision_cache_for(algorithm)
-    assert cache is not None  # deterministic algorithms always carry one
     codes = np.zeros(len(bitmasks), dtype=np.int8)
     parallel = (workers > 1 or pool is not None) and algorithm_name is not None
     if parallel and len(bitmasks) >= 2048:
@@ -1054,8 +1053,6 @@ class SuccessorTable:
         ``workers`` / ``pool`` / ``algorithm_name`` fan the Compute pass out
         over worker processes (see :func:`_decision_pass`).
         """
-        if not getattr(algorithm, "deterministic", True):
-            raise ValueError("the table kernel requires a deterministic algorithm")
         build_start = time.perf_counter()
         vt = view_table(size, algorithm.visibility_range)
         codes = _decision_pass(

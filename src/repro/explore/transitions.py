@@ -269,7 +269,6 @@ def _table_expander(algorithm, mode: str, require_connectivity: bool):
     """
     from ..core.table_kernel import scoped_table  # late: avoids an import cycle
 
-    deterministic = getattr(algorithm, "deterministic", True)
     #: Table per vertex size (``None`` = no tier covers it), resolved once.
     tables: Dict[int, object] = {}
 
@@ -279,7 +278,7 @@ def _table_expander(algorithm, mode: str, require_connectivity: bool):
         for packed in batch:
             size = packed_count(packed)
             if size not in tables:
-                tables[size] = scoped_table(algorithm, size) if deterministic else None
+                tables[size] = scoped_table(algorithm, size)
             table = tables[size]
             row = None if table is None else table.row_of_packed(packed)
             if row is None:

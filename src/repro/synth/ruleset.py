@@ -78,7 +78,6 @@ class OverrideAlgorithm(GatheringAlgorithm):
         self.overrides = dict(overrides)
         self.amendments: Amendments = dict(amendments or {})
         self.visibility_range = base.visibility_range
-        self.deterministic = getattr(base, "deterministic", True)
         self.name = name or (
             f"{base.name}+overrides[{len(self.overrides)}"
             + (f"+{len(self.amendments)}a]" if self.amendments else "]")

@@ -265,7 +265,7 @@ def _base_table_for(base: GatheringAlgorithm, packed: int):
 
     size = packed_count(packed)
     fits = table_in_scope(size) and view_in_scope(base.visibility_range)
-    if not fits or not getattr(base, "deterministic", True):
+    if not fits:
         return None
     return successor_table(base, size)
 

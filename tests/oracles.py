@@ -1,5 +1,10 @@
 """Slow reference implementations the property tests hold the fast paths to.
 
+* :func:`reference_execution` / :func:`reference_moves` — the View-object
+  engine (a fresh ``view_of`` + ``algorithm.compute`` per robot per round,
+  ``Configuration.is_connected()`` and ``canonical_key()`` livelock
+  detection), the oracle of the packed and table kernels of
+  :func:`repro.core.engine.run_execution`;
 * :func:`collision_flags_pairwise` — the ``(M, n, n)`` pairwise-tensor
   collision predicates, the oracle of the table kernel's sort +
   adjacent-compare ``_collision_flags_sorted``;
@@ -38,14 +43,17 @@ from typing import (
 
 import numpy as np
 
+from repro.core.algorithm import GatheringAlgorithm
+from repro.core.bitsets import subset_masks
 from repro.core.configuration import Configuration
 from repro.core.engine import (
+    DEFAULT_MAX_ROUNDS,
     _is_connected_nodes,
     apply_moves_nodes,
     detect_collision_nodes,
     move_intents,
 )
-from repro.core.bitsets import subset_masks
+from repro.core.scheduler import FullySynchronousScheduler, Scheduler
 from repro.core.table_kernel import (
     _DIRECTIONS,
     KIND_COLLISION,
@@ -59,6 +67,8 @@ from repro.core.table_kernel import (
     OUT_LIVELOCK,
     _FsyncSummary,
 )
+from repro.core.trace import ExecutionTrace, Outcome, RoundRecord
+from repro.core.view import view_of
 from repro.explore.transitions import (
     COLLISION_SINK,
     DISCONNECT_SINK,
@@ -70,6 +80,113 @@ from repro.grid.coords import Coord, as_coord, distance, neighbors
 from repro.grid.directions import DIRECTIONS, Direction
 from repro.grid.labels import Label, label_of_offset
 from repro.grid.packing import pack_nodes, pack_offsets, unpack_nodes, unpack_offsets
+
+
+def reference_moves(
+    configuration: Configuration,
+    algorithm: GatheringAlgorithm,
+    activated: Optional[Set[Coord]] = None,
+) -> Dict[Coord, Direction]:
+    """The moves of the activated robots, one View object and compute call each.
+
+    Returns a mapping ``position -> direction`` containing only the robots
+    that decided to move; robots that stay (or are not activated) are absent.
+    """
+    moves: Dict[Coord, Direction] = {}
+    for position in configuration.sorted_nodes():
+        if activated is not None and position not in activated:
+            continue
+        view = view_of(configuration, position, algorithm.visibility_range)
+        decision = algorithm.compute(view)
+        if decision is not None:
+            moves[position] = decision
+    return moves
+
+
+def reference_execution(
+    initial: Configuration,
+    algorithm: GatheringAlgorithm,
+    scheduler: Optional[Scheduler] = None,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    record_rounds: bool = True,
+    require_connectivity: bool = True,
+) -> ExecutionTrace:
+    """One execution on Configuration objects: the seed engine's semantics."""
+    scheduler = scheduler or FullySynchronousScheduler()
+    scheduler.reset()
+    is_fsync = isinstance(scheduler, FullySynchronousScheduler)
+
+    configuration = initial
+    rounds: List[RoundRecord] = []
+    seen: Dict[Tuple[Coord, ...], int] = {initial.canonical_key(): 0}
+    outcome = Outcome.ROUND_LIMIT
+    collision_kind: Optional[str] = None
+    cycle_start: Optional[int] = None
+    termination_round = max_rounds
+    total_moves = 0
+
+    for round_index in range(max_rounds):
+        positions = configuration.sorted_nodes()
+        activated = scheduler.activated(round_index, positions)
+        moves = reference_moves(configuration, algorithm, activated)
+
+        if record_rounds:
+            rounds.append(
+                RoundRecord(
+                    index=round_index,
+                    configuration=configuration,
+                    moves=dict(moves),
+                    activated=tuple(sorted(activated)),
+                )
+            )
+
+        if not moves:
+            # Quiescence.  Under FSYNC this is permanent; under SSYNC it is
+            # only permanent when every robot was activated this round.
+            if is_fsync or activated == set(positions):
+                outcome = (
+                    Outcome.GATHERED if configuration.is_gathered() else Outcome.DEADLOCK
+                )
+                termination_round = round_index
+                break
+            continue
+
+        collision = detect_collision_nodes(configuration.nodes, moves)
+        if collision is not None:
+            outcome = Outcome.COLLISION
+            collision_kind = collision[0]
+            termination_round = round_index
+            break
+
+        configuration = Configuration(apply_moves_nodes(configuration.nodes, moves))
+        total_moves += len(moves)
+
+        if require_connectivity and not configuration.is_connected():
+            outcome = Outcome.DISCONNECTED
+            termination_round = round_index + 1
+            break
+
+        if is_fsync:
+            key = configuration.canonical_key()
+            if key in seen:
+                outcome = Outcome.LIVELOCK
+                cycle_start = seen[key]
+                termination_round = round_index + 1
+                break
+            seen[key] = round_index + 1
+
+    return ExecutionTrace(
+        initial=initial,
+        final=configuration,
+        outcome=outcome,
+        rounds=rounds,
+        termination_round=termination_round,
+        collision_kind=collision_kind,
+        cycle_start=cycle_start,
+        algorithm_name=algorithm.name,
+        scheduler_name=scheduler.name,
+        total_moves=total_moves,
+    )
 
 
 def collision_flags_pairwise(pos_key, target_key, movers):

@@ -360,6 +360,14 @@ def test_max_rounds_grid_checks_every_entry(capsys):
     assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_kernel_choices_are_the_engine_kernels(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--kernel", "reference"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'reference'" in capsys.readouterr().err
+
+
 def test_size_must_be_an_integer(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["explore", "--size", "seven"])

@@ -1,16 +1,12 @@
 """Tests for the Look-Compute-Move engine and its collision semantics."""
-import pytest
-
 from repro.core.algorithm import FunctionAlgorithm, StayAlgorithm
 from repro.core.configuration import Configuration, hexagon, line
 from repro.core.engine import (
-    apply_moves,
-    compute_moves,
-    detect_collision,
+    apply_moves_nodes,
+    compute_moves_packed,
+    detect_collision_nodes,
     run_execution,
-    step,
 )
-from repro.core.errors import CollisionError
 from repro.core.scheduler import RoundRobinScheduler
 from repro.core.trace import Outcome
 from repro.grid.coords import Coord
@@ -23,27 +19,27 @@ def _always(direction):
 
 def test_compute_moves_stay_algorithm():
     config = line(7)
-    assert compute_moves(config, StayAlgorithm()) == {}
+    assert compute_moves_packed(config.nodes, StayAlgorithm()) == {}
 
 
 def test_detect_swap_collision():
     config = Configuration([(0, 0), (1, 0)])
     moves = {Coord(0, 0): Direction.E, Coord(1, 0): Direction.W}
-    kind, nodes = detect_collision(config, moves)
+    kind, nodes = detect_collision_nodes(config.nodes, moves)
     assert kind == "swap"
 
 
 def test_detect_move_onto_staying_robot():
     config = Configuration([(0, 0), (1, 0)])
     moves = {Coord(0, 0): Direction.E}
-    kind, nodes = detect_collision(config, moves)
+    kind, nodes = detect_collision_nodes(config.nodes, moves)
     assert kind == "move-onto-staying"
 
 
 def test_detect_same_target_collision():
     config = Configuration([(0, 0), (2, 0)])
     moves = {Coord(0, 0): Direction.E, Coord(2, 0): Direction.W}
-    kind, nodes = detect_collision(config, moves)
+    kind, nodes = detect_collision_nodes(config.nodes, moves)
     assert kind == "same-target"
     assert Coord(1, 0) in nodes
 
@@ -51,19 +47,9 @@ def test_detect_same_target_collision():
 def test_following_a_vacating_robot_is_allowed():
     config = Configuration([(0, 0), (1, 0)])
     moves = {Coord(0, 0): Direction.E, Coord(1, 0): Direction.E}
-    assert detect_collision(config, moves) is None
-    after = apply_moves(config, moves)
+    assert detect_collision_nodes(config.nodes, moves) is None
+    after = Configuration(apply_moves_nodes(config.nodes, moves))
     assert after == Configuration([(1, 0), (2, 0)])
-
-
-def test_step_strict_raises_on_collision():
-    config = Configuration([(0, 0), (1, 0)] + [(i, 5) for i in range(5)])
-    east = FunctionAlgorithm(
-        lambda view: Direction.E if view.occupied_direction(Direction.E) else None,
-        visibility_range=1,
-    )
-    with pytest.raises(CollisionError):
-        step(config, east)
 
 
 def test_run_execution_already_gathered():
@@ -145,5 +131,5 @@ def test_run_execution_records_rounds_optionally():
 def test_ssync_scheduler_activation_subset():
     scheduler = RoundRobinScheduler(robots_per_round=1)
     config = line(3)
-    moves_round0 = compute_moves(config, _always(Direction.NE), scheduler.activated(0, config.sorted_nodes()))
+    moves_round0 = compute_moves_packed(config.nodes, _always(Direction.NE), scheduler.activated(0, config.sorted_nodes()))
     assert len(moves_round0) == 1

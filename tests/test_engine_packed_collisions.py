@@ -18,6 +18,8 @@ from repro.core.trace import Outcome
 from repro.grid.coords import Coord
 from repro.grid.directions import Direction
 
+from oracles import reference_execution
+
 # ---------------------------------------------------------------- unit level
 
 
@@ -116,7 +118,7 @@ def test_packed_collision_matches_reference_kind():
     config = Configuration([(0, 0), (1, 0), (0, 3), (1, 3)])
     algorithm = FunctionAlgorithm(eastbound, visibility_range=1)
     packed = run_execution(config, algorithm, max_rounds=10, kernel="packed")
-    reference = run_execution(config, algorithm, max_rounds=10, kernel="reference")
+    reference = reference_execution(config, algorithm, max_rounds=10)
     assert packed.outcome is reference.outcome is Outcome.COLLISION
     assert packed.collision_kind == reference.collision_kind
     assert packed.termination_round == reference.termination_round

@@ -1,12 +1,12 @@
 """The packed kernel must be an exact drop-in for the reference engine.
 
 The memoized packed kernel (``kernel="packed"``) and the seed View-object
-engine (``kernel="reference"``) implement the same semantics; these tests
-prove it empirically on random samples of the enumerated connected
-configurations for **every registered algorithm**, comparing outcome, round
-count, move totals, final configuration and (on a subsample) the full
-per-round move sequence.  Collision semantics of the packed path get direct
-unit tests in ``test_engine_packed_collisions.py``.
+engine (the oracle :func:`oracles.reference_execution`) implement the same
+semantics; these tests prove it empirically on random samples of the
+enumerated connected configurations for **every registered algorithm**,
+comparing outcome, round count, move totals, final configuration and (on a
+subsample) the full per-round move sequence.  Collision semantics of the
+packed path get direct unit tests in ``test_engine_packed_collisions.py``.
 """
 import random
 
@@ -17,6 +17,8 @@ from repro.core.configuration import Configuration
 from repro.core.engine import run_execution
 from repro.core.scheduler import RoundRobinScheduler
 from repro.enumeration.polyhex import enumerate_connected_configurations
+
+from oracles import reference_execution, reference_moves
 
 
 def _sample_configurations(size, count, seed):
@@ -55,8 +57,8 @@ def test_packed_matches_reference_for_every_registered_algorithm(name):
         packed = run_execution(
             configuration, algorithm, max_rounds=600, record_rounds=False, kernel="packed"
         )
-        reference = run_execution(
-            configuration, algorithm, max_rounds=600, record_rounds=False, kernel="reference"
+        reference = reference_execution(
+            configuration, algorithm, max_rounds=600, record_rounds=False
         )
         assert _trace_fingerprint(packed) == _trace_fingerprint(reference), (
             f"kernel divergence for {name} from {configuration!r}"
@@ -67,9 +69,7 @@ def test_packed_matches_reference_move_by_move():
     algorithm = create_algorithm("shibata-visibility2")
     for configuration in _sample_configurations(7, 12, seed=7):
         packed = run_execution(configuration, algorithm, max_rounds=600, kernel="packed")
-        reference = run_execution(
-            configuration, algorithm, max_rounds=600, kernel="reference"
-        )
+        reference = reference_execution(configuration, algorithm, max_rounds=600)
         assert len(packed.rounds) == len(reference.rounds)
         for packed_round, reference_round in zip(packed.rounds, reference.rounds):
             assert packed_round.index == reference_round.index
@@ -89,13 +89,12 @@ def test_packed_matches_reference_under_ssync_scheduler():
             record_rounds=False,
             kernel="packed",
         )
-        reference = run_execution(
+        reference = reference_execution(
             configuration,
             algorithm,
             scheduler=RoundRobinScheduler(robots_per_round=2),
             max_rounds=80,
             record_rounds=False,
-            kernel="reference",
         )
         assert _trace_fingerprint(packed) == _trace_fingerprint(reference)
 
@@ -107,19 +106,19 @@ def test_packed_matches_reference_on_small_sizes():
             packed = run_execution(
                 configuration, algorithm, max_rounds=200, record_rounds=False, kernel="packed"
             )
-            reference = run_execution(
-                configuration, algorithm, max_rounds=200, record_rounds=False, kernel="reference"
+            reference = reference_execution(
+                configuration, algorithm, max_rounds=200, record_rounds=False
             )
             assert _trace_fingerprint(packed) == _trace_fingerprint(reference)
 
 
 def test_compute_moves_packed_matches_compute_moves():
-    from repro.core.engine import compute_moves, compute_moves_packed
+    from repro.core.engine import compute_moves_packed
     from repro.grid.coords import Coord
 
     algorithm = create_algorithm("shibata-visibility2")
     for configuration in _sample_configurations(7, 15, seed=3):
-        reference = compute_moves(configuration, algorithm)
+        reference = reference_moves(configuration, algorithm)
         # Plain (q, r) tuples in, Coord keys out — same mapping either way.
         packed = compute_moves_packed(
             {(c.q, c.r) for c in configuration.nodes}, algorithm
@@ -129,25 +128,14 @@ def test_compute_moves_packed_matches_compute_moves():
 
 
 def test_compute_moves_packed_respects_activation():
-    from repro.core.engine import compute_moves, compute_moves_packed
-    from repro.grid.coords import Coord
+    from repro.core.engine import compute_moves_packed
 
     algorithm = create_algorithm("shibata-visibility2")
     configuration = next(iter(_sample_configurations(7, 1, seed=5)))
     activated = set(configuration.sorted_nodes()[:3])
     assert compute_moves_packed(configuration.nodes, algorithm, activated) == (
-        compute_moves(configuration, algorithm, activated)
+        reference_moves(configuration, algorithm, activated)
     )
-    # The non-cached fallback path must agree too.
-    from repro.core.algorithm import FunctionAlgorithm
-
-    inner = create_algorithm("shibata-visibility2")
-    uncached = FunctionAlgorithm(
-        inner.compute, visibility_range=2, deterministic=False
-    )
-    moves = compute_moves_packed(configuration.nodes, uncached, activated)
-    assert moves == compute_moves(configuration, uncached, activated)
-    assert all(isinstance(key, Coord) for key in moves)
 
 
 def test_unknown_kernel_rejected():
@@ -156,18 +144,10 @@ def test_unknown_kernel_rejected():
         run_execution(Configuration([(0, 0)]), algorithm, kernel="warp")
 
 
-def test_non_deterministic_algorithm_never_cached():
+def test_function_algorithm_takes_no_determinism_flag():
     from repro.core.algorithm import FunctionAlgorithm
-    from repro.grid.directions import Direction
 
-    calls = []
-
-    def flaky(view):
-        calls.append(1)
-        return None
-
-    algorithm = FunctionAlgorithm(flaky, visibility_range=1, deterministic=False)
-    run_execution(Configuration([(0, 0), (1, 0)]), algorithm, max_rounds=3)
-    # Every robot's Compute ran every round: 2 robots x 1 quiescent round.
-    assert len(calls) == 2
-    assert not hasattr(algorithm, "_decision_cache")
+    # Every algorithm is a pure function of the view; the removed opt-out
+    # fails loudly instead of being silently memoized.
+    with pytest.raises(TypeError):
+        FunctionAlgorithm(lambda view: None, visibility_range=1, deterministic=False)

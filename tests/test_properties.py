@@ -3,7 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.visibility2 import ShibataGatheringAlgorithm
 from repro.core.configuration import Configuration
-from repro.core.engine import apply_moves, compute_moves, detect_collision, run_execution
+from repro.core.engine import (
+    apply_moves_nodes,
+    compute_moves_packed,
+    detect_collision_nodes,
+    run_execution,
+)
 from repro.core.trace import Outcome
 from repro.grid.coords import Coord, distance, neighbors, ring
 from repro.grid.directions import DIRECTIONS
@@ -103,7 +108,7 @@ def test_algorithm_never_collides_or_cycles(config):
 @settings(max_examples=40, deadline=None)
 def test_single_round_preserves_robot_count(config):
     algorithm = ShibataGatheringAlgorithm()
-    moves = compute_moves(config, algorithm)
-    if detect_collision(config, moves) is None:
-        after = apply_moves(config, moves)
+    moves = compute_moves_packed(config.nodes, algorithm)
+    if detect_collision_nodes(config.nodes, moves) is None:
+        after = apply_moves_nodes(config.nodes, moves)
         assert len(after) == len(config)

@@ -3,7 +3,7 @@ import pytest
 
 from repro.algorithms import CachedAlgorithm, create_algorithm
 from repro.algorithms.visibility2 import ShibataGatheringAlgorithm
-from repro.core.algorithm import FunctionAlgorithm, StayAlgorithm
+from repro.core.algorithm import StayAlgorithm
 from repro.core.configuration import hexagon, line
 from repro.core.runner import (
     ExecutionBatch,
@@ -109,6 +109,22 @@ def test_parallel_requires_algorithm_name():
                 [hexagon()], algorithm=StayAlgorithm(), workers=2
             )
         )
+
+
+def test_unknown_kernel_rejected_for_an_empty_batch():
+    with pytest.raises(ValueError, match="unknown kernel"):
+        run_many([], algorithm=StayAlgorithm(), kernel="warp")
+
+
+def test_unknown_kernel_rejected_before_any_pool_exists(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started for an unknown kernel")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    with pytest.raises(ValueError, match="unknown kernel"):
+        run_many([hexagon()], algorithm_name="stay", workers=2, kernel="reference")
 
 
 def test_parallel_rejects_scheduler_instances():
@@ -226,12 +242,6 @@ def test_cached_algorithm_shares_cache_with_inner_instance():
     assert cached._decision_cache is inner._decision_cache
     rewrapped = CachedAlgorithm(cached)
     assert rewrapped.inner is inner
-
-
-def test_cached_algorithm_rejects_non_deterministic():
-    flaky = FunctionAlgorithm(lambda v: None, visibility_range=1, deterministic=False)
-    with pytest.raises(ValueError):
-        CachedAlgorithm(flaky)
 
 
 def test_registry_cached_flag():

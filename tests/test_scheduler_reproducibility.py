@@ -2,8 +2,9 @@
 
 Pins the contract of ``random-subset:P:SEED``: the same spec produces the
 same activation sequence — and therefore byte-identical traces — whether the
-execution runs on the packed kernel, on the reference kernel, or on a
-scheduler instance rebuilt from the spec string.
+execution runs on the packed kernel, on the reference engine (the oracle
+:func:`oracles.reference_execution`), or on a scheduler instance rebuilt
+from the spec string.
 """
 import pytest
 
@@ -12,6 +13,8 @@ from repro.core.configuration import Configuration, line
 from repro.core.engine import run_execution
 from repro.core.scheduler import scheduler_from_spec
 from repro.enumeration.polyhex import enumerate_connected_configurations
+
+from oracles import reference_execution
 
 SPEC = "random-subset:0.5:42"
 
@@ -42,18 +45,22 @@ def _trace_fingerprint(trace):
 def test_same_seed_same_trace_across_kernels(name):
     initial = _CONFIGS[name]
     algorithm = ShibataGatheringAlgorithm()
-    traces = {}
-    for kernel in ("packed", "reference"):
-        trace = run_execution(
-            initial,
-            algorithm,
-            scheduler=scheduler_from_spec(SPEC),
-            max_rounds=120,
-            record_rounds=True,
-            kernel=kernel,
-        )
-        traces[kernel] = _trace_fingerprint(trace)
-    assert traces["packed"] == traces["reference"]
+    packed = run_execution(
+        initial,
+        algorithm,
+        scheduler=scheduler_from_spec(SPEC),
+        max_rounds=120,
+        record_rounds=True,
+        kernel="packed",
+    )
+    reference = reference_execution(
+        initial,
+        algorithm,
+        scheduler=scheduler_from_spec(SPEC),
+        max_rounds=120,
+        record_rounds=True,
+    )
+    assert _trace_fingerprint(packed) == _trace_fingerprint(reference)
 
 
 def test_same_seed_same_trace_across_instances():
@@ -111,9 +118,9 @@ def test_seeded_sweep_outcomes_stable_across_kernels():
             config, algorithm_packed,
             scheduler=scheduler_from_spec(SPEC), max_rounds=200, kernel="packed",
         )
-        reference = run_execution(
+        reference = reference_execution(
             config, algorithm_reference,
-            scheduler=scheduler_from_spec(SPEC), max_rounds=200, kernel="reference",
+            scheduler=scheduler_from_spec(SPEC), max_rounds=200,
         )
         assert packed.outcome == reference.outcome
         assert packed.termination_round == reference.termination_round

@@ -313,13 +313,6 @@ def test_view_table_rejects_oversized_spaces():
         view_table(max_table_size() + 1, 2)
 
 
-def test_table_kernel_requires_deterministic_algorithm():
-    algorithm = create_algorithm("shibata-visibility2")
-    algorithm.deterministic = False
-    with pytest.raises(ValueError):
-        SuccessorTable.build(algorithm, 5)
-
-
 def test_explorer_table_kernel_requires_connectivity():
     from repro.explore.transitions import build_transition_graph
 
