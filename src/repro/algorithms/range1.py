@@ -22,7 +22,7 @@ provides:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from ..core.algorithm import GatheringAlgorithm, Move
 from ..core.configuration import Configuration

@@ -49,7 +49,7 @@ from ..core.view import View
 from ..grid.directions import Direction
 from ..grid.labels import VISIBILITY_2_LABELS, offset_of_label
 from ..grid.packing import pack_offsets
-from .base_node import BASE_MOVE_LABELS, BASE_STAY_LABELS, determine_base_label
+from .base_node import determine_base_label
 from .guards import connectivity_safe
 
 __all__ = ["ShibataGatheringAlgorithm", "ALL_RULE_IDS"]

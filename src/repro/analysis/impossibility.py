@@ -25,9 +25,9 @@ the refutation is complete within the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..algorithms.range1 import RuleTable, RuleTableAlgorithm, ViewKey, line_configuration
+from ..algorithms.range1 import RuleTable, ViewKey, line_configuration
 from ..core.configuration import Configuration
 from ..core.engine import apply_moves_nodes, detect_collision_nodes
 from ..grid.coords import Coord

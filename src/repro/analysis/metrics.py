@@ -8,9 +8,8 @@ regression tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from ..core.configuration import Configuration
 from ..core.trace import ExecutionTrace
 
 __all__ = ["ExecutionMetrics", "compute_metrics", "diameter_trajectory"]

@@ -20,7 +20,6 @@ from ..core.algorithm import GatheringAlgorithm
 from ..core.configuration import Configuration
 from ..core.engine import DEFAULT_MAX_ROUNDS
 from ..core.runner import ConfigurationResult, execute_configuration, run_many
-from ..core.trace import Outcome
 from ..enumeration.polyhex import enumerate_connected_configurations
 
 __all__ = [

@@ -60,10 +60,10 @@ import time
 from typing import List, Optional, Sequence
 
 from .algorithms import available_algorithms, create_algorithm
-from .algorithms.range1 import CANDIDATE_TABLES, RuleTableAlgorithm, line_configuration
+from .algorithms.range1 import CANDIDATE_TABLES, RuleTableAlgorithm
 from .analysis.impossibility import default_gadget_suite, search_rule_space
 from .analysis.synth_progress import synth_progress
-from .analysis.verification import verify_all_configurations, verify_configurations
+from .analysis.verification import verify_all_configurations
 from .core.configuration import Configuration, hexagon, line
 from .core.engine import KERNELS, run_execution
 from .core.runner import run_sweep

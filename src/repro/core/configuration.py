@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..grid.coords import Coord, as_coord, distance, neighbors
+from ..grid.coords import Coord, as_coord, neighbors
 from ..grid.directions import DIRECTIONS, Direction
 from ..grid.lattice import adjacency_degree, diameter, is_connected
 from ..grid.symmetry import canonical_translation, translate_to_origin

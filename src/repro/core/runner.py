@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..grid.coords import Coord
 from ..obs import get_logger
 from ..obs import metrics as _obs
 from ..obs import record_span as _obs_record_span

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Sequence, Set, Union
 
 from ..grid.coords import Coord
 

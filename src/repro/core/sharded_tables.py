@@ -455,9 +455,10 @@ class _ShardedViewAdapter:
         self.diameters = diameters
         self.canonical_index = index
 
-    # Both read only ``size`` and ``canonical_index``.
+    # All three read only ``size`` and ``canonical_index``.
     rows_of_canonical = ViewTable.rows_of_canonical
     row_of_nodes = ViewTable.row_of_nodes
+    rows_of_positions = ViewTable.rows_of_positions
 
 
 class _ShardField:

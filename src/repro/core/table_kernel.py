@@ -34,7 +34,7 @@ FSYNC execution then reduces to one pointer-doubling pass over ``succ``
 (:func:`_summary_pass`) that resolves the outcome of every row at once, in
 ``O(N log N)`` vectorized work instead of a Python walk per row.
 Adversarial SSYNC expansion reuses the resolve core
-(:meth:`SuccessorTable.expand_rows`): activating a subset of a row's movers
+(:meth:`SuccessorTable.expand_level`): activating a subset of a row's movers
 is the full-activation round with the other movers' codes zeroed, so every
 subset of every row resolves in one array pass.
 
@@ -68,7 +68,7 @@ import numpy as np
 
 from ..grid.coords import Coord
 from ..grid.directions import Direction
-from ..grid.packing import offset_bit_table, pack_nodes, view_bit_count
+from ..grid.packing import offset_bit_table, pack_nodes, pack_rows, view_bit_count
 from ..obs import get_logger
 from ..obs import metrics as _obs
 from ..obs import record_span as _obs_record_span
@@ -537,7 +537,7 @@ class ViewTable:
     def packed(self) -> List[int]:
         """Row index -> canonical packed integer (lazy: graph slicing only)."""
         if self._packed is None:
-            self._packed = [pack_nodes(shape) for shape in self.shapes]
+            self._packed = pack_rows(self.positions)
         return self._packed
 
     @property
@@ -560,6 +560,23 @@ class ViewTable:
     def rows_of_canonical(self, blocks: "np.ndarray") -> "np.ndarray":
         """Rows of a batch of int8 canonical blocks (-1 where unknown)."""
         return self.canonical_index.lookup(blocks)
+
+    def rows_of_positions(self, positions: "np.ndarray") -> "np.ndarray":
+        """Table rows of a batch of ``(M, n, 2)`` node sets, any translates.
+
+        The batch twin of :meth:`row_of_nodes`: one canonicalization and one
+        index lookup for the whole batch; -1 where a set is no row.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        rows = np.full(len(positions), -1, dtype=np.int64)
+        if len(positions) == 0 or positions.shape[1:] != (self.size, 2):
+            return rows
+        # A set wider than the int8 canonical block could wrap and alias a
+        # real row; no connected set of ``size <= 127`` nodes is that wide.
+        fits = (positions.max(axis=1) - positions.min(axis=1) <= 127).all(axis=1)
+        if fits.any():
+            rows[fits] = self.rows_of_canonical(canonicalize_positions(positions[fits]))
+        return rows
 
     def slot_of_view(self, bitmask: int) -> Optional[int]:
         """Unique-view slot of ``bitmask`` (``None`` if it never occurs)."""
@@ -991,6 +1008,53 @@ def _summary_pass(
     return _FsyncSummary(outcome=outcome, rounds=rounds, moves=moves, final=final)
 
 
+class _EdgeMemo:
+    """Memoized SSYNC expansions: each row's edges are a slice of one pool.
+
+    Rows are stored and read back a whole batch at a time, as arrays; the
+    per-row index is allocated on the first store.
+    """
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self.clear()
+
+    def clear(self) -> None:
+        self._start: Optional["np.ndarray"] = None
+        self._length: Optional["np.ndarray"] = None
+        self._chunks: List[Tuple["np.ndarray", "np.ndarray"]] = []
+        self._size = 0
+
+    def known(self, rows: "np.ndarray") -> "np.ndarray":
+        """Which of ``rows`` are memoized."""
+        if self._start is None:
+            return np.zeros(len(rows), dtype=bool)
+        return self._start[rows] >= 0
+
+    def store(
+        self, rows: "np.ndarray", lengths: "np.ndarray", bits: "np.ndarray", dst: "np.ndarray"
+    ) -> None:
+        """Memoize ``rows``, whose edges are ``bits`` / ``dst`` in row order."""
+        if self._start is None:
+            self._start = np.full(self.count, -1, dtype=np.int64)
+            self._length = np.zeros(self.count, dtype=np.int64)
+        self._start[rows] = self._size + np.cumsum(lengths) - lengths
+        self._length[rows] = lengths
+        self._chunks.append((bits, dst))
+        self._size += len(bits)
+
+    def gather(self, rows: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """``(lengths, bits, dst)`` of memoized ``rows``, edges in row order."""
+        from ..explore.transitions import segment_index  # late: avoids an import cycle
+
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(np.concatenate(part) for part in zip(*self._chunks))]
+        lengths = self._length[rows]
+        index = segment_index(self._start[rows], lengths)
+        bits, dst = self._chunks[0]
+        return lengths, bits[index], dst[index]
+
+
 class SuccessorTable:
     """The materialized transition function of one algorithm.
 
@@ -1029,14 +1093,14 @@ class SuccessorTable:
         #: (:mod:`repro.core.sharded_tables`); publishing reuses it.
         self.directory: Optional[str] = None
         self._summary: Optional[_FsyncSummary] = None
-        #: Memoized SSYNC expansions (row -> (edges, terminal)).  The dict is
-        #: *shared* along a derivation lineage: a derived table reuses every
-        #: expansion of a row its delta chain never touched, and rows in
-        #: ``_ssync_dirty`` (dirty relative to the lineage root) go to the
-        #: table-local overlay instead.
-        self._ssync_cache: Dict[int, Tuple[Tuple[Tuple[int, int], ...], Optional[str]]] = {}
-        self._ssync_dirty: set = set()
-        self._ssync_local: Dict[int, Tuple[Tuple[Tuple[int, int], ...], Optional[str]]] = {}
+        #: Memoized SSYNC expansions of moving rows.  The memo is *shared*
+        #: along a derivation lineage: a derived table reuses every expansion
+        #: of a row its delta chain never touched, and the rows of
+        #: ``_ssync_dirty`` (dirty relative to the lineage root, sorted) go to
+        #: the table-local overlay instead.
+        self._ssync_cache = _EdgeMemo(view.count)
+        self._ssync_dirty = np.empty(0, dtype=np.int64)
+        self._ssync_local = _EdgeMemo(view.count)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -1142,7 +1206,7 @@ class SuccessorTable:
         # Share the lineage's SSYNC expansion cache; only the rows this
         # delta chain touched must be re-expanded (into the local overlay).
         table._ssync_cache = self._ssync_cache
-        table._ssync_dirty = self._ssync_dirty | set(int(r) for r in dirty)
+        table._ssync_dirty = np.union1d(self._ssync_dirty, dirty).astype(np.int64)
         return table
 
     # -------------------------------------------------- vectorized resolution
@@ -1277,66 +1341,99 @@ class SuccessorTable:
         """Table twin of :func:`repro.explore.transitions.expand_packed`, per row.
 
         Returns ``(edges, terminal)`` for every row of ``rows``, in order:
-        byte-identical edges and terminal kinds.  FSYNC edges are read off
-        ``kind`` / ``succ``; SSYNC rows not yet in the lineage memo are
-        expanded together by :meth:`_ssync_pass`.
+        byte-identical edges (packed destinations) and terminal kinds.  The
+        tuple form of :meth:`expand_level`.
         """
         from ..explore.transitions import (  # late: avoids an import cycle
-            COLLISION_SINK,
-            DISCONNECT_SINK,
             TERMINAL_DEADLOCK,
             TERMINAL_GATHERED,
         )
 
         rows = np.asarray(rows, dtype=np.int64)
-        unique = np.unique(rows)
-        quiescent = self.mover_count[unique] == 0
-        moving = unique[~quiescent]
-        results: Dict[int, Tuple[Tuple[Tuple[int, int], ...], Optional[str]]] = {}
-        still = unique[quiescent]
-        for row, gathered in zip(still.tolist(), self.view.gathered[still].tolist()):
-            results[row] = ((), TERMINAL_GATHERED if gathered else TERMINAL_DEADLOCK)
-        if mode == "fsync":
-            for row, bits, k, nxt in zip(
-                moving.tolist(),
-                self.mover_bits[moving].tolist(),
-                self.kind[moving].tolist(),
-                self.succ[moving].tolist(),
-            ):
-                if k == KIND_COLLISION:
-                    destination = COLLISION_SINK
-                elif k == KIND_DISCONNECT:
-                    destination = DISCONNECT_SINK
-                else:
-                    destination = self.packed_of_row(nxt)
-                results[row] = (((bits, destination),), None)
-        else:
-            todo = []
-            for row in moving.tolist():
-                cached = self._ssync_memo(row).get(row)
-                if cached is None:
-                    todo.append(row)
-                else:
-                    results[row] = cached
-            if len(moving) > len(todo):
-                _obs.counter("ssync.expand_cache_hits").inc(len(moving) - len(todo))
-            if todo:
-                _obs.counter("ssync.expand_cache_misses").inc(len(todo))
-                for row, result in self._ssync_pass(np.array(todo, dtype=np.int64)):
-                    self._ssync_memo(row)[row] = results[row] = result
-        return [results[row] for row in rows.tolist()]
+        kind, src, bits, dst = self.expand_level(rows, mode)
+        packed = self.packed_of_row
+        edges = [
+            (b, d if d < 0 else packed(d)) for b, d in zip(bits.tolist(), dst.tolist())
+        ]
+        bounds = np.searchsorted(src, np.arange(len(rows) + 1)).tolist()
+        terminal = {KIND_GATHERED: TERMINAL_GATHERED, KIND_DEADLOCK: TERMINAL_DEADLOCK}
+        return [
+            (tuple(edges[bounds[i] : bounds[i + 1]]), terminal.get(k))
+            for i, k in enumerate(kind.tolist())
+        ]
 
-    def _ssync_memo(self, row: int) -> Dict:
-        """The memo holding ``row``'s SSYNC expansion.
+    def expand_level(
+        self, rows: Iterable[int], mode: str
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+        """The edges of a batch of rows (a BFS level), in row space.
 
-        The memo is shared along a derivation lineage; rows dirty relative to
-        the lineage root live in the table-local overlay instead.
+        Returns ``(kind, src, bits, dst)``.  ``kind[i]`` is ``KIND_STEP`` for
+        a moving ``rows[i]`` and ``KIND_GATHERED`` / ``KIND_DEADLOCK`` for a
+        quiescent one.  Edge ``j`` leaves ``rows[src[j]]``, activates the
+        robots of ``bits[j]`` and ends in row ``dst[j]`` or a negative sink
+        code.  Edges come in source order, then subset order, exactly as
+        :func:`~repro.explore.transitions.expand_packed` lists them.  FSYNC
+        edges are read off ``kind`` / ``succ``; SSYNC rows not yet in the
+        lineage memo are expanded together by :meth:`_ssync_pass`.
         """
-        return self._ssync_local if row in self._ssync_dirty else self._ssync_cache
+        from ..explore.transitions import COLLISION_SINK, DISCONNECT_SINK  # late: cycle
+
+        rows = np.asarray(rows, dtype=np.int64)
+        moving = self.mover_count[rows] > 0
+        gathered = np.asarray(self.view.gathered[rows], dtype=bool)
+        kind = np.where(
+            moving, KIND_STEP, np.where(gathered, KIND_GATHERED, KIND_DEADLOCK)
+        ).astype(np.int8)
+        position = np.nonzero(moving)[0]
+        if mode == "fsync":
+            step = rows[position]
+            k = self.kind[step]
+            dst = np.where(
+                k == KIND_COLLISION,
+                COLLISION_SINK,
+                np.where(k == KIND_DISCONNECT, DISCONNECT_SINK, self.succ[step]),
+            ).astype(np.int64)
+            return kind, position, self.mover_bits[step].astype(np.int64), dst
+
+        step = rows[position]
+        unique = np.unique(step)
+        local = np.isin(unique, self._ssync_dirty)
+        memos = ((self._ssync_cache, ~local), (self._ssync_local, local))
+        todo_mask = np.zeros(len(unique), dtype=bool)
+        for memo, mine in memos:
+            todo_mask[mine] = ~memo.known(unique[mine])
+        todo = unique[todo_mask]
+        if len(unique) > len(todo):
+            _obs.counter("ssync.expand_cache_hits").inc(len(unique) - len(todo))
+        if len(todo):
+            _obs.counter("ssync.expand_cache_misses").inc(len(todo))
+            src_row, bits, dst = self._ssync_pass(todo)
+            owner = np.searchsorted(todo, src_row)
+            lengths = np.bincount(owner, minlength=len(todo))
+            for memo, mine in memos:
+                keep = mine[todo_mask]
+                if keep.any():
+                    edge_keep = keep[owner]
+                    memo.store(todo[keep], lengths[keep], bits[edge_keep], dst[edge_keep])
+
+        step_local = np.isin(step, self._ssync_dirty)
+        parts = []
+        for memo, mine in ((self._ssync_cache, ~step_local), (self._ssync_local, step_local)):
+            if mine.any():
+                lengths, bits, dst = memo.gather(step[mine])
+                parts.append((np.repeat(position[mine], lengths), bits, dst))
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return kind, empty, empty, empty
+        src, bits, dst = (np.concatenate(part) for part in zip(*parts))
+        if len(parts) > 1:
+            order = np.argsort(src, kind="stable")
+            src, bits, dst = src[order], bits[order], dst[order]
+        return kind, src, bits.astype(np.int64), dst.astype(np.int64)
 
     def _ssync_pass(
         self, rows: "np.ndarray"
-    ) -> List[Tuple[int, Tuple[Tuple[Tuple[int, int], ...], None]]]:
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """SSYNC edges of moving ``rows``: every activation subset in one array pass.
 
         Activating a subset of a row's movers is the full-activation round
@@ -1345,7 +1442,9 @@ class SuccessorTable:
         per subset, in :func:`subset_masks` order, and the copies are
         resolved by :func:`resolve_rows_arrays` in blocks of whole rows; the
         first subset reaching each destination is kept, which is the
-        fewest-movers edge.
+        fewest-movers edge.  Returns ``(src_row, bits, dst)`` arrays, edges
+        in the order of ``rows``, then subset order; ``dst`` is a row or a
+        negative sink code.
         """
         from ..explore.transitions import COLLISION_SINK, DISCONNECT_SINK  # late: cycle
 
@@ -1354,16 +1453,18 @@ class SuccessorTable:
         width = self.view.count + 2  # destinations: the sinks (-2, -1), then rows
         robot = np.arange(n, dtype=np.int32)
         counts = self.mover_count[rows]
-        expanded: List[Tuple[int, Tuple[Tuple[Tuple[int, int], ...], None]]] = []
-        subsets = edges = 0
+        owners: List["np.ndarray"] = []
+        bits_parts: List["np.ndarray"] = []
+        dst_parts: List["np.ndarray"] = []
+        subsets = 0
         for m in np.unique(counts).tolist():
-            group = rows[counts == m]
+            group = np.nonzero(counts == m)[0]  # positions in ``rows``
             masks = _subset_masks_array(m)
             member = (masks[:, None] >> np.arange(m, dtype=np.int32)) & 1  # (K, m)
             per_block = max(1, _BUILD_BLOCK // len(masks))
             for first in range(0, len(group), per_block):
                 block = group[first : first + per_block]
-                pos, codes = self._gather_rows(block)
+                pos, codes = self._gather_rows(rows[block])
                 mover_of = np.nonzero(codes)[1].reshape(len(block), m)  # ascending robots
                 subset_bits = (member[None] << mover_of[:, None, :]).sum(axis=2)  # (B, K)
                 active = ((subset_bits[:, :, None] >> robot) & 1).astype(bool)
@@ -1382,23 +1483,26 @@ class SuccessorTable:
                 owner = np.arange(len(sub_codes), dtype=np.int64) // len(masks)
                 _, kept = np.unique(owner * width + destination + 2, return_index=True)
                 kept.sort()  # back to (row, subset) order
-                bounds = np.searchsorted(owner[kept], np.arange(len(block) + 1)).tolist()
-                edge_list = [
-                    (b, d if d < 0 else self.packed_of_row(d))
-                    for b, d in zip(bits[kept].tolist(), destination[kept].tolist())
-                ]
-                for i, row in enumerate(block.tolist()):
-                    expanded.append((row, (tuple(edge_list[bounds[i] : bounds[i + 1]]), None)))
+                owners.append(block[owner[kept]])
+                bits_parts.append(bits[kept])
+                dst_parts.append(destination[kept])
                 subsets += len(sub_codes)
-                edges += len(kept)
+        if owners:
+            owner = np.concatenate(owners)
+            order = np.argsort(owner, kind="stable")
+            src_row = rows[owner[order]]
+            bits = np.concatenate(bits_parts)[order].astype(np.int64)
+            dst = np.concatenate(dst_parts)[order]
+        else:
+            src_row = bits = dst = np.empty(0, dtype=np.int64)
         _obs_record_span(
             "table.ssync_expand",
             time.perf_counter() - start_time,
             rows=len(rows),
             subsets=subsets,
-            edges=edges,
+            edges=len(dst),
         )
-        return expanded
+        return src_row, bits, dst
 
     # ------------------------------------------------------- cegis fast path
     def fsync_verdict(self, root_rows: "np.ndarray") -> "TableFsyncVerdict":

@@ -22,24 +22,35 @@ against the exhaustive sweep checks.  Under SSYNC several flags can hold at
 once; the reported class is the most severe one in the order collision >
 disconnected > deadlock > livelock.
 
-Cycles are found with an **iterative** Tarjan SCC pass (the graph has
-thousands of vertices and Python's recursion limit is not a graph invariant);
-an SCC is cyclic when it has more than one vertex or a self-loop.  Because
-terminal vertices have no outgoing edges, a cyclic SCC can never contain a
-gathered vertex, so "reachable cycle avoiding gathered states" reduces to
-"reachable cyclic SCC".
+The pass runs on the graph's CSR arrays
+(:attr:`~repro.explore.transitions.TransitionGraph.arrays`), for both
+kernels.  Every "can reach" set is a backward closure over the reverse CSR,
+computed in frontier rounds.  Livelocks come from **Kahn peeling**: remove
+the vertices left with no successor vertex until none is left to remove;
+the survivors are exactly the vertices with an infinite path, that is, those
+that reach a cycle.  Terminal vertices have no outgoing edges, so such a
+cycle never contains a gathered vertex.  The iterative Tarjan SCC pass then
+runs only on the survivors (none, in every pinned census) to name the
+vertices on a cycle: an SCC is cyclic when it has more than one vertex or a
+self-loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from .transitions import (
     COLLISION_SINK,
     DISCONNECT_SINK,
-    TERMINAL_DEADLOCK,
-    TERMINAL_GATHERED,
+    STATE_ABSENT,
+    STATE_DEADLOCK,
+    STATE_GATHERED,
+    STATE_UNEXPLORED,
+    GraphArrays,
     TransitionGraph,
+    segment_index,
 )
 
 __all__ = [
@@ -65,34 +76,79 @@ CLASSES = (
 _FAILURE_PRIORITY = ("collision", "disconnected", "deadlock", "livelock", "unknown")
 
 
-@dataclass
 class Classification:
-    """Per-vertex verdicts of one analysis pass."""
+    """Per-vertex verdicts of one analysis pass, as arrays over vertex ids.
 
-    #: Mode the graph was built under (``"fsync"`` or ``"ssync"``).
-    mode: str
-    #: The reported class of every discovered vertex.
-    node_class: Dict[int, str] = field(default_factory=dict)
-    #: Vertices from which each failure kind is reachable (superset of the
-    #: vertices reported as that class).
-    can_reach: Dict[str, FrozenSet[int]] = field(default_factory=dict)
-    #: Vertices from which a gathered terminal is reachable.
-    can_gather: FrozenSet[int] = frozenset()
-    #: Vertices lying on a cycle of genuine moves (members of cyclic SCCs).
-    cyclic_nodes: FrozenSet[int] = frozenset()
-    #: Whether the underlying graph was truncated by the node budget.
-    truncated: bool = False
+    :attr:`node_class`, :attr:`can_reach`, :attr:`can_gather` and
+    :attr:`cyclic_nodes` name vertices by packed configuration; each is
+    built from the arrays on first access.
+    """
+
+    def __init__(
+        self,
+        graph: TransitionGraph,
+        classes: "np.ndarray",
+        reach: Dict[str, "np.ndarray"],
+        gather: "np.ndarray",
+        cyclic: "np.ndarray",
+    ) -> None:
+        #: Mode the graph was built under (``"fsync"`` or ``"ssync"``).
+        self.mode = graph.mode
+        #: Whether the underlying graph was truncated by the node budget.
+        self.truncated = graph.truncated
+        #: Index into :data:`CLASSES` of every vertex id (-1: not a vertex).
+        self.classes = classes
+        self._graph = graph
+        self._reach = reach
+        self._gather = gather
+        self._cyclic = cyclic
+
+    def _packed(self, mask: "np.ndarray") -> FrozenSet[int]:
+        packed = self._graph.vertex_packed()
+        return frozenset(packed[v] for v in np.nonzero(mask)[0].tolist())
+
+    @cached_property
+    def node_class(self) -> Dict[int, str]:
+        """The reported class of every discovered vertex."""
+        packed = self._graph.vertex_packed()
+        order = self._graph.node_order()
+        return {
+            packed[v]: CLASSES[c] for v, c in zip(order.tolist(), self.classes[order].tolist())
+        }
+
+    @cached_property
+    def can_reach(self) -> Dict[str, FrozenSet[int]]:
+        """Vertices from which each failure kind is reachable (superset of the
+        vertices reported as that class)."""
+        return {name: self._packed(mask) for name, mask in self._reach.items()}
+
+    @cached_property
+    def can_gather(self) -> FrozenSet[int]:
+        """Vertices from which a gathered terminal is reachable."""
+        return self._packed(self._gather)
+
+    @cached_property
+    def cyclic_nodes(self) -> FrozenSet[int]:
+        """Vertices lying on a cycle of genuine moves (members of cyclic SCCs)."""
+        return self._packed(self._cyclic)
 
     def counts(self, nodes: Optional[Iterable[int]] = None) -> Dict[str, int]:
         """Histogram of classes, over all vertices or a given subset."""
-        counts = {name: 0 for name in CLASSES}
         if nodes is None:
-            for cls in self.node_class.values():
-                counts[cls] += 1
+            classes = self.classes[self.classes >= 0]
         else:
-            for packed in nodes:
-                counts[self.node_class[packed]] += 1
-        return {name: count for name, count in counts.items() if count}
+            index = self._graph.vertex_index()
+            classes = self.classes[[index[packed] for packed in nodes]]
+        return self._histogram(classes)
+
+    def root_counts(self) -> Dict[str, int]:
+        """Histogram of classes over the graph's roots."""
+        return self._histogram(self.classes[self._graph.arrays.roots])
+
+    @staticmethod
+    def _histogram(classes: "np.ndarray") -> Dict[str, int]:
+        tally = np.bincount(classes, minlength=len(CLASSES)).tolist()
+        return {name: count for name, count in zip(CLASSES, tally) if count}
 
 
 def strongly_connected_components(
@@ -147,85 +203,93 @@ def strongly_connected_components(
     return components
 
 
-def _backward_closure(
-    sources: Iterable[int], reverse: Dict[int, List[int]]
-) -> FrozenSet[int]:
-    """All vertices from which some vertex of ``sources`` is reachable."""
-    seen: Set[int] = set(sources)
-    frontier: List[int] = list(seen)
-    while frontier:
-        vertex = frontier.pop()
-        for predecessor in reverse.get(vertex, ()):
-            if predecessor not in seen:
-                seen.add(predecessor)
-                frontier.append(predecessor)
-    return frozenset(seen)
+class _ReverseEdges:
+    """The real edges of a graph (those ending in a vertex), reversed."""
+
+    def __init__(self, arrays: GraphArrays) -> None:
+        count = len(arrays.state)
+        #: The source of every edge, and which edges end in a vertex.
+        self.src = np.repeat(np.arange(count, dtype=np.int64), np.diff(arrays.indptr))
+        self.real = arrays.dst >= 0
+        targets = arrays.dst[self.real]
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(targets, minlength=count))))
+        self._sources = self.src[self.real][np.argsort(targets, kind="stable")]
+
+    def predecessors(self, vertices: "np.ndarray") -> "np.ndarray":
+        """The sources of the real edges into ``vertices`` (with repeats)."""
+        first = self._indptr[vertices]
+        return self._sources[segment_index(first, self._indptr[vertices + 1] - first)]
+
+    def closure(self, seeds: "np.ndarray") -> "np.ndarray":
+        """Mask of the vertices from which a seed is reachable (seeds
+        included), one frontier round per BFS level."""
+        reached = seeds.copy()
+        frontier = np.nonzero(reached)[0]
+        while len(frontier):
+            predecessors = self.predecessors(frontier)
+            frontier = np.unique(predecessors[~reached[predecessors]])
+            reached[frontier] = True
+        return reached
+
+    def survivors(self) -> "np.ndarray":
+        """Mask of the vertices that survive Kahn peeling: repeatedly remove
+        the vertices left with no successor vertex.  They are exactly the
+        vertices with an infinite path, i.e. those that can reach a cycle."""
+        count = len(self._indptr) - 1
+        out_degree = np.bincount(self.src[self.real], minlength=count)
+        alive = np.ones(count, dtype=bool)
+        frontier = np.nonzero(out_degree == 0)[0]
+        while len(frontier):
+            alive[frontier] = False
+            predecessors = self.predecessors(frontier)
+            out_degree -= np.bincount(predecessors, minlength=count)
+            touched = np.unique(predecessors)
+            frontier = touched[out_degree[touched] == 0]
+        return alive
 
 
 def classify(graph: TransitionGraph) -> Classification:
     """Classify every discovered vertex of ``graph``.
 
-    The pass is linear in the size of the graph: one reverse-adjacency build,
-    one backward reachability sweep per failure kind, and one iterative Tarjan
-    pass for the cycles.
+    One array pass over the graph's CSR form: a backward closure over the
+    reversed edges per failure kind, Kahn peeling for the livelocks, and
+    Tarjan only over the peeling's survivors, to name the cyclic vertices.
     """
-    reverse: Dict[int, List[int]] = {}
-    forward: Dict[int, Tuple[int, ...]] = {}
-    collision_sources: List[int] = []
-    disconnect_sources: List[int] = []
-    for source, edges in graph.edges.items():
-        real_targets: List[int] = []
-        for _, destination in edges:
-            if destination == COLLISION_SINK:
-                collision_sources.append(source)
-            elif destination == DISCONNECT_SINK:
-                disconnect_sources.append(source)
-            else:
-                real_targets.append(destination)
-                reverse.setdefault(destination, []).append(source)
-        forward[source] = tuple(real_targets)
+    arrays = graph.arrays
+    state, dst = arrays.state, arrays.dst
+    reverse = _ReverseEdges(arrays)
+    src, real = reverse.src, reverse.real
 
-    terminal_gathered = [p for p, kind in graph.terminal.items() if kind == TERMINAL_GATHERED]
-    terminal_deadlock = [p for p, kind in graph.terminal.items() if kind == TERMINAL_DEADLOCK]
+    def sources_of(sink: int) -> "np.ndarray":
+        seeds = np.zeros(len(state), dtype=bool)
+        seeds[src[dst == sink]] = True
+        return seeds
 
-    components = strongly_connected_components(graph.edges.keys(), forward)
-    cyclic: Set[int] = set()
-    for component in components:
-        if len(component) > 1:
-            cyclic.update(component)
-        elif component[0] in forward.get(component[0], ()):
-            cyclic.add(component[0])
+    livelock = reverse.survivors()
+    inner = real & livelock[src] & livelock[np.where(real, dst, 0)]
+    adjacency: Dict[int, List[int]] = {}
+    for source, target in zip(src[inner].tolist(), dst[inner].tolist()):
+        adjacency.setdefault(source, []).append(target)
+    cyclic = np.zeros(len(state), dtype=bool)
+    survivors = np.nonzero(livelock)[0].tolist()
+    for component in strongly_connected_components(survivors, adjacency):
+        if len(component) > 1 or component[0] in adjacency.get(component[0], ()):
+            cyclic[list(component)] = True
 
-    can_reach = {
-        "collision": _backward_closure(collision_sources, reverse),
-        "disconnected": _backward_closure(disconnect_sources, reverse),
-        "deadlock": _backward_closure(terminal_deadlock, reverse),
-        "livelock": _backward_closure(cyclic, reverse),
-        "unknown": _backward_closure(graph.unexplored, reverse),
+    reach = {
+        "collision": reverse.closure(sources_of(COLLISION_SINK)),
+        "disconnected": reverse.closure(sources_of(DISCONNECT_SINK)),
+        "deadlock": reverse.closure(state == STATE_DEADLOCK),
+        "livelock": livelock,
+        "unknown": reverse.closure(state == STATE_UNEXPLORED),
     }
-    can_gather = _backward_closure(terminal_gathered, reverse)
-
-    classification = Classification(
-        mode=graph.mode,
-        can_reach=dict(can_reach),
-        can_gather=can_gather,
-        cyclic_nodes=frozenset(cyclic),
-        truncated=graph.truncated,
+    classes = np.full(len(state), CLASSES.index("safe"), dtype=np.int8)
+    for name in reversed(_FAILURE_PRIORITY):  # the most severe class wins
+        classes[reach[name]] = CLASSES.index(name)
+    classes[state == STATE_GATHERED] = CLASSES.index("gathered")
+    classes[state == STATE_DEADLOCK] = CLASSES.index("deadlock")
+    classes[state == STATE_UNEXPLORED] = CLASSES.index("unknown")
+    classes[state == STATE_ABSENT] = -1
+    return Classification(
+        graph, classes, reach, reverse.closure(state == STATE_GATHERED), cyclic
     )
-    for packed in graph.nodes():
-        kind = graph.terminal.get(packed)
-        if kind == TERMINAL_GATHERED:
-            cls = "gathered"
-        elif kind == TERMINAL_DEADLOCK:
-            cls = "deadlock"
-        elif packed in graph.unexplored:
-            cls = "unknown"
-        else:
-            for candidate in _FAILURE_PRIORITY:
-                if packed in can_reach[candidate]:
-                    cls = candidate
-                    break
-            else:
-                cls = "safe"
-        classification.node_class[packed] = cls
-    return classification

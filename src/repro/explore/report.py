@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..core.runner import ConfigurationLike
-from .analyzer import CLASSES, Classification, classify
+from .analyzer import Classification, classify
 from .transitions import TransitionGraph, build_transition_graph
 from .witness import Witness, find_witnesses
 
@@ -37,7 +37,7 @@ class ExplorationReport:
     @property
     def root_census(self) -> Dict[str, int]:
         """Class histogram over the root (initial) configurations."""
-        return self.classification.counts(self.graph.roots)
+        return self.classification.root_counts()
 
     @property
     def node_census(self) -> Dict[str, int]:

@@ -23,18 +23,24 @@ same successor; the builder keeps one representative edge per successor, the
 one with the fewest movers (subsets are enumerated in increasing-cardinality
 order), which later gives the shortest possible per-round witnesses.
 
-The builder expands the BFS frontier one level at a time.  The packed kernel
-expands vertex by vertex and fans chunks of a level out through
+The builder expands the BFS frontier one level at a time, over vertex ids
+numbered in discovery order, and stores the graph as CSR arrays
+(:class:`GraphArrays`); the packed-integer dicts of :class:`TransitionGraph`
+are views built on first access.  The table kernel works in row space from
+end to end: the roots become table rows in one array pass, and a level is one
+:meth:`repro.core.table_kernel.SuccessorTable.expand_level` call per table,
+whose ``(src, bits, dst)`` arrays go into the graph as they are.  The packed
+kernel expands vertex by vertex and fans chunks of a level out through
 :func:`repro.core.runner.run_chunked_tasks`, the same primitive the batch
-runner uses for exhaustive sweeps.  The table kernel expands a whole level
-with one array pass per successor table
-(:meth:`repro.core.table_kernel.SuccessorTable.expand_rows`), in process.
+runner uses for exhaustive sweeps.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from ..core.bitsets import subset_masks
 from ..core.configuration import Configuration
@@ -54,6 +60,7 @@ __all__ = [
     "MODES",
     "TERMINAL_GATHERED",
     "TERMINAL_DEADLOCK",
+    "GraphArrays",
     "TransitionGraph",
     "expand_packed",
     "build_transition_graph",
@@ -72,54 +79,227 @@ MODES = ("fsync", "ssync")
 TERMINAL_GATHERED = "gathered"
 TERMINAL_DEADLOCK = "deadlock"
 
+#: Vertex states of :class:`GraphArrays`.  The first three equal the table
+#: kernel's ``KIND_STEP`` / ``KIND_GATHERED`` / ``KIND_DEADLOCK`` codes, so a
+#: table level's row kinds are vertex states as they stand.
+STATE_EDGES = 0
+STATE_GATHERED = 1
+STATE_DEADLOCK = 2
+STATE_UNEXPLORED = 3
+#: Named only as an edge destination of a dict-built graph: not a vertex.
+STATE_ABSENT = 4
+
+_STATE_OF_TERMINAL = {TERMINAL_GATHERED: STATE_GATHERED, TERMINAL_DEADLOCK: STATE_DEADLOCK}
+_TERMINAL_OF_STATE = {STATE_GATHERED: TERMINAL_GATHERED, STATE_DEADLOCK: TERMINAL_DEADLOCK}
+
 #: An edge: ``(mover_bits, destination)``.  Bit ``i`` of ``mover_bits`` refers
 #: to the ``i``-th robot of the source vertex's canonical sorted position
 #: tuple; the destination is a packed configuration or one of the sinks.
 Edge = Tuple[int, int]
 
 
-@dataclass
-class TransitionGraph:
-    """The explored portion of the configuration transition graph."""
+class GraphArrays(NamedTuple):
+    """A transition graph as arrays over vertex ids (CSR adjacency)."""
 
-    #: Name of the algorithm whose rules define the edges.
-    algorithm_name: str
-    #: Edge semantics: ``"fsync"`` or ``"ssync"``.
-    mode: str
-    #: Outgoing edges of every expanded non-terminal vertex.
-    edges: Dict[int, Tuple[Edge, ...]] = field(default_factory=dict)
-    #: Expanded quiescent vertices and their terminal kind.
-    terminal: Dict[int, str] = field(default_factory=dict)
-    #: The packed root configurations the exploration started from.
-    roots: Tuple[int, ...] = ()
-    #: Discovered but never expanded vertices (node budget exhausted).
-    unexplored: FrozenSet[int] = frozenset()
-    #: Whether connectivity was enforced (disconnecting edges end in the sink).
-    require_connectivity: bool = True
-    #: Wall-clock seconds spent building the graph.
-    elapsed_seconds: float = 0.0
+    #: Per-vertex state: one of the ``STATE_*`` codes.
+    state: "np.ndarray"
+    #: Vertex ``v``'s edges are ``bits[indptr[v]:indptr[v + 1]]`` /
+    #: ``dst[indptr[v]:indptr[v + 1]]``.
+    indptr: "np.ndarray"
+    #: Mover bits of every edge (see :data:`Edge`).
+    bits: "np.ndarray"
+    #: Destination vertex id of every edge, or a negative sink code.
+    dst: "np.ndarray"
+    #: Vertex ids of the roots, deduplicated, in first-seen order.
+    roots: "np.ndarray"
+
+
+class TransitionGraph:
+    """The explored portion of the configuration transition graph.
+
+    The graph lives in :class:`GraphArrays` over vertex ids (the BFS
+    discovery order); :meth:`vertex_packed` names each vertex by its packed
+    configuration.  The dict views :attr:`edges`, :attr:`terminal`,
+    :attr:`roots` and :attr:`unexplored` are built from the arrays on first
+    access.  A graph built from those dicts instead (a hand-made test graph)
+    is converted to arrays once, when something first reads them.
+    """
+
+    def __init__(
+        self,
+        algorithm_name: str,
+        mode: str,
+        edges: Optional[Dict[int, Tuple[Edge, ...]]] = None,
+        terminal: Optional[Dict[int, str]] = None,
+        roots: Tuple[int, ...] = (),
+        unexplored: FrozenSet[int] = frozenset(),
+        require_connectivity: bool = True,
+        elapsed_seconds: float = 0.0,
+    ) -> None:
+        #: Name of the algorithm whose rules define the edges.
+        self.algorithm_name = algorithm_name
+        #: Edge semantics: ``"fsync"`` or ``"ssync"``.
+        self.mode = mode
+        #: Whether connectivity was enforced (disconnecting edges end in the sink).
+        self.require_connectivity = require_connectivity
+        #: Wall-clock seconds spent building the graph.
+        self.elapsed_seconds = elapsed_seconds
+        self._edges: Optional[Dict[int, Tuple[Edge, ...]]] = {} if edges is None else edges
+        self._terminal: Optional[Dict[int, str]] = {} if terminal is None else terminal
+        self._roots: Optional[Tuple[int, ...]] = tuple(roots)
+        self._unexplored: Optional[FrozenSet[int]] = frozenset(unexplored)
+        self._arrays: Optional[GraphArrays] = None
+        self._packed_of: Optional[Callable[[], List[int]]] = None
+        self._vertex_packed: Optional[List[int]] = None
+        self._vertex_index: Optional[Dict[int, int]] = None
+
+    @classmethod
+    def from_arrays(
+        cls,
+        algorithm_name: str,
+        mode: str,
+        arrays: GraphArrays,
+        packed_of: Callable[[], List[int]],
+        require_connectivity: bool = True,
+    ) -> "TransitionGraph":
+        """A graph around its arrays; ``packed_of()`` names the vertices."""
+        graph = cls(algorithm_name, mode, require_connectivity=require_connectivity)
+        graph._edges = graph._terminal = graph._roots = graph._unexplored = None
+        graph._arrays = arrays
+        graph._packed_of = packed_of
+        return graph
+
+    # ------------------------------------------------------------- arrays
+    @property
+    def arrays(self) -> GraphArrays:
+        """The CSR form of the graph (built once from the dicts if needed)."""
+        if self._arrays is None:
+            self._arrays = self._arrays_from_dicts()
+        return self._arrays
+
+    def _arrays_from_dicts(self) -> GraphArrays:
+        index: Dict[int, int] = {}
+        for packed in chain(self._edges, self._terminal, self._unexplored, self._roots):
+            index.setdefault(packed, len(index))
+        for edges in self._edges.values():
+            for _, destination in edges:
+                if destination >= 0:
+                    index.setdefault(destination, len(index))
+        state = np.full(len(index), STATE_ABSENT, dtype=np.int8)
+        state[[index[p] for p in self._edges]] = STATE_EDGES
+        for packed, kind in self._terminal.items():
+            state[index[packed]] = _STATE_OF_TERMINAL[kind]
+        state[[index[p] for p in self._unexplored]] = STATE_UNEXPLORED
+        out = [self._edges.get(packed, ()) for packed in index]
+        pairs = np.array(
+            [(b, index[d] if d >= 0 else d) for edges in out for b, d in edges],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        self._vertex_packed = list(index)
+        self._vertex_index = index
+        return GraphArrays(
+            state=state,
+            indptr=np.cumsum([0] + [len(edges) for edges in out], dtype=np.int64),
+            bits=pairs[:, 0],
+            dst=pairs[:, 1],
+            roots=np.array([index[p] for p in self._roots], dtype=np.int64),
+        )
+
+    def vertex_packed(self) -> List[int]:
+        """Packed configuration of every vertex id."""
+        if self._vertex_packed is None:
+            if self._packed_of is None:
+                self.arrays  # the dict conversion names the vertices
+            else:
+                self._vertex_packed = self._packed_of()
+                self._packed_of = None  # releases the BFS state and its tables
+        return self._vertex_packed
+
+    def vertex_index(self) -> Dict[int, int]:
+        """Packed configuration -> vertex id."""
+        if self._vertex_index is None:
+            self._vertex_index = {p: v for v, p in enumerate(self.vertex_packed())}
+        return self._vertex_index
+
+    def node_order(self) -> "np.ndarray":
+        """Vertex ids in :meth:`nodes` order: expanded movers, terminals, then
+        the unexplored vertices in the iteration order of :attr:`unexplored`."""
+        state = self.arrays.state
+        index = self.vertex_index() if self.truncated else {}
+        return np.concatenate(
+            (
+                np.nonzero(state == STATE_EDGES)[0],
+                np.nonzero((state == STATE_GATHERED) | (state == STATE_DEADLOCK))[0],
+                np.array([index[p] for p in self.unexplored], dtype=np.int64),
+            )
+        )
+
+    # -------------------------------------------------------- dict views
+    @property
+    def edges(self) -> Dict[int, Tuple[Edge, ...]]:
+        """Outgoing edges of every expanded non-terminal vertex."""
+        if self._edges is None:
+            arrays = self.arrays
+            packed = self.vertex_packed()
+            destinations = [d if d < 0 else packed[d] for d in arrays.dst.tolist()]
+            pairs = list(zip(arrays.bits.tolist(), destinations))
+            bounds = arrays.indptr.tolist()
+            self._edges = {
+                packed[v]: tuple(pairs[bounds[v] : bounds[v + 1]])
+                for v in np.nonzero(arrays.state == STATE_EDGES)[0].tolist()
+            }
+        return self._edges
+
+    @property
+    def terminal(self) -> Dict[int, str]:
+        """Expanded quiescent vertices and their terminal kind."""
+        if self._terminal is None:
+            state = self.arrays.state
+            packed = self.vertex_packed()
+            self._terminal = {
+                packed[v]: _TERMINAL_OF_STATE[s]
+                for v, s in enumerate(state.tolist())
+                if s in _TERMINAL_OF_STATE
+            }
+        return self._terminal
+
+    @property
+    def roots(self) -> Tuple[int, ...]:
+        """The packed root configurations the exploration started from."""
+        if self._roots is None:
+            packed = self.vertex_packed()
+            self._roots = tuple(packed[v] for v in self.arrays.roots.tolist())
+        return self._roots
+
+    @property
+    def unexplored(self) -> FrozenSet[int]:
+        """Discovered but never expanded vertices (node budget exhausted)."""
+        if self._unexplored is None:
+            packed = self.vertex_packed()
+            vids = np.nonzero(self.arrays.state == STATE_UNEXPLORED)[0]
+            self._unexplored = frozenset(packed[v] for v in vids.tolist())
+        return self._unexplored
 
     # ------------------------------------------------------------------ access
     @property
     def truncated(self) -> bool:
         """Whether the node budget cut the exploration short."""
-        return bool(self.unexplored)
+        return bool((self.arrays.state == STATE_UNEXPLORED).any())
 
     @property
     def num_nodes(self) -> int:
         """Number of discovered vertices (expanded plus unexplored)."""
-        return len(self.edges) + len(self.terminal) + len(self.unexplored)
+        return int((self.arrays.state != STATE_ABSENT).sum())
 
     @property
     def num_edges(self) -> int:
         """Number of stored (deduplicated) edges, sink edges included."""
-        return sum(len(e) for e in self.edges.values())
+        return len(self.arrays.dst)
 
     def nodes(self) -> Iterable[int]:
         """All discovered vertices."""
-        yield from self.edges
-        yield from self.terminal
-        yield from self.unexplored
+        packed = self.vertex_packed()
+        return (packed[v] for v in self.node_order().tolist())
 
     def successors(self, packed: int) -> Tuple[Edge, ...]:
         """Outgoing edges of a vertex (empty for terminal/unexplored vertices)."""
@@ -140,7 +320,8 @@ class TransitionGraph:
 
     def throughput(self) -> float:
         """Expanded vertices per second (0.0 when no time was recorded)."""
-        expanded = len(self.edges) + len(self.terminal)
+        state = self.arrays.state
+        expanded = int((state <= STATE_DEADLOCK).sum())
         return expanded / self.elapsed_seconds if self.elapsed_seconds else 0.0
 
 
@@ -257,43 +438,6 @@ def expand_packed(
     return tuple((bits, destination) for destination, bits in targets.items()), None
 
 
-def _table_expander(algorithm, mode: str, require_connectivity: bool):
-    """Expand a batch of vertices by slicing the successor tables.
-
-    Vertices inside a table tier's scope (in RAM, or streamed from the disk
-    tier past the in-RAM bound) are answered from the materialized arrays —
-    one :meth:`~repro.core.table_kernel.SuccessorTable.expand_rows` call per
-    table, no views, no ``algorithm.compute``.  Anything else — oversized or
-    disconnected vertices — falls back to :func:`expand_packed`, so the
-    resulting graph is byte-identical either way.
-    """
-    from ..core.table_kernel import scoped_table  # late: avoids an import cycle
-
-    #: Table per vertex size (``None`` = no tier covers it), resolved once.
-    tables: Dict[int, object] = {}
-
-    def expand(batch: List[int]) -> List[Tuple[int, Tuple[Edge, ...], Optional[str]]]:
-        expansions: Dict[int, Tuple[Tuple[Edge, ...], Optional[str]]] = {}
-        by_size: Dict[int, Tuple[List[int], List[int]]] = {}
-        for packed in batch:
-            size = packed_count(packed)
-            if size not in tables:
-                tables[size] = scoped_table(algorithm, size)
-            table = tables[size]
-            row = None if table is None else table.row_of_packed(packed)
-            if row is None:
-                expansions[packed] = expand_packed(packed, algorithm, mode, require_connectivity)
-            else:
-                vertices, rows = by_size.setdefault(size, ([], []))
-                vertices.append(packed)
-                rows.append(row)
-        for size, (vertices, rows) in by_size.items():
-            expansions.update(zip(vertices, tables[size].expand_rows(rows, mode)))
-        return [(packed, *expansions[packed]) for packed in batch]
-
-    return expand
-
-
 def _packed_expander(algorithm, mode: str, require_connectivity: bool):
     """Expand a batch of vertices one :func:`expand_packed` call at a time."""
 
@@ -307,7 +451,7 @@ def _packed_expander(algorithm, mode: str, require_connectivity: bool):
 
 
 # ---------------------------------------------------------------------------
-# Graph construction (serial or parallel frontier expansion).
+# Graph construction: breadth-first, one array pass per level.
 # ---------------------------------------------------------------------------
 
 _ExpandPayload = Tuple[str, str, List[int], bool]
@@ -330,16 +474,156 @@ def _expand_chunk(
     return results, _obs.export_delta()
 
 
-def _pack_roots(roots: Iterable[ConfigurationLike]) -> Tuple[int, ...]:
-    packed_roots: List[int] = []
-    seen: Set[int] = set()
-    for item in roots:
-        nodes = item.nodes if isinstance(item, Configuration) else item
-        packed = pack_nodes(nodes)
-        if packed not in seen:
-            seen.add(packed)
-            packed_roots.append(packed)
-    return tuple(packed_roots)
+def segment_index(starts: "np.ndarray", lengths: "np.ndarray") -> "np.ndarray":
+    """The concatenated ``arange(start, start + length)`` of every pair."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    offsets = np.asarray(starts, dtype=np.int64) - (ends - lengths)
+    return np.repeat(offsets, lengths) + np.arange(total, dtype=np.int64)
+
+
+#: Vertex identities are packed into one int64 key as ``space << 40 | ident``.
+_IDENT_BITS = 40
+
+
+class _Vertices:
+    """The discovered vertices, numbered in discovery order: the BFS queue.
+
+    Every vertex lives in one *space*.  Space 0 holds packed integers: every
+    vertex of the packed kernel, and the few vertices no table covers.  Each
+    space ``s > 0`` holds the rows of one successor table (one per robot
+    count).  A vertex is the pair ``(space, ident)``, where ``ident`` is its
+    table row or its index into :attr:`packed`.
+    """
+
+    def __init__(self, table_of: Callable[[int], Optional[object]]) -> None:
+        self._table_of = table_of
+        self._space_of_size: Dict[int, int] = {}
+        #: The table of every space (``None`` for space 0).
+        self.tables: List[Optional[object]] = [None]
+        #: Space 0's packed integers, by ident.
+        self.packed: List[int] = []
+        self._packed_ident: Dict[int, int] = {}
+        #: Per space: ident -> vertex id (-1 until discovered).
+        self._vid: List["np.ndarray"] = [np.empty(0, dtype=np.int64)]
+        #: Space and ident of every vertex id.
+        self.space = np.empty(0, dtype=np.int64)
+        self.ident = np.empty(0, dtype=np.int64)
+
+    @property
+    def count(self) -> int:
+        return len(self.space)
+
+    def space_of_size(self, size: int) -> int:
+        space = self._space_of_size.get(size)
+        if space is None:
+            table = self._table_of(size) if size > 0 else None
+            space = 0
+            if table is not None:
+                space = len(self.tables)
+                self.tables.append(table)
+                self._vid.append(np.full(table.view.count, -1, dtype=np.int64))
+            self._space_of_size[size] = space
+        return space
+
+    def packed_ident(self, packed: int) -> int:
+        ident = self._packed_ident.get(packed)
+        if ident is None:
+            ident = self._packed_ident[packed] = len(self.packed)
+            self.packed.append(packed)
+        return ident
+
+    def locate(self, packed: int) -> Tuple[int, int]:
+        """``(space, ident)`` of a packed configuration."""
+        space = self.space_of_size(packed_count(packed))
+        if space:
+            row = self.tables[space].row_of_packed(packed)
+            if row is not None:
+                return space, row
+        return 0, self.packed_ident(packed)
+
+    def _lookup(self, space: "np.ndarray", ident: "np.ndarray") -> "np.ndarray":
+        if len(self._vid[0]) < len(self.packed):  # space 0 grows as it is met
+            grown = np.full(len(self.packed), -1, dtype=np.int64)
+            grown[: len(self._vid[0])] = self._vid[0]
+            self._vid[0] = grown
+        vids = np.full(len(space), -1, dtype=np.int64)
+        for s in np.unique(space).tolist():
+            where = space == s
+            vids[where] = self._vid[s][ident[where]]
+        return vids
+
+    def discover(self, space: "np.ndarray", ident: "np.ndarray") -> "np.ndarray":
+        """Vertex ids of ``(space, ident)`` pairs; unseen ones are numbered
+        in order of first occurrence.  A negative space marks a sink, whose
+        ident (the sink code) passes through."""
+        real = space >= 0
+        vids = ident.copy()
+        found = self._lookup(space[real], ident[real])
+        unseen = found < 0
+        if unseen.any():
+            keys = space[real][unseen] << _IDENT_BITS | ident[real][unseen]
+            unique, first = np.unique(keys, return_index=True)
+            keys = unique[np.argsort(first)]
+            new_space = keys >> _IDENT_BITS
+            new_ident = keys & ((1 << _IDENT_BITS) - 1)
+            new_vids = np.arange(self.count, self.count + len(keys), dtype=np.int64)
+            for s in np.unique(new_space).tolist():
+                where = new_space == s
+                self._vid[s][new_ident[where]] = new_vids[where]
+            self.space = np.concatenate((self.space, new_space))
+            self.ident = np.concatenate((self.ident, new_ident))
+            found = self._lookup(space[real], ident[real])
+        vids[real] = found
+        return vids
+
+    def add_roots(self, roots: Iterable[ConfigurationLike]) -> None:
+        """Discover the roots, deduplicated in first-seen order.
+
+        Roots a table covers become rows in one array pass per robot count
+        (:meth:`~repro.core.table_kernel.ViewTable.rows_of_positions`); the
+        rest are packed.
+        """
+        node_sets = [
+            tuple(item.nodes if isinstance(item, Configuration) else item)
+            for item in roots
+        ]
+        space = np.zeros(len(node_sets), dtype=np.int64)
+        ident = np.zeros(len(node_sets), dtype=np.int64)
+        by_size: Dict[int, List[int]] = {}
+        for index, nodes in enumerate(node_sets):
+            by_size.setdefault(len(nodes), []).append(index)
+        for size, members in by_size.items():
+            members_array = np.array(members, dtype=np.int64)
+            rows = np.full(len(members), -1, dtype=np.int64)
+            s = self.space_of_size(size)
+            if s:
+                flat = np.fromiter(
+                    chain.from_iterable(chain.from_iterable(node_sets[i] for i in members)),
+                    dtype=np.int64,
+                )
+                if len(flat) == len(members) * size * 2:  # every node a pair
+                    positions = flat.reshape(len(members), size, 2)
+                    rows = self.tables[s].view.rows_of_positions(positions)
+            found = rows >= 0
+            space[members_array[found]] = s
+            ident[members_array[found]] = rows[found]
+            for index in members_array[~found].tolist():
+                ident[index] = self.packed_ident(pack_nodes(node_sets[index]))
+        self.discover(space, ident)
+
+    def vertex_packed(self) -> List[int]:
+        """Packed configuration of every vertex id."""
+        packed: List[int] = [0] * self.count
+        for space, table in enumerate(self.tables):
+            vids = np.nonzero(self.space == space)[0].tolist()
+            name = self.packed.__getitem__ if table is None else table.packed_of_row
+            for vid, ident in zip(vids, self.ident[vids].tolist()):
+                packed[vid] = name(ident)
+        return packed
 
 
 def build_transition_graph(
@@ -362,16 +646,21 @@ def build_transition_graph(
     ``algorithm_name`` must be given; ``workers > 1`` requires the named
     form, mirroring :func:`repro.core.runner.run_many`.
 
+    Vertices are numbered in discovery order (source order, then subset
+    order within a source), so the queue is a range of vertex ids and each
+    level's edges are appended to the graph's CSR arrays as they come.
+
     ``kernel="packed"`` re-runs Look–Compute per vertex; ``workers > 1``
     fans the levels out over one spawn pool for the whole build.  Each worker
     builds the algorithm (and its decision cache) once, so the pool pays off
     only on large graphs: the serial n=7 build takes about half a second,
     which spawn start-up alone can exceed.
 
-    ``kernel="table"`` expands each level by slicing the materialized
-    successor tables (:mod:`repro.core.table_kernel`) in this process and
-    ignores ``workers``: byte-identical graphs, and the whole adversarial
-    SSYNC n=8 build, table included, in about a second.  It requires
+    ``kernel="table"`` runs in row space from end to end and ignores
+    ``workers``: the roots become table rows in one array pass, and each level
+    is one :meth:`~repro.core.table_kernel.SuccessorTable.expand_level` call
+    per table, whose ``(src, bits, dst)`` arrays go into the graph as they
+    are.  The graph is byte-identical to the packed kernel's.  It requires
     ``require_connectivity=True`` (the table treats disconnection as a sink)
     and falls back to the packed expansion for vertices outside the table's
     scope.
@@ -393,19 +682,16 @@ def build_transition_graph(
     resolved_name = algorithm_name or algorithm.name
 
     start = time.perf_counter()
-    packed_roots = _pack_roots(roots)
-    graph = TransitionGraph(
-        algorithm_name=resolved_name,
-        mode=mode,
-        roots=packed_roots,
-        require_connectivity=require_connectivity,
-    )
-    seen: Set[int] = set(packed_roots)
-    frontier: List[int] = list(packed_roots)
-    expanded = 0
+    if kernel == "table":
+        from ..core.table_kernel import scoped_table  # late: avoids an import cycle
+
+        vertices = _Vertices(lambda size: scoped_table(algorithm, size))
+    else:
+        vertices = _Vertices(lambda size: None)
+    vertices.add_roots(roots)
+    root_count = vertices.count
+    expand_serial = _packed_expander(algorithm, mode, require_connectivity)
     budget = max_nodes if max_nodes is not None else float("inf")
-    expander = _table_expander if kernel == "table" else _packed_expander
-    expand = expander(algorithm, mode, require_connectivity)
     # One pool for the whole build: the BFS fans out once per level, and a
     # fresh spawn pool per level would dominate the build.
     pool = None
@@ -416,51 +702,88 @@ def build_transition_graph(
         pool = multiprocessing.get_context("spawn").Pool(
             processes=min(workers, os.cpu_count() or 1)
         )
+
+    def expand_packed_batch(batch: List[int]):
+        if pool is None or len(batch) <= chunk_size:
+            return expand_serial(batch)
+        payloads: List[_ExpandPayload] = [
+            (resolved_name, mode, batch[i : i + chunk_size], require_connectivity)
+            for i in range(0, len(batch), chunk_size)
+        ]
+        results = []
+        for chunk, delta in run_chunked_tasks(payloads, _expand_chunk, pool=pool):
+            _obs.merge(delta)
+            results.extend(chunk)
+        return results
+
+    states: List["np.ndarray"] = []
+    counts: List["np.ndarray"] = []
+    bits_parts: List["np.ndarray"] = []
+    dst_parts: List["np.ndarray"] = []
+    expanded = 0
     try:
-        while frontier and expanded < budget:
-            take = int(min(len(frontier), budget - expanded))
-            batch, frontier = frontier[:take], frontier[take:]
-            if pool is not None and len(batch) > chunk_size:
-                payloads: List[_ExpandPayload] = [
-                    (
-                        resolved_name,
-                        mode,
-                        batch[i : i + chunk_size],
-                        require_connectivity,
+        while expanded < vertices.count and expanded < budget:
+            end = int(min(vertices.count, budget))
+            level_space = vertices.space[expanded:end]
+            level_ident = vertices.ident[expanded:end]
+            state = np.empty(end - expanded, dtype=np.int8)
+            pieces = []  # per space, rows: src position, bits, dst space, dst ident
+            for space in np.unique(level_space).tolist():
+                where = np.nonzero(level_space == space)[0]
+                if space:
+                    kind, src, bits, dst = vertices.tables[space].expand_level(
+                        level_ident[where], mode
                     )
-                    for i in range(0, len(batch), chunk_size)
-                ]
-                results = []
-                for chunk, delta in run_chunked_tasks(
-                    payloads, _expand_chunk, pool=pool
-                ):
-                    _obs.merge(delta)
-                    results.extend(chunk)
-            else:
-                results = expand(batch)
-            expanded += len(results)
-            _obs.counter("explore.vertices_expanded").inc(len(results))
-            _obs.histogram("explore.frontier_size", DEFAULT_COUNT_BUCKETS).observe(
-                len(batch)
-            )
-            edge_total = 0
-            for packed, edges, terminal_kind in results:
-                if terminal_kind is not None:
-                    graph.terminal[packed] = terminal_kind
+                    state[where] = kind
+                    pieces.append(np.stack((where[src], bits, np.where(dst >= 0, space, -1), dst)))
                     continue
-                graph.edges[packed] = edges
-                edge_total += len(edges)
-                for _, destination in edges:
-                    if destination >= 0 and destination not in seen:
-                        seen.add(destination)
-                        frontier.append(destination)
-            _obs.counter("explore.edges_discovered").inc(edge_total)
+                batch = [vertices.packed[i] for i in level_ident[where].tolist()]
+                located: List[Tuple[int, ...]] = []
+                for position, (_, edges, terminal_kind) in zip(
+                    where.tolist(), expand_packed_batch(batch)
+                ):
+                    state[position] = _STATE_OF_TERMINAL.get(terminal_kind, STATE_EDGES)
+                    located.extend(
+                        (position, b, *((-1, d) if d < 0 else vertices.locate(d)))
+                        for b, d in edges
+                    )
+                pieces.append(np.array(located, dtype=np.int64).reshape(-1, 4).T)
+            level = np.concatenate(pieces, axis=1)
+            if len(pieces) > 1:  # back to source order across spaces
+                level = level[:, np.argsort(level[0], kind="stable")]
+            src, bits, dst_space, dst_ident = level
+            dst = vertices.discover(dst_space, dst_ident)
+            states.append(state)
+            counts.append(np.bincount(src, minlength=end - expanded))
+            bits_parts.append(bits)
+            dst_parts.append(dst)
+            _obs.counter("explore.vertices_expanded").inc(end - expanded)
+            _obs.histogram("explore.frontier_size", DEFAULT_COUNT_BUCKETS).observe(
+                end - expanded
+            )
+            _obs.counter("explore.edges_discovered").inc(len(dst))
+            expanded = end
     finally:
         if pool is not None:
             pool.terminate()
             pool.join()
 
-    graph.unexplored = frozenset(frontier)
+    state = np.full(vertices.count, STATE_UNEXPLORED, dtype=np.int8)
+    edge_counts = np.zeros(vertices.count, dtype=np.int64)
+    if states:
+        state[:expanded] = np.concatenate(states)
+        edge_counts[:expanded] = np.concatenate(counts)
+    empty = np.empty(0, dtype=np.int64)
+    arrays = GraphArrays(
+        state=state,
+        indptr=np.concatenate(([0], np.cumsum(edge_counts))).astype(np.int64),
+        bits=np.concatenate(bits_parts) if bits_parts else empty,
+        dst=np.concatenate(dst_parts) if dst_parts else empty,
+        roots=np.arange(root_count, dtype=np.int64),
+    )
+    graph = TransitionGraph.from_arrays(
+        resolved_name, mode, arrays, vertices.vertex_packed, require_connectivity
+    )
     graph.elapsed_seconds = time.perf_counter() - start
     _obs_record_span(
         "explore.build",

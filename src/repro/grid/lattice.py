@@ -11,7 +11,6 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .coords import Coord, as_coord, distance, neighbors
-from .directions import DIRECTIONS, Direction
 
 __all__ = [
     "is_connected",

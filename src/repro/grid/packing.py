@@ -23,7 +23,7 @@ allocating frozensets or tuples:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .coords import Coord, as_coord, disk
 
@@ -36,6 +36,7 @@ __all__ = [
     "view_bitmask",
     "all_view_bitmasks",
     "pack_nodes",
+    "pack_rows",
     "unpack_nodes",
     "packed_count",
     "COORD_BITS",
@@ -182,6 +183,42 @@ def pack_nodes(nodes: Iterable[Tuple[int, int]]) -> int:
             raise ValueError(f"node offset ({dq}, {dr}) exceeds the packing range")
         packed = (packed << _NODE_BITS) | (cq << COORD_BITS) | cr
     return (packed << _COUNT_BITS) | len(deltas)
+
+
+def pack_rows(positions) -> List[int]:
+    """:func:`pack_nodes` of every row of a canonical ``(N, n, 2)`` array.
+
+    The rows must already be canonical (sorted, anchored at their smallest
+    node), as the enumeration's are.  Each row's integer is then laid out as
+    a big-endian bit string (the node codes, then the count) and read back
+    with ``int.from_bytes``: one array pass per block of rows instead of a
+    Python loop over every node.  Blocks of 2048 rows keep the bit arrays
+    to a few megabytes.
+    """
+    import numpy as np  # late: the scalar packers do not need numpy
+
+    count, n = positions.shape[0], positions.shape[1]
+    width = n * _NODE_BITS + _COUNT_BITS
+    pad = -width % 8
+    step = (pad + width) // 8
+    count_bits = (n >> np.arange(_COUNT_BITS - 1, -1, -1)) & 1
+    packed: List[int] = []
+    block = 2048
+    for first in range(0, count, block):
+        rows = positions[first : first + block].astype(np.int64) + _COORD_OFFSET
+        codes = (rows[..., 0] << COORD_BITS) | rows[..., 1]  # (B, n), 42 bits each
+        # The low 42 of each code's 64 big-endian bits, node after node.
+        code_bits = np.unpackbits(
+            codes.astype(">u8").view(np.uint8).reshape(len(rows), n, 8), axis=2
+        )[:, :, 64 - _NODE_BITS :]
+        bits = np.zeros((len(rows), pad + width), dtype=np.uint8)
+        bits[:, pad : pad + n * _NODE_BITS] = code_bits.reshape(len(rows), -1)
+        bits[:, pad + n * _NODE_BITS :] = count_bits
+        raw = np.packbits(bits, axis=1).tobytes()
+        packed.extend(
+            int.from_bytes(raw[i : i + step], "big") for i in range(0, len(raw), step)
+        )
+    return packed
 
 
 def packed_count(packed: int) -> int:

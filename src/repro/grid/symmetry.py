@@ -10,7 +10,7 @@ symmetry of the algorithm's rules.
 """
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from .coords import Coord, as_coord
 

@@ -18,11 +18,11 @@ be hand-edited without silently drifting out of sync.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..core.configuration import Configuration
-from ..core.trace import ExecutionTrace, Outcome
-from ..analysis.verification import ConfigurationResult, VerificationReport
+from ..core.trace import ExecutionTrace
+from ..analysis.verification import VerificationReport
 from ..grid.packing import pack_nodes, unpack_nodes
 
 __all__ = [

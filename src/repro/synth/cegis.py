@@ -51,9 +51,8 @@ from ..core.algorithm import GatheringAlgorithm
 from ..core.configuration import Configuration
 from ..core.runner import ConfigurationLike
 from ..core.view import View
-from ..explore.report import ExplorationReport, explore
+from ..explore.report import explore
 from ..explore.transitions import TERMINAL_DEADLOCK, TransitionGraph
-from ..grid.directions import Direction
 from ..grid.packing import view_bitmask
 from ..obs import get_logger
 from ..obs import metrics as _obs

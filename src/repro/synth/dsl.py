@@ -69,7 +69,7 @@ from ..core.algorithm import Move
 from ..core.view import View
 from ..grid.coords import Coord
 from ..grid.directions import Direction, direction_from_vector
-from ..grid.labels import Label, label_of_offset, offset_of_label
+from ..grid.labels import label_of_offset, offset_of_label
 from ..grid.packing import pack_offsets, unpack_offsets
 from ..grid.symmetry import reflect_x, rotate, symmetry_order
 

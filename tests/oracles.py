@@ -24,10 +24,18 @@
   :meth:`repro.core.table_kernel.SuccessorTable.fsync_summary`;
 * :func:`rowwise_expansion` — the word-at-a-time walk over one row's
   activation subsets, the oracle of the array-pass
-  :meth:`repro.core.table_kernel.SuccessorTable.expand_rows`.
+  :meth:`repro.core.table_kernel.SuccessorTable.expand_rows`;
+* :func:`reference_exploration` — the dict BFS (one ``expand_packed`` per
+  vertex, a Python queue and seen-set over packed integers), the oracle of
+  the row-space breadth-first search of
+  :func:`repro.explore.transitions.build_transition_graph`;
+* :func:`reference_classify` — the dict classifier (reverse-adjacency dicts,
+  a set-based backward closure per failure kind, Tarjan over every vertex),
+  the oracle of the array pass :func:`repro.explore.analyzer.classify`.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import (
     Dict,
@@ -69,12 +77,15 @@ from repro.core.table_kernel import (
 )
 from repro.core.trace import ExecutionTrace, Outcome, RoundRecord
 from repro.core.view import view_of
+from repro.explore.analyzer import strongly_connected_components
 from repro.explore.transitions import (
     COLLISION_SINK,
     DISCONNECT_SINK,
     MODES,
     TERMINAL_DEADLOCK,
     TERMINAL_GATHERED,
+    TransitionGraph,
+    expand_packed,
 )
 from repro.grid.coords import Coord, as_coord, distance, neighbors
 from repro.grid.directions import DIRECTIONS, Direction
@@ -570,3 +581,141 @@ def rowwise_expansion(
                 rem ^= low
             targets_seen[destination] = subset_bits
     return tuple((bits, destination) for destination, bits in targets_seen.items()), None
+
+
+def reference_exploration(
+    roots: Iterable, algorithm, mode: str, max_nodes: Optional[int] = None
+) -> TransitionGraph:
+    """Breadth-first exploration over packed integers, one vertex at a time.
+
+    Roots are packed and deduplicated in first-seen order; every level is
+    the whole queue (cut at ``max_nodes`` expanded vertices), and each
+    vertex's successors join the queue in edge order.
+    """
+    packed_roots: List[int] = []
+    for item in roots:
+        packed = pack_nodes(item.nodes if isinstance(item, Configuration) else item)
+        if packed not in packed_roots:
+            packed_roots.append(packed)
+    edges: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+    terminal: Dict[int, str] = {}
+    seen = set(packed_roots)
+    frontier = list(packed_roots)
+    expanded = 0
+    budget = max_nodes if max_nodes is not None else float("inf")
+    while frontier and expanded < budget:
+        take = int(min(len(frontier), budget - expanded))
+        batch, frontier = frontier[:take], frontier[take:]
+        expanded += len(batch)
+        for packed in batch:
+            out, kind = expand_packed(packed, algorithm, mode)
+            if kind is not None:
+                terminal[packed] = kind
+                continue
+            edges[packed] = out
+            for _, destination in out:
+                if destination >= 0 and destination not in seen:
+                    seen.add(destination)
+                    frontier.append(destination)
+    return TransitionGraph(
+        algorithm_name=algorithm.name,
+        mode=mode,
+        edges=edges,
+        terminal=terminal,
+        roots=tuple(packed_roots),
+        unexplored=frozenset(frontier),
+    )
+
+
+#: Severity order of :func:`reference_classify` (collision first).
+_FAILURE_PRIORITY = ("collision", "disconnected", "deadlock", "livelock", "unknown")
+
+
+@dataclass
+class ReferenceClassification:
+    """What :func:`reference_classify` computes, named by packed vertex."""
+
+    node_class: Dict[int, str] = field(default_factory=dict)
+    can_reach: Dict[str, FrozenSet[int]] = field(default_factory=dict)
+    can_gather: FrozenSet[int] = frozenset()
+    cyclic_nodes: FrozenSet[int] = frozenset()
+
+
+def _backward_closure(
+    sources: Iterable[int], reverse: Dict[int, List[int]]
+) -> FrozenSet[int]:
+    """All vertices from which some vertex of ``sources`` is reachable."""
+    seen: Set[int] = set(sources)
+    frontier: List[int] = list(seen)
+    while frontier:
+        vertex = frontier.pop()
+        for predecessor in reverse.get(vertex, ()):
+            if predecessor not in seen:
+                seen.add(predecessor)
+                frontier.append(predecessor)
+    return frozenset(seen)
+
+
+def reference_classify(graph: TransitionGraph) -> ReferenceClassification:
+    """Classify every vertex over the graph's dict views.
+
+    One reverse-adjacency build, one set-based backward closure per failure
+    kind, and Tarjan over every vertex with edges for the cycles (an SCC is
+    cyclic when it has two vertices or a self-loop); livelock is the
+    backward closure of the cyclic vertices.
+    """
+    reverse: Dict[int, List[int]] = {}
+    forward: Dict[int, Tuple[int, ...]] = {}
+    collision_sources: List[int] = []
+    disconnect_sources: List[int] = []
+    for source, edges in graph.edges.items():
+        real_targets: List[int] = []
+        for _, destination in edges:
+            if destination == COLLISION_SINK:
+                collision_sources.append(source)
+            elif destination == DISCONNECT_SINK:
+                disconnect_sources.append(source)
+            else:
+                real_targets.append(destination)
+                reverse.setdefault(destination, []).append(source)
+        forward[source] = tuple(real_targets)
+
+    terminal_gathered = [p for p, kind in graph.terminal.items() if kind == TERMINAL_GATHERED]
+    terminal_deadlock = [p for p, kind in graph.terminal.items() if kind == TERMINAL_DEADLOCK]
+
+    cyclic: Set[int] = set()
+    for component in strongly_connected_components(graph.edges.keys(), forward):
+        if len(component) > 1:
+            cyclic.update(component)
+        elif component[0] in forward.get(component[0], ()):
+            cyclic.add(component[0])
+
+    can_reach = {
+        "collision": _backward_closure(collision_sources, reverse),
+        "disconnected": _backward_closure(disconnect_sources, reverse),
+        "deadlock": _backward_closure(terminal_deadlock, reverse),
+        "livelock": _backward_closure(cyclic, reverse),
+        "unknown": _backward_closure(graph.unexplored, reverse),
+    }
+    result = ReferenceClassification(
+        can_reach=can_reach,
+        can_gather=_backward_closure(terminal_gathered, reverse),
+        cyclic_nodes=frozenset(cyclic),
+    )
+    for packed in graph.nodes():
+        kind = graph.terminal.get(packed)
+        if kind == TERMINAL_GATHERED:
+            cls = "gathered"
+        elif kind == TERMINAL_DEADLOCK:
+            cls = "deadlock"
+        elif packed in graph.unexplored:
+            cls = "unknown"
+        else:
+            for candidate in _FAILURE_PRIORITY:
+                if packed in can_reach[candidate]:
+                    cls = candidate
+                    break
+            else:
+                cls = "safe"
+        result.node_class[packed] = cls
+    return result

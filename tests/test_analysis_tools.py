@@ -22,7 +22,6 @@ from repro.analysis.verification import verify_configurations
 from repro.core.algorithm import StayAlgorithm
 from repro.core.configuration import Configuration, hexagon, line
 from repro.core.engine import run_execution
-from repro.grid.directions import Direction
 from repro.io.serialization import (
     configuration_from_dict,
     configuration_to_dict,

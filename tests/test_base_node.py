@@ -7,7 +7,7 @@ from repro.algorithms.base_node import (
     base_candidates,
     determine_base_label,
 )
-from repro.core.configuration import Configuration, hexagon
+from repro.core.configuration import hexagon
 from repro.core.view import View, view_of
 
 

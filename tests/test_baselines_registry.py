@@ -9,7 +9,7 @@ from repro.algorithms.baselines import (
 from repro.algorithms.guards import connectivity_safe, entry_uncontested
 from repro.algorithms.registry import available_algorithms, create_algorithm, register_algorithm
 from repro.core.algorithm import StayAlgorithm
-from repro.core.configuration import Configuration, hexagon, line
+from repro.core.configuration import Configuration, hexagon
 from repro.core.engine import run_execution
 from repro.core.trace import Outcome
 from repro.core.view import View, view_of

@@ -10,7 +10,6 @@ from repro.grid.coords import (
     disk,
     distance,
     iter_path,
-    neighbor,
     neighbors,
     ring,
     translate,

@@ -5,7 +5,6 @@ occupancy-set form used by the hot loop) must flag each of them, and full
 packed executions must surface them as :attr:`Outcome.COLLISION` with the
 right ``collision_kind``.
 """
-import pytest
 
 from repro.core.algorithm import FunctionAlgorithm
 from repro.core.configuration import Configuration

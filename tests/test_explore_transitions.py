@@ -4,12 +4,10 @@ import pytest
 from repro.algorithms.visibility2 import ShibataGatheringAlgorithm
 from repro.core.configuration import Configuration, hexagon
 from repro.core.engine import move_intents, run_execution, step_nodes
-from repro.core.trace import Outcome
 from repro.enumeration.polyhex import enumerate_canonical_node_sets
 from repro.explore.transitions import (
     COLLISION_SINK,
     DISCONNECT_SINK,
-    TERMINAL_DEADLOCK,
     TERMINAL_GATHERED,
     TransitionGraph,
     build_transition_graph,

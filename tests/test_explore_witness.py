@@ -6,7 +6,6 @@ from repro.core.algorithm import FunctionAlgorithm
 from repro.core.configuration import Configuration
 from repro.core.engine import run_execution
 from repro.core.trace import Outcome
-from repro.enumeration.polyhex import enumerate_canonical_node_sets
 from repro.explore import (
     build_transition_graph,
     classify,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.view import View, view_of
 from repro.core.configuration import Configuration, hexagon, line
-from repro.grid.coords import Coord, disk, distance
+from repro.grid.coords import disk, distance
 from repro.grid.packing import (
     all_view_bitmasks,
     disk_offsets,

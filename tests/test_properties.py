@@ -11,7 +11,6 @@ from repro.core.engine import (
 )
 from repro.core.trace import Outcome
 from repro.grid.coords import Coord, distance, neighbors, ring
-from repro.grid.directions import DIRECTIONS
 from repro.grid.labels import label_of_offset, offset_of_label
 from repro.grid.symmetry import canonical_translation, reflect_x, rotate
 

@@ -10,7 +10,7 @@ from repro.core.view import View, view_of
 from repro.enumeration.polyhex import enumerate_connected_configurations
 from repro.explore import explore
 from repro.grid.directions import Direction
-from repro.grid.packing import pack_nodes, unpack_nodes, view_bitmask
+from repro.grid.packing import unpack_nodes, view_bitmask
 from repro.io.serialization import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointSchemaError,

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import first_firing_rule
 from repro.algorithms.guards import connectivity_safe, entry_uncontested
 from repro.core.view import View, view_of
-from repro.core.configuration import Configuration
 from repro.enumeration.polyhex import enumerate_connected_configurations
 from repro.grid.directions import Direction
 from repro.grid.labels import VISIBILITY_2_LABELS
