@@ -66,7 +66,6 @@ from .explore import (
     TransitionGraph,
     Witness,
     build_transition_graph,
-    explore,
     replay_witness,
 )
 from .grid import Coord, Direction, distance, neighbors
@@ -118,7 +117,6 @@ __all__ = [
     "determine_base_label",
     "distance",
     "enumerate_connected_configurations",
-    "explore",
     "from_offsets",
     "learned_algorithm",
     "replay_witness",

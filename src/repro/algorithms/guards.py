@@ -13,16 +13,53 @@ Because a robot sees two hops, every node adjacent to an adjacent node is
 inside its view, which makes these checks exact at Look time (they remain
 conservative with respect to simultaneous moves; the exhaustive verification
 of experiment E2 is the final arbiter, exactly as in the paper).
+
+Both guards work on the view's packed bitmask (:mod:`repro.grid.packing`):
+per visibility range, one neighbour mask per disk bit is built once, and the
+connectivity check is a bit-parallel flood fill over those masks — the same
+window and the same answers as a node-by-node search, on integers only.
 """
 from __future__ import annotations
 
-from typing import List, Set
+from functools import lru_cache
+from typing import Dict, NamedTuple, Tuple
 
 from ..core.view import View
-from ..grid.coords import Coord
 from ..grid.directions import DIRECTIONS, Direction
+from ..grid.packing import disk_offsets
 
 __all__ = ["connectivity_safe", "entry_uncontested"]
+
+
+class _GuardMasks(NamedTuple):
+    """Neighbour masks of one visibility disk (the robot's own node excluded)."""
+
+    #: ``neighbours[i]`` — bits of the in-disk neighbours of disk bit ``i``.
+    neighbours: Tuple[int, ...]
+    #: Bits of the six nodes adjacent to the robot.
+    adjacent: int
+    #: ``direction -> bit index`` of the adjacent node in that direction.
+    target: Dict[Direction, int]
+
+
+@lru_cache(maxsize=None)
+def _guard_masks(visibility_range: int) -> _GuardMasks:
+    offsets = disk_offsets(visibility_range)
+    index = {(o.q, o.r): i for i, o in enumerate(offsets)}
+    neighbours = tuple(
+        sum(
+            1 << index[(o.q + d.dq, o.r + d.dr)]
+            for d in DIRECTIONS
+            if (o.q + d.dq, o.r + d.dr) in index
+        )
+        for o in offsets
+    )
+    target = {d: index[d.value] for d in DIRECTIONS}
+    return _GuardMasks(
+        neighbours=neighbours,
+        adjacent=sum(1 << i for i in target.values()),
+        target=target,
+    )
 
 
 def connectivity_safe(view: View, direction: Direction) -> bool:
@@ -32,27 +69,29 @@ def connectivity_safe(view: View, direction: Direction) -> bool:
     that every robot currently adjacent to it lies in the same connected
     component as the move target.  Robots connected only through nodes outside
     the window make the check fail, which postpones the move (conservative).
+
+    The component is a flood fill over the occupied disk bits after the move
+    (the robot's own node is vacated, the target is occupied), one frontier
+    bit at a time through the precomputed neighbour masks.
     """
-    me = Coord(0, 0)
-    target = Coord(*direction.value)
-    old_neighbors: List[Coord] = [
-        Coord(*d.value) for d in DIRECTIONS if view.occupied(Coord(*d.value))
-    ]
-    if not old_neighbors:
+    masks = _guard_masks(view.visibility_range)
+    bits = view.bitmask()
+    old_neighbours = bits & masks.adjacent
+    if not old_neighbours:
         return False
-    after: Set[Coord] = set(view.occupied_offsets)
-    after.discard(me)
-    after.add(target)
-    component = {target}
-    frontier = [target]
+    neighbours = masks.neighbours
+    start = 1 << masks.target[direction]
+    after = bits | start
+    component = frontier = start
     while frontier:
-        node = frontier.pop()
-        for d in DIRECTIONS:
-            nb = node.step(d)
-            if nb in after and nb not in component:
-                component.add(nb)
-                frontier.append(nb)
-    return all(neighbor in component for neighbor in old_neighbors)
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= neighbours[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & after & ~component
+        component |= frontier
+    return not old_neighbours & ~component
 
 
 def entry_uncontested(view: View, direction: Direction) -> bool:
@@ -62,13 +101,9 @@ def entry_uncontested(view: View, direction: Direction) -> bool:
     to the target, no simultaneous move can produce any of the three forbidden
     behaviours around it.  It is used by rules that are rare enough that
     waiting for the neighbourhood to clear does not hurt progress.
+
+    One mask test: the target's in-disk neighbours (the robot's own node is
+    not a disk bit) against the view's bits.
     """
-    me = Coord(0, 0)
-    target = Coord(*direction.value)
-    for d in DIRECTIONS:
-        neighbor = target.step(d)
-        if neighbor == me:
-            continue
-        if view.occupied(neighbor):
-            return False
-    return True
+    masks = _guard_masks(view.visibility_range)
+    return not view.bitmask() & masks.neighbours[masks.target[direction]]

@@ -133,9 +133,15 @@ class Classification:
         return self._packed(self._cyclic)
 
     def counts(self, nodes: Optional[Iterable[int]] = None) -> Dict[str, int]:
-        """Histogram of classes, over all vertices or a given subset."""
+        """Histogram of classes, over all vertices or a given subset.
+
+        The graph's own :attr:`~repro.explore.transitions.TransitionGraph.roots`
+        are answered by :meth:`root_counts`, without a packed -> id lookup.
+        """
         if nodes is None:
             classes = self.classes[self.classes >= 0]
+        elif nodes is self._graph._roots:
+            return self.root_counts()
         else:
             index = self._graph.vertex_index()
             classes = self.classes[[index[packed] for packed in nodes]]

@@ -266,6 +266,20 @@ def split_decisions(
     return additive, amendments
 
 
+def _trial_table(table, additive_items: Assignment, amend_items: Amendment, amended: Amendment):
+    """A trial composition's successor table, derived from the accepted one's.
+
+    ``table`` is the table of the accepted composition, whose committed
+    amendments are ``amended``.  Additive items enter as overrides only for
+    views without a committed amendment: a committed forced stay keeps
+    shadowing an additive rule for its view, exactly as in the one-shot
+    layering ``base_table.derive(assigned, amended)``.
+    """
+    return table.derive(
+        {b: d for b, d in additive_items.items() if b not in amended}, amend_items
+    )
+
+
 def _counterexamples_by_mass(
     graph: TransitionGraph, include_failures: bool = False
 ) -> List[int]:
@@ -540,16 +554,24 @@ def synthesize(
             amended=amended,
         )
 
-    def explore_current(mode: str, with_witnesses: bool = False):
+    # The successor table of the accepted composition (``assigned`` and
+    # ``amended`` between trials); every trial table is derived from it.
+    current_table = (
+        None if base_table is None else base_table.derive(assigned, amended)
+    )
+
+    def explore_current(mode: str, with_witnesses: bool = False, table=None):
         nonlocal explores
         explores += 1
         _obs.counter("cegis.explores").inc()
         with _span("cegis.verify", mode=mode):
             if mode == "fsync" and base_table is not None:
-                # Delta-aware trial evaluation: only the rows touching a changed
-                # exact view are re-resolved, and the verdict is read off the
-                # derived functional graph — no transition-graph materialization.
-                return base_table.derive(assigned, amended).fsync_verdict(root_rows)
+                # Graph-free trial evaluation: the verdict is read off the
+                # composition's functional graph (``table``, derived from the
+                # accepted composition's table by the trial's own decisions,
+                # or the accepted table itself) — no transition-graph
+                # materialization.
+                return (current_table if table is None else table).fsync_verdict(root_rows)
             return explore(
                 algorithm=OverrideAlgorithm(base, assigned, amendments=amended),
                 roots=roots,
@@ -612,17 +634,22 @@ def synthesize(
         number of committed decisions (0 on rejection); a rejected
         single-decision chain is a true refutation and is blocked.
         """
-        nonlocal report, best, won_fsync, ssync_won_baseline
+        nonlocal report, best, won_fsync, ssync_won_baseline, current_table
         additive_items, amend_items = split_decisions(chain, base, assigned)
         capacity = amend_capacity()
         if capacity is not None and len(amend_items) > capacity:
             _obs.counter("cegis.chains_over_budget").inc()
             return 0  # over the override budget; the chain is indivisible
+        trial_table = (
+            None
+            if current_table is None
+            else _trial_table(current_table, additive_items, amend_items, amended)
+        )
         for bitmask, direction in additive_items.items():
             assigned[bitmask] = direction
         for bitmask, direction in amend_items.items():
             amended[bitmask] = direction
-        trial = explore_current("fsync")
+        trial = explore_current("fsync", table=trial_table)
         census = trial.root_census
         accepted = False
         deadlocks_ok = census.get("deadlock", 0) <= report.root_census.get("deadlock", 0)
@@ -648,6 +675,7 @@ def synthesize(
                     accepted = True
             if accepted:
                 report, best, won_fsync = trial, _ok(census), trial_won
+                current_table = trial_table
                 # An accepted amendment shadows (and thus retires) any
                 # additive rule previously committed for the same view.
                 for bitmask in amend_items:
@@ -790,6 +818,8 @@ def synthesize(
                 elif bitmask in amended:
                     blocked.add((bitmask, blocked_name(amended[bitmask])))
                     del amended[bitmask]
+            if base_table is not None:
+                current_table = base_table.derive(assigned, amended)
             report = explore_current("fsync")
             best = _ok(report.root_census)
             won_fsync = _won_roots(report)

@@ -308,31 +308,43 @@ def repair_chain(
     layers with :func:`repro.synth.cegis.split_decisions`.
 
     With ``kernel="table"`` the forward replay runs on the successor table
-    (:mod:`repro.core.table_kernel`): each trial composition is a delta-aware
-    derivation of the base algorithm's table, and the replay is a pointer
-    walk over the derived functional graph — byte-identical statuses and
-    vertices, no per-round Look–Compute.
+    (:mod:`repro.core.table_kernel`), and the replay is a pointer walk over
+    the derived functional graph — byte-identical statuses and vertices, no
+    per-round Look–Compute.  The committed composition's table is derived
+    from the base algorithm's once per call; every DFS child is then derived
+    from its parent's table by its one new decision, so only the rows that
+    decision touches are re-resolved.
     """
     committed_amend = amended or {}
     failed: Set[int] = set()
     expansions = 0
     base_table = _base_table_for(base, packed) if kernel == "table" else None
+    root_table = (
+        None if base_table is None else base_table.derive(assigned, committed_amend)
+    )
+
+    def composed(extra: Amendment) -> OverrideAlgorithm:
+        return OverrideAlgorithm(base, assigned, amendments={**committed_amend, **extra})
 
     def dfs(
-        current: int, extra: Amendment, depth: int, path: FrozenSet[int]
+        current: int,
+        extra: Amendment,
+        depth: int,
+        path: FrozenSet[int],
+        parent_table,
+        decision: Optional[Tuple[int, Optional[Direction]]],
     ) -> Optional[Amendment]:
         nonlocal expansions
         if expansions >= budget or depth > max_depth:
             return None
-        algorithm = OverrideAlgorithm(
-            base, assigned, amendments={**committed_amend, **extra}
-        )
-        row = None if base_table is None else base_table.view.packed_index.get(current)
+        table = parent_table
+        if table is not None and decision is not None:
+            table = table.derive({}, dict([decision]))
+        row = None if table is None else table.view.packed_index.get(current)
         if row is not None:
-            derived = base_table.derive(assigned, {**committed_amend, **extra})
-            status, settled, pre_failure = derived.walk_outcome(row, SIMULATE_MAX_ROUNDS)
+            status, settled, pre_failure = table.walk_outcome(row, SIMULATE_MAX_ROUNDS)
         else:
-            status, settled, pre_failure = simulate_outcome(current, algorithm)
+            status, settled, pre_failure = simulate_outcome(current, composed(extra))
         if status == "gathered":
             if refuted and extra and chain_signature(extra) in refuted:
                 return None  # the verifier rejected this exact chain: backtrack
@@ -351,6 +363,8 @@ def repair_chain(
                     {**extra, bitmask: direction},
                     depth + 1,
                     path | {settled},
+                    table,
+                    (bitmask, direction),
                 )
                 if found is not None:
                     return found
@@ -361,7 +375,7 @@ def repair_chain(
                 return None
             expansions += 1
             positions = unpack_nodes(pre_failure)
-            intents = move_intents(positions, algorithm)
+            intents = move_intents(positions, composed(extra))
             options = amend_candidates(positions, intents, blocked, base.visibility_range)
             for bitmask, direction in options[:amend_branch]:
                 # Unlike the additive branch, an amendment may re-target a view
@@ -375,6 +389,8 @@ def repair_chain(
                     {**extra, bitmask: direction},
                     depth + 1,
                     path | {pre_failure},
+                    table,
+                    (bitmask, direction),
                 )
                 if found is not None:
                     return found
@@ -382,7 +398,7 @@ def repair_chain(
             return None
         return None
 
-    return dfs(packed, {}, 0, frozenset()), expansions
+    return dfs(packed, {}, 0, frozenset(), root_table, None), expansions
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@
   grower ``canonical_positions``;
 * :class:`FrozensetView` — a view held as frozensets of offsets and labels,
   the oracle of the bit-backed :class:`repro.core.view.View`;
+* :func:`reference_connectivity_safe` / :func:`reference_entry_uncontested`
+  — the breadth-first search over ``Coord`` offsets and the per-neighbour
+  scan, the oracles of the bit-parallel guards of
+  :mod:`repro.algorithms.guards`;
 * :func:`first_firing_rule` — the linear scan over a rule list, the oracle of
   the exact-view index of :class:`repro.synth.dsl.RuleSet`;
 * :func:`lazy_fsync_summary` — the memoized per-row walk of the successor
@@ -402,6 +406,48 @@ class FrozensetView:
             raise ValueError("cannot enlarge a view; re-observe the configuration")
         kept = [o for o in self._offsets if distance((0, 0), o) <= visibility_range]
         return FrozensetView(kept, visibility_range)
+
+
+def reference_connectivity_safe(view, direction: Direction) -> bool:
+    """Whether every current neighbour stays connected to the move target.
+
+    A breadth-first search from the target over the occupied offsets after
+    the move (the robot's own node vacated), by ``Coord`` steps in every
+    direction; nodes outside the window are never entered.
+    """
+    me = Coord(0, 0)
+    target = Coord(*direction.value)
+    old_neighbors: List[Coord] = [
+        Coord(*d.value) for d in DIRECTIONS if view.occupied(Coord(*d.value))
+    ]
+    if not old_neighbors:
+        return False
+    after: Set[Coord] = set(view.occupied_offsets)
+    after.discard(me)
+    after.add(target)
+    component = {target}
+    frontier = [target]
+    while frontier:
+        node = frontier.pop()
+        for d in DIRECTIONS:
+            nb = node.step(d)
+            if nb in after and nb not in component:
+                component.add(nb)
+                frontier.append(nb)
+    return all(neighbor in component for neighbor in old_neighbors)
+
+
+def reference_entry_uncontested(view, direction: Direction) -> bool:
+    """Whether no robot other than the mover is adjacent to the move target."""
+    me = Coord(0, 0)
+    target = Coord(*direction.value)
+    for d in DIRECTIONS:
+        neighbor = target.step(d)
+        if neighbor == me:
+            continue
+        if view.occupied(neighbor):
+            return False
+    return True
 
 
 def first_firing_rule(rules, view, mode: Optional[str] = None):

@@ -175,3 +175,19 @@ def test_safe_vertices_can_always_gather():
     for packed, node_class in cls.node_class.items():
         if node_class == "safe":
             assert packed in cls.can_gather
+
+
+@pytest.mark.parametrize("kernel", ["packed", "table"])
+@pytest.mark.parametrize("mode", ["fsync", "ssync"])
+def test_counts_of_the_graph_roots_match_root_counts(kernel, mode):
+    graph = build_transition_graph(
+        enumerate_canonical_node_sets(6),
+        algorithm=ShibataGatheringAlgorithm(),
+        mode=mode,
+        kernel=kernel,
+    )
+    classification = classify(graph)
+    expected = classification.root_counts()
+    assert sum(expected.values()) == len(graph.roots)
+    assert classification.counts(graph.roots) == expected
+    assert classification.counts(list(graph.roots)) == expected
