@@ -434,9 +434,9 @@ class _ShardedViewAdapter:
 
     Narrow per-row arrays (gathered / diameters) resident, canonical lookups
     answered from the memmapped global index.  Deliberately has no
-    ``shapes`` / ``tuple_index`` / ``packed`` — the Python-side dictionaries
-    are exactly what the sharded tier exists to avoid; row-to-packed goes
-    through :meth:`ShardedSuccessorTable.packed_of_row` instead.
+    ``packed`` / ``packed_index`` — the Python-side lookups are exactly what
+    the sharded tier exists to avoid; row-to-packed goes through
+    :meth:`ShardedSuccessorTable.packed_of_row` instead.
     """
 
     def __init__(

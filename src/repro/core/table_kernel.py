@@ -22,10 +22,14 @@ differs:
   resolved once through the algorithm's decision cache; every robot's move
   is then a single array gather ``codes[view_slot]``.
 * **Move, resolved** (:func:`_resolve_pass`, span ``table.resolve``) — the
-  full-activation successor of every configuration is computed vectorized:
-  collision detection (swap / move-onto-staying / same-target, in the
-  engine's precedence order), simultaneous application, connectivity via
-  boolean matrix squaring, translation-canonicalization and an index lookup.
+  full-activation successor of every configuration is computed vectorized
+  with one sort per row (:func:`resolve_rows_arrays`): sorting the robots'
+  landing keys finds the move-onto-staying and same-target collisions and
+  orders the successor's canonical block, one batch-wide ``searchsorted``
+  finds the swaps (precedence swap > move-onto-staying > same-target, as in
+  the engine), and connectivity is read off the index lookup — the space
+  holds every connected configuration, so only the blocks the index misses
+  are checked, and a connected miss raises.
   The result is a *functional graph* ``succ[i]`` plus a per-row kind (step /
   gathered / deadlock / collision / disconnect) and the per-row mover
   bitmask that feeds the SSYNC explorer's activation-subset enumeration.
@@ -66,7 +70,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..grid.coords import Coord
 from ..grid.directions import Direction
 from ..grid.packing import offset_bit_table, pack_nodes, pack_rows, view_bit_count
 from ..obs import get_logger
@@ -168,13 +171,13 @@ def estimate_table_bytes(size: int) -> int:
 
     Per row: the numpy arrays (positions/views/slots/successors, ~``11n + 20``
     bytes) plus a pessimistic allowance for the lazily-built Python-side
-    structures — the shared ``shapes`` tuple of ``Coord`` tuples and the
-    canonical-form lookup dictionaries (tuple/byte/packed index) — which
-    dominate at Python object prices (measured ~1.3 kB/row for the tuple
-    index alone at n=9).  The chunked builds keep transients below this
-    resident cost.  Sizes that fail this bound may still be served out of
-    core by the sharded tier (:func:`sharded_in_scope`), which never builds
-    the Python-side structures.
+    structures — the process-wide ``canonical_shapes`` tuples and the packed
+    lookup list and dictionary — which dominate at Python object prices (a
+    tuple-keyed row index alone once measured ~1.3 kB/row at n=9).  The
+    chunked builds keep transients below this resident cost.  Sizes that
+    fail this bound may still be served out of core by the sharded tier
+    (:func:`sharded_in_scope`), which never builds the Python-side
+    structures.
     """
     rows = state_space_size(size)
     per_row = (11 * size + 20) + (280 * size + 400)
@@ -299,6 +302,9 @@ KIND_DISCONNECT = 4
 
 #: Collision kind codes (match the strings of ``detect_collision_nodes``).
 _COLLISION_KINDS = (None, "swap", "move-onto-staying", "same-target")
+#: Collision code of each severity rank of :func:`resolve_rows_arrays`
+#: (0 none, 1 same-target, 2 move-onto-staying, 3 swap).
+_COLLISION_OF_RANK = np.array([0, 3, 2, 1], dtype=np.int8)
 
 #: Outcome codes of the functional-graph summary, convertible to
 #: :class:`~repro.core.trace.Outcome`; the round limit is only ever applied
@@ -328,6 +334,16 @@ def _sort_key(coords: "np.ndarray") -> "np.ndarray":
     return coords[..., 0].astype(np.int64) * 65536 + coords[..., 1]
 
 
+#: :func:`_sort_key` of each move code's displacement.  The key is linear, so
+#: a robot's landing key is its position key plus its move's key.
+_DELTA_KEYS = _sort_key(_DELTAS)
+
+#: Width of one row's band in :func:`resolve_rows_arrays`' batch-wide landing
+#: search; every node key of a table-sized configuration lies well inside
+#: ``±_ROW_BAND / 2``, so the bands never overlap.
+_ROW_BAND = np.int64(1) << 26
+
+
 #: FNV-1a style multiplier for the polynomial canonical-block hash.
 _HASH_MULT = 0x100000001B3
 
@@ -344,10 +360,13 @@ def _hash_powers(width: int) -> "np.ndarray":
 
 
 def _canonical_hash(flat: "np.ndarray") -> "np.ndarray":
-    """uint64 polynomial hash per row of a flat int8 canonical block array."""
-    shifted = (flat.astype(np.int64) + 128).astype(np.uint64)
-    powers = _hash_powers(shifted.shape[1])
-    return (shifted * powers[None, :]).sum(axis=1, dtype=np.uint64)
+    """uint64 polynomial hash per row of a flat int8 canonical block array.
+
+    Each digit is the byte plus 128 (its top bit flipped); the product with
+    the powers wraps modulo ``2**64``.
+    """
+    digits = (flat.view(np.uint8) ^ np.uint8(0x80)).astype(np.uint64)
+    return digits @ _hash_powers(flat.shape[1])
 
 
 class CanonicalIndex:
@@ -395,13 +414,15 @@ class CanonicalIndex:
         ok &= (np.asarray(self.blocks)[candidate] == flat).all(axis=1)
         rows = np.where(ok, candidate, np.int64(-1))
         if not bool(ok.all()):
-            # Rare path: a duplicated hash value (or a genuinely unknown
-            # block).  Scan the tied hash range row by row.
-            hi = np.searchsorted(hashes, h, side="right")
+            # A miss is an unknown block unless several rows share its hash
+            # (a hash collision): scan only those tied ranges, row by row.
+            missed = np.flatnonzero(~ok)
+            hi = np.searchsorted(hashes, h[missed], side="right")
+            tied = hi - lo[missed] >= 2
             blocks = np.asarray(self.blocks)
             order = np.asarray(self.order)
-            for i in np.nonzero(~ok)[0]:
-                for j in range(int(lo[i]), int(hi[i])):
+            for i, stop in zip(missed[tied].tolist(), hi[tied].tolist()):
+                for j in range(int(lo[i]), stop):
                     row = int(order[j])
                     if (blocks[row] == flat[i]).all():
                         rows[i] = row
@@ -409,17 +430,18 @@ class CanonicalIndex:
         return rows
 
 
-def canonicalize_positions(cpos: "np.ndarray") -> "np.ndarray":
-    """Translate-and-sort a batch of position sets to int8 canonical blocks.
+def _canonical_blocks(keys: "np.ndarray") -> "np.ndarray":
+    """int8 canonical blocks of node sets given as row-sorted :func:`_sort_key` keys.
 
-    ``cpos`` is ``(M, n, 2)``; each row is anchored at its lexicographically
-    smallest node and sorted, matching the enumeration's canonical form.
+    Each row is anchored at its first (smallest) node, as the enumeration's
+    canonical form is; a relative key splits back into ``(q, r)``.
     """
-    key = _sort_key(cpos)
-    anchor = cpos[np.arange(len(cpos)), key.argmin(axis=1)]
-    rel = cpos - anchor[:, None, :]
-    order = _sort_key(rel).argsort(axis=1)
-    return np.take_along_axis(rel, order[:, :, None], axis=1).astype(np.int8)
+    rel = keys - keys[:, :1]
+    q = (rel + 32768) >> 16
+    blocks = np.empty(rel.shape + (2,), dtype=np.int8)
+    blocks[..., 0] = q
+    blocks[..., 1] = rel - (q << 16)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +455,7 @@ class ViewTable:
     :class:`SuccessorTable` (see :func:`view_table`): canonical positions,
     batched view bitmasks, the unique-view index used by the Compute gather
     and the delta-invalidation reverse index, the gathering predicate and
-    diameters, plus the canonical-form lookup dictionaries.
+    diameters, plus the canonical-form lookups.
     """
 
     def __init__(self, size: int, visibility_range: int) -> None:
@@ -454,10 +476,9 @@ class ViewTable:
         self.count = count
         self.positions = positions
 
-        #: The canonical-form lookup dictionaries (tuple/packed index) are
-        #: built lazily: they dominate the resident footprint at larger sizes
-        #: and attached tables often never touch them.
-        self._tuple_index: Optional[Dict[Tuple[Tuple[int, int], ...], int]] = None
+        #: The packed lookup list and dictionary are built lazily: they
+        #: dominate the resident footprint at larger sizes and attached
+        #: tables often never touch them.
         self._packed: Optional[List[int]] = None
         self._packed_index: Optional[Dict[int, int]] = None
         self._canonical_index: Optional[CanonicalIndex] = None
@@ -505,34 +526,12 @@ class ViewTable:
         vt.count = len(arrays["positions"])
         for field in VIEW_ARRAY_FIELDS:
             setattr(vt, field, arrays[field])
-        vt._tuple_index = None
         vt._packed = None
         vt._packed_index = None
         vt._canonical_index = None
         return vt
 
     # ------------------------------------------------------------------ lookup
-    @property
-    def shapes(self) -> Tuple[Tuple[Coord, ...], ...]:
-        """Row index -> canonical node tuple: the process-wide enumeration memo.
-
-        The rows of every table (built or attached) are the sorted
-        enumeration, so the polyhex tuple memo serves them row for row.
-        """
-        from ..enumeration.polyhex import canonical_shapes  # late: cycle
-
-        return canonical_shapes(self.size)
-
-    @property
-    def tuple_index(self) -> Dict[Tuple[Tuple[int, int], ...], int]:
-        """Canonical tuple-of-pairs -> row (lazy)."""
-        if self._tuple_index is None:
-            self._tuple_index = {
-                tuple((int(q), int(r)) for q, r in shape): i
-                for i, shape in enumerate(self.shapes)
-            }
-        return self._tuple_index
-
     @property
     def packed(self) -> List[int]:
         """Row index -> canonical packed integer (lazy: graph slicing only)."""
@@ -575,7 +574,8 @@ class ViewTable:
         # real row; no connected set of ``size <= 127`` nodes is that wide.
         fits = (positions.max(axis=1) - positions.min(axis=1) <= 127).all(axis=1)
         if fits.any():
-            rows[fits] = self.rows_of_canonical(canonicalize_positions(positions[fits]))
+            keys = np.sort(_sort_key(positions[fits]), axis=1)
+            rows[fits] = self.rows_of_canonical(_canonical_blocks(keys))
         return rows
 
     def slot_of_view(self, bitmask: int) -> Optional[int]:
@@ -599,8 +599,8 @@ class ViewTable:
         """Table row of an arbitrary translate of a canonical shape.
 
         Answered through the array-backed canonical index, so single lookups
-        never force the Python tuple dictionary into existence (at n>=9 that
-        dictionary alone costs hundreds of megabytes).
+        never force the Python packed dictionary into existence (at n>=9 a
+        dictionary over every row costs hundreds of megabytes).
         """
         pairs = sorted((int(n[0]), int(n[1])) for n in nodes)
         if len(pairs) != self.size:
@@ -767,54 +767,11 @@ def _decision_pass(
     return codes
 
 
-def _collision_flags_sorted(
-    pos_key: "np.ndarray", target_key: "np.ndarray", movers: "np.ndarray"
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Per-row collision flags via sort + adjacent compare, no pairwise tensors.
-
-    A pairwise formulation allocates three ``(M, n, n)`` boolean tensors
-    per block; this one stays ``(M, 2n)``: encode the quantity each predicate
-    matches on as one scalar per lane, tag the two sides of the match with
-    the low bit, sort each row and look for the consecutive pair
-    ``(2k, 2k + 1)``.  The parity guard on the even side rejects the
-    accidental neighbour pair ``(2k + 1, 2k + 2)``.  Inactive lanes hold
-    per-column sentinel values far above any real key, so they can never
-    form a matching pair.  Canonical coordinates keep every position/target
-    key well inside ``±2**21``, which bounds the packed pair keys below
-    ``2**45`` — comfortably under the sentinels at ``2**50``.
-    """
-    n = movers.shape[1]
-    off = np.int64(1) << 21
-    lane = np.arange(n, dtype=np.int64)
-    sent_a = (np.int64(1) << 50) + lane
-    sent_b = (np.int64(1) << 51) + lane
-
-    # same-target: two movers sharing one target key.
-    keys = np.where(movers, target_key, sent_a)
-    keys = np.sort(keys, axis=1)
-    same_target = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
-
-    # move-onto-staying: a mover's target equals a stayer's position.
-    stay = np.where(movers, sent_a, pos_key) * 2
-    land = np.where(movers, target_key, sent_b) * 2 + 1
-    cat = np.concatenate([stay, land], axis=1)
-    cat.sort(axis=1)
-    onto_staying = ((cat[:, 1:] == cat[:, :-1] + 1) & (cat[:, :-1] % 2 == 0)).any(axis=1)
-
-    # swap: mover a's ordered (position, target) pair equals mover b's
-    # (target, position) pair — pack each ordered pair into one int64.
-    forward = (pos_key + off) * (off * 2) + (target_key + off)
-    reverse = (target_key + off) * (off * 2) + (pos_key + off)
-    fwd = np.where(movers, forward, sent_a) * 2
-    rev = np.where(movers, reverse, sent_b) * 2 + 1
-    cat = np.concatenate([fwd, rev], axis=1)
-    cat.sort(axis=1)
-    swap = ((cat[:, 1:] == cat[:, :-1] + 1) & (cat[:, :-1] % 2 == 0)).any(axis=1)
-    return swap, onto_staying, same_target
-
-
 def _connected_mask(new_pos: "np.ndarray") -> "np.ndarray":
-    """Connectivity per position set, via boolean matmul frontier expansion."""
+    """Connectivity per position set, via boolean matmul frontier expansion.
+
+    :func:`resolve_rows_arrays` runs it only on successors its index misses.
+    """
     n = new_pos.shape[1]
     ndq = new_pos[:, None, :, 0] - new_pos[:, :, None, 0]
     ndr = new_pos[:, None, :, 1] - new_pos[:, :, None, 1]
@@ -844,48 +801,63 @@ def resolve_rows_arrays(
     view table or the sharded global index (which is how cross-shard
     successor pointers resolve to *global* row numbers).  Returns
     ``(mover_bits, mover_count, kind, succ, collision_code)``.
+
+    Precondition: every row of ``pos`` is sorted by :func:`_sort_key`, as the
+    enumeration's canonical rows are.  One sort of each row's landing keys
+    then finds the move-onto-staying and same-target collisions (equal
+    neighbours) and orders the successor's canonical block; the rows' keys,
+    each offset into its own band, are sorted across the batch, so one
+    ``searchsorted`` says which robot each mover lands on (a stayer, or a
+    robot landing back on it: a swap).  The space holds every connected
+    ``n``-set, so a successor the index finds is connected; only the misses
+    are checked with :func:`_connected_mask`, and a connected one raises.
     """
     count, n = move_code.shape
     movers = move_code > 0
-    mover_count = movers.sum(axis=1).astype(np.int16)
-    weights = (1 << np.arange(n, dtype=np.int16))
-    mover_bits = (movers * weights).sum(axis=1).astype(np.int16)
+    mover_count = movers.sum(axis=1, dtype=np.int16)
+    mover_bits = movers @ (1 << np.arange(n, dtype=np.int16))
 
-    kind = np.full(count, KIND_STEP, dtype=np.int8)
+    kind = np.where(gathered, KIND_GATHERED, KIND_DEADLOCK).astype(np.int8)
     succ = np.full(count, -1, dtype=np.int32)
     collision_code = np.zeros(count, dtype=np.int8)
+    active = np.flatnonzero(mover_count)
+    if len(active) == 0:
+        return mover_bits, mover_count, kind, succ, collision_code
+    if len(active) < count:
+        pos, move_code, movers = pos[active], move_code[active], movers[active]
+    m = len(active)
 
-    quiescent = mover_count == 0
-    kind[quiescent] = np.where(gathered[quiescent], KIND_GATHERED, KIND_DEADLOCK)
+    pos_key = _sort_key(pos)  # (m, n), ascending along each row
+    land_key = pos_key + _DELTA_KEYS[move_code]
+    landed = np.sort(land_key, axis=1)
+    clash = (landed[:, 1:] == landed[:, :-1]).any(axis=1)
 
-    targets = pos + _DELTAS[move_code]  # (M, n, 2)
+    band = np.arange(m, dtype=np.int64)[:, None] * _ROW_BAND
+    flat_pos = (pos_key + band).ravel()
+    flat_land = (land_key + band).ravel()
+    flat_movers = movers.ravel()
+    at = np.minimum(np.searchsorted(flat_pos, flat_land), flat_pos.size - 1)
+    # Per mover: 3 if it swaps with the robot it lands on, 2 if it lands on
+    # a stayer.  A row's largest lane, or 1 for any other clash of equal
+    # landing keys (same-target), is its collision in the engine's order.
+    lands_on = flat_movers & (flat_pos[at] == flat_land)
+    lane = np.where(flat_movers[at], (flat_land[at] == flat_pos) * 3, 2) * lands_on
+    rank = np.maximum(lane.reshape(m, n).max(axis=1), clash)
+    collision_code[active] = _COLLISION_OF_RANK[rank]
+    kind[active] = np.where(rank > 0, KIND_COLLISION, KIND_STEP)
 
-    # Collision detection, in the engine's precedence order.  Node pairs
-    # compare as scalar lexicographic keys (half the comparisons).
-    pos_key = _sort_key(pos)  # (M, n)
-    target_key = _sort_key(targets)
-    swap, onto_staying, same_target = _collision_flags_sorted(pos_key, target_key, movers)
-    collided = ~quiescent & (swap | onto_staying | same_target)
-    kind[collided] = KIND_COLLISION
-    collision_code[collided] = np.select(
-        [swap[collided], onto_staying[collided]], [1, 2], default=3
-    )
-
-    moving = ~quiescent & ~collided
-    if moving.any():
-        midx = np.nonzero(moving)[0]
-        new_pos = np.where(movers[midx, :, None], targets[midx], pos[midx])
-        connected = _connected_mask(new_pos)
-        kind[midx[~connected]] = KIND_DISCONNECT
-        cidx = midx[connected]
-        if len(cidx) > 0:
-            canonical = canonicalize_positions(new_pos[connected])
-            found = np.asarray(lookup(canonical))
-            if bool((found < 0).any()):  # pragma: no cover - the space is closed
-                raise RuntimeError(
-                    "successor configuration missing from the state space"
-                )
-            succ[cidx] = found
+    moved = np.flatnonzero(rank == 0)
+    if len(moved):
+        blocks = _canonical_blocks(landed[moved] if len(moved) < m else landed)
+        found = np.asarray(lookup(blocks))
+        rows = active[moved]
+        hit = found >= 0
+        succ[rows[hit]] = found[hit]
+        if not bool(hit.all()):
+            missed = ~hit
+            if bool(_connected_mask(blocks[missed].astype(np.int16)).any()):
+                raise RuntimeError("successor configuration missing from the state space")
+            kind[rows[missed]] = KIND_DISCONNECT
     return mover_bits, mover_count, kind, succ, collision_code
 
 

@@ -270,8 +270,8 @@ def _shape_tuples(positions: "np.ndarray") -> Iterator[Tuple[Coord, ...]]:
 def canonical_shapes(size: int) -> Tuple[Tuple[Coord, ...], ...]:
     """The memoized tuple view of :func:`canonical_positions` (row for row).
 
-    The one tuple copy of a level per process: the fixtures, the explorer's
-    root set, the sweep grid and ``ViewTable.shapes`` all share it.
+    The one tuple copy of a level per process: the fixtures, the packed
+    explorer's root set and the sweep grid share it.
     """
     return tuple(_shape_tuples(canonical_positions(size)))
 

@@ -86,17 +86,23 @@ def explore(
     """Explore, classify and witness in one call.
 
     ``roots`` defaults to the exhaustive enumeration of connected ``size``-robot
-    configurations (3652 for seven robots).  Other parameters mirror
+    configurations (3652 for seven robots); the table kernel takes it as the
+    enumeration's ``(N, n, 2)`` position array and maps it to rows in one
+    pass, the packed kernel as the memoized node tuples it packs.  Other
+    parameters mirror
     :func:`~repro.explore.transitions.build_transition_graph`; in particular
     ``kernel="table"`` builds the graph by slicing the vectorized successor
     table instead of re-simulating every vertex.
     """
     if roots is None:
         from ..enumeration.polyhex import (  # late: avoids an import cycle
+            canonical_positions,
             enumerate_canonical_node_sets,
         )
 
-        roots = enumerate_canonical_node_sets(size)
+        roots = (
+            canonical_positions(size) if kernel == "table" else enumerate_canonical_node_sets(size)
+        )
     graph = build_transition_graph(
         roots,
         algorithm=algorithm,

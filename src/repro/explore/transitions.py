@@ -149,7 +149,7 @@ class TransitionGraph:
         self._roots: Optional[Tuple[int, ...]] = tuple(roots)
         self._unexplored: Optional[FrozenSet[int]] = frozenset(unexplored)
         self._arrays: Optional[GraphArrays] = None
-        self._packed_of: Optional[Callable[[], List[int]]] = None
+        self._packed_of: Optional[Callable[..., List[int]]] = None
         self._vertex_packed: Optional[List[int]] = None
         self._vertex_index: Optional[Dict[int, int]] = None
 
@@ -159,10 +159,11 @@ class TransitionGraph:
         algorithm_name: str,
         mode: str,
         arrays: GraphArrays,
-        packed_of: Callable[[], List[int]],
+        packed_of: Callable[..., List[int]],
         require_connectivity: bool = True,
     ) -> "TransitionGraph":
-        """A graph around its arrays; ``packed_of()`` names the vertices."""
+        """A graph around its arrays; ``packed_of()`` names every vertex and
+        ``packed_of(vids)`` names some."""
         graph = cls(algorithm_name, mode, require_connectivity=require_connectivity)
         graph._edges = graph._terminal = graph._roots = graph._unexplored = None
         graph._arrays = arrays
@@ -214,6 +215,13 @@ class TransitionGraph:
                 self._vertex_packed = self._packed_of()
                 self._packed_of = None  # releases the BFS state and its tables
         return self._vertex_packed
+
+    def packed_of_vertices(self, vids: "np.ndarray") -> List[int]:
+        """Packed configurations of some vertex ids, naming no other vertex."""
+        if self._vertex_packed is None and self._packed_of is not None:
+            return self._packed_of(vids)
+        packed = self.vertex_packed()
+        return [packed[v] for v in vids.tolist()]
 
     def vertex_index(self) -> Dict[int, int]:
         """Packed configuration -> vertex id."""
@@ -585,8 +593,17 @@ class _Vertices:
 
         Roots a table covers become rows in one array pass per robot count
         (:meth:`~repro.core.table_kernel.ViewTable.rows_of_positions`); the
-        rest are packed.
+        rest are packed.  An ``(N, n, 2)`` int array of node sets (such as
+        :func:`~repro.enumeration.polyhex.canonical_positions`) that a table
+        covers maps to rows with no round-trip through tuples.
         """
+        if isinstance(roots, np.ndarray):
+            space = self.space_of_size(roots.shape[1])
+            rows = self.tables[space].view.rows_of_positions(roots) if space else None
+            if rows is not None and bool((rows >= 0).all()):
+                self.discover(np.full(len(rows), space, dtype=np.int64), rows)
+                return
+            roots = roots.tolist()
         node_sets = [
             tuple(item.nodes if isinstance(item, Configuration) else item)
             for item in roots
@@ -615,14 +632,16 @@ class _Vertices:
                 ident[index] = self.packed_ident(pack_nodes(node_sets[index]))
         self.discover(space, ident)
 
-    def vertex_packed(self) -> List[int]:
-        """Packed configuration of every vertex id."""
-        packed: List[int] = [0] * self.count
+    def vertex_packed(self, vids: Optional["np.ndarray"] = None) -> List[int]:
+        """Packed configuration of every vertex id, or of ``vids`` only."""
+        space_of = self.space if vids is None else self.space[vids]
+        ident_of = self.ident if vids is None else self.ident[vids]
+        packed: List[int] = [0] * len(space_of)
         for space, table in enumerate(self.tables):
-            vids = np.nonzero(self.space == space)[0].tolist()
+            where = np.nonzero(space_of == space)[0]
             name = self.packed.__getitem__ if table is None else table.packed_of_row
-            for vid, ident in zip(vids, self.ident[vids].tolist()):
-                packed[vid] = name(ident)
+            for position, ident in zip(where.tolist(), ident_of[where].tolist()):
+                packed[position] = name(ident)
         return packed
 
 

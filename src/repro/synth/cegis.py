@@ -51,6 +51,7 @@ from ..core.algorithm import GatheringAlgorithm
 from ..core.configuration import Configuration
 from ..core.runner import ConfigurationLike
 from ..core.view import View
+from ..explore.analyzer import CLASSES
 from ..explore.report import explore
 from ..explore.transitions import TERMINAL_DEADLOCK, TransitionGraph
 from ..grid.packing import view_bitmask
@@ -214,12 +215,10 @@ def _won_roots(report) -> FrozenSet[int]:
     method = getattr(report, "won_roots", None)
     if method is not None:
         return method()
-    node_class = report.classification.node_class
-    return frozenset(
-        packed
-        for packed in report.graph.roots
-        if node_class[packed] in ("gathered", "safe")
-    )
+    roots = report.graph.arrays.roots
+    classes = report.classification.classes[roots]
+    won = (classes == CLASSES.index("gathered")) | (classes == CLASSES.index("safe"))
+    return frozenset(report.graph.packed_of_vertices(roots[won]))
 
 
 def _report_counterexamples(report, include_failures: bool) -> List[int]:

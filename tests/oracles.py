@@ -5,9 +5,11 @@
   ``Configuration.is_connected()`` and ``canonical_key()`` livelock
   detection), the oracle of the packed and table kernels of
   :func:`repro.core.engine.run_execution`;
-* :func:`collision_flags_pairwise` — the ``(M, n, n)`` pairwise-tensor
-  collision predicates, the oracle of the table kernel's sort +
-  adjacent-compare ``_collision_flags_sorted``;
+* :func:`reference_resolve_rows` — the resolve round with the
+  ``(M, n, n)`` pairwise-tensor collision predicates of
+  :func:`collision_flags_pairwise`, matmul connectivity on every moving row
+  and an argmin + argsort canonicalization, the oracle of the table kernel's
+  one-sort ``resolve_rows_arrays``;
 * :func:`byte_index_lookup` — a scalar dictionary lookup of canonical blocks,
   the oracle of the vectorized ``CanonicalIndex``;
 * :func:`expand_packed_combinations` — the ``itertools.combinations`` SSYNC
@@ -67,17 +69,21 @@ from repro.core.engine import (
 )
 from repro.core.scheduler import FullySynchronousScheduler, Scheduler
 from repro.core.table_kernel import (
+    _DELTAS,
     _DIRECTIONS,
     KIND_COLLISION,
     KIND_DEADLOCK,
     KIND_DISCONNECT,
     KIND_GATHERED,
+    KIND_STEP,
     OUT_COLLISION,
     OUT_DEADLOCK,
     OUT_DISCONNECTED,
     OUT_GATHERED,
     OUT_LIVELOCK,
     _FsyncSummary,
+    _connected_mask,
+    _sort_key,
 )
 from repro.core.trace import ExecutionTrace, Outcome, RoundRecord
 from repro.core.view import view_of
@@ -215,6 +221,63 @@ def collision_flags_pairwise(pos_key, target_key, movers):
     same &= ~np.eye(n, dtype=bool)[None, :, :]
     same_target = same.any(axis=(1, 2))
     return swap, onto_staying, same_target
+
+
+def canonicalize_positions(cpos):
+    """Translate-and-sort a batch of position sets to int8 canonical blocks.
+
+    Each row is anchored at its lexicographically smallest node (argmin),
+    then sorted (argsort).
+    """
+    key = _sort_key(cpos)
+    anchor = cpos[np.arange(len(cpos)), key.argmin(axis=1)]
+    rel = cpos - anchor[:, None, :]
+    order = _sort_key(rel).argsort(axis=1)
+    return np.take_along_axis(rel, order[:, :, None], axis=1).astype(np.int8)
+
+
+def reference_resolve_rows(pos, move_code, gathered, lookup):
+    """The full-activation round of a batch of rows, one predicate at a time.
+
+    Same arguments and outputs as ``resolve_rows_arrays``; the rows of
+    ``pos`` need not be sorted.
+    """
+    count, n = move_code.shape
+    movers = move_code > 0
+    mover_count = movers.sum(axis=1).astype(np.int16)
+    weights = 1 << np.arange(n, dtype=np.int16)
+    mover_bits = (movers * weights).sum(axis=1).astype(np.int16)
+
+    kind = np.full(count, KIND_STEP, dtype=np.int8)
+    succ = np.full(count, -1, dtype=np.int32)
+    collision_code = np.zeros(count, dtype=np.int8)
+
+    quiescent = mover_count == 0
+    kind[quiescent] = np.where(gathered[quiescent], KIND_GATHERED, KIND_DEADLOCK)
+
+    targets = pos + _DELTAS[move_code]
+    swap, onto_staying, same_target = collision_flags_pairwise(
+        _sort_key(pos), _sort_key(targets), movers
+    )
+    collided = ~quiescent & (swap | onto_staying | same_target)
+    kind[collided] = KIND_COLLISION
+    collision_code[collided] = np.select(
+        [swap[collided], onto_staying[collided]], [1, 2], default=3
+    )
+
+    moving = ~quiescent & ~collided
+    if moving.any():
+        midx = np.nonzero(moving)[0]
+        new_pos = np.where(movers[midx, :, None], targets[midx], pos[midx])
+        connected = _connected_mask(new_pos)
+        kind[midx[~connected]] = KIND_DISCONNECT
+        cidx = midx[connected]
+        if len(cidx) > 0:
+            found = np.asarray(lookup(canonicalize_positions(new_pos[connected])))
+            if bool((found < 0).any()):
+                raise RuntimeError("successor configuration missing from the state space")
+            succ[cidx] = found
+    return mover_bits, mover_count, kind, succ, collision_code
 
 
 def byte_index_lookup(positions):

@@ -16,6 +16,7 @@ from repro.algorithms.registry import create_algorithm
 from repro.core.configuration import Configuration
 from repro.core.table_kernel import KIND_DEADLOCK, KIND_GATHERED, KIND_STEP, view_table
 from repro.enumeration.polyhex import canonical_shapes, enumerate_canonical_node_sets
+from repro.explore import explore
 from repro.explore.analyzer import classify
 from repro.explore.transitions import (
     STATE_DEADLOCK,
@@ -24,6 +25,8 @@ from repro.explore.transitions import (
     build_transition_graph,
 )
 from repro.grid.packing import pack_nodes
+
+from repro.synth.cegis import _won_roots
 
 from oracles import reference_classify, reference_exploration
 
@@ -121,3 +124,27 @@ def test_graph_arrays_are_csr(algorithm):
     assert (np.diff(arrays.indptr)[~moving] == 0).all()
     assert arrays.dst.min() >= -2 and arrays.dst.max() < len(arrays.state)
     assert arrays.roots.tolist() == list(range(len(graph.roots)))
+
+
+@pytest.mark.parametrize("size", (5, 6, 7))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kernel", ("table", "packed"))
+def test_exhaustive_roots_as_rows_equal_tuple_roots(algorithm, size, mode, kernel):
+    """``explore(roots=None)`` passes the position array; the graph, its
+    verdicts and the won roots are those of the tuple roots."""
+    rows = explore(algorithm=algorithm, size=size, mode=mode, kernel=kernel, with_witnesses=False)
+    won_rows = _won_roots(rows)  # names only the won roots: no vertex is named yet
+    tuples = explore(
+        algorithm=algorithm,
+        roots=enumerate_canonical_node_sets(size),
+        mode=mode,
+        kernel=kernel,
+        with_witnesses=False,
+    )
+    for field, got, want in zip(rows.graph.arrays._fields, rows.graph.arrays, tuples.graph.arrays):
+        assert np.array_equal(got, want), field
+    assert rows.graph.vertex_packed() == tuples.graph.vertex_packed()
+    assert rows.root_census == tuples.root_census
+    node_class = tuples.classification.node_class
+    won = frozenset(p for p in tuples.graph.roots if node_class[p] in ("gathered", "safe"))
+    assert won_rows == won == _won_roots(rows)

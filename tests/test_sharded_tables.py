@@ -56,7 +56,7 @@ from repro.explore import explore
 from repro.obs import close_sink, configure_sink
 from repro.obs import metrics as _obs
 
-from oracles import byte_index_lookup, collision_flags_pairwise
+from oracles import byte_index_lookup, reference_resolve_rows
 
 
 def _algorithm():
@@ -238,28 +238,22 @@ def test_runner_batch_rides_sharded_tier(shard_cache, sharded_only_scope):
 
 
 # --------------------------------------------------- vectorized == oracle
-def _resolve_with_oracle(monkeypatch, vt, rows, move_code, lookup):
-    """``resolve_rows_arrays`` with the pairwise collision tensors swapped in."""
-    with monkeypatch.context() as patch:
-        patch.setattr(table_kernel, "_collision_flags_sorted", collision_flags_pairwise)
-        return table_kernel.resolve_rows_arrays(
-            vt.positions[rows], move_code, vt.gathered[rows], lookup
-        )
+def _resolve_with_oracle(vt, rows, move_code, lookup):
+    """The pairwise-tensor oracle of ``resolve_rows_arrays`` over ``rows``."""
+    return reference_resolve_rows(vt.positions[rows], move_code, vt.gathered[rows], lookup)
 
 
-def test_vectorized_resolution_equals_pairwise_oracle_n7(monkeypatch):
+def test_vectorized_resolution_equals_pairwise_oracle_n7():
     mono = successor_table(_algorithm(), 7)
     vt = mono.view
     rows = np.arange(vt.count)
-    oracle = _resolve_with_oracle(
-        monkeypatch, vt, rows, mono.move_code, byte_index_lookup(vt.positions)
-    )
+    oracle = _resolve_with_oracle(vt, rows, mono.move_code, byte_index_lookup(vt.positions))
     fields = ("mover_bits", "mover_count", "kind", "succ", "collision_code")
     for field, want in zip(fields, oracle):
         assert np.array_equal(getattr(mono, field), want), field
 
 
-def test_vectorized_resolution_equals_pairwise_oracle_sampled_n8(monkeypatch):
+def test_vectorized_resolution_equals_pairwise_oracle_sampled_n8():
     mono = successor_table(_algorithm(), 8)
     vt = mono.view
     rng = random.Random(8)
@@ -268,7 +262,7 @@ def test_vectorized_resolution_equals_pairwise_oracle_sampled_n8(monkeypatch):
     fast = table_kernel.resolve_rows_arrays(
         vt.positions[rows], move_code, vt.gathered[rows], vt.rows_of_canonical
     )
-    slow = _resolve_with_oracle(monkeypatch, vt, rows, move_code, vt.rows_of_canonical)
+    slow = _resolve_with_oracle(vt, rows, move_code, vt.rows_of_canonical)
     for got, want in zip(fast, slow):
         assert np.array_equal(got, want)
 
