@@ -26,6 +26,7 @@ from repro.analysis.census_pins import (
     PINNED_CENSUS_N10,
     census_ok,
 )
+from repro.core import runner
 from repro.core.runner import ConfigurationResult, ExecutionBatch, run_many, run_sweep
 from repro.core.table_kernel import clear_table_caches
 from repro.enumeration.polyhex import enumerate_connected_configurations
@@ -161,7 +162,8 @@ def test_table_kernel_byte_identity_and_speedup(benchmark, all_seven_robot_confi
 
 
 @pytest.mark.benchmark(group="E9-kernel")
-def test_n8_table_sweep_and_parallel_speedup(benchmark, print_table, bench_timings):
+def test_n8_table_sweep_and_parallel_speedup(benchmark, print_table, bench_timings,
+                                             monkeypatch):
     """E9 (scale-out): the successor-table engine past the paper's n=7.
 
     Two measurements land in ``BENCH_kernel.json`` (both required by the
@@ -199,9 +201,12 @@ def test_n8_table_sweep_and_parallel_speedup(benchmark, print_table, bench_timin
 
     # Parallel shared-memory sweep: a sampled scheduled cell (round-robin
     # activation is real per-configuration work; a pure FSYNC sweep is one
-    # table lookup and leaves nothing to parallelize).  The parent builds the
-    # successor table once, publishes it to shared memory, and every worker
-    # answers from the same arrays.
+    # table lookup and leaves nothing to parallelize).  Both legs build the
+    # successor table once, serially, on the registry's instance; the
+    # parallel leg then publishes it and every worker answers from the same
+    # arrays.  Each leg starts from a fresh registry instance (no table, an
+    # empty decision cache): ``clear_table_caches()`` alone leaves that
+    # instance's tables in place for the second leg.
     sample = configurations[::8]
     grid = dict(
         scheduler_specs=["round-robin:2"],
@@ -210,11 +215,15 @@ def test_n8_table_sweep_and_parallel_speedup(benchmark, print_table, bench_timin
         kernel="table",
         chunk_size=128,
     )
-    clear_table_caches()
+    def fresh_start():
+        clear_table_caches()
+        monkeypatch.delitem(runner._WORKER_ALGORITHMS, "shibata-visibility2", raising=False)
+
+    fresh_start()
     start = time.perf_counter()
     serial_cells = run_sweep(["shibata-visibility2"], workers=1, **grid)
     serial_seconds = time.perf_counter() - start
-    clear_table_caches()
+    fresh_start()
     workers = max(2, min(4, os.cpu_count() or 1))
     start = time.perf_counter()
     parallel_cells = run_sweep(["shibata-visibility2"], workers=workers, **grid)

@@ -15,11 +15,22 @@ This module is that subsystem.  It owns
 * :func:`run_sweep` — the ablation-grid API: the cross product of algorithms,
   schedulers and round budgets over a common configuration set.
 
-Serial batches reuse one algorithm instance for every execution, so the
-engine's decision cache (see :mod:`repro.core.engine`) is shared across the
-whole sweep; each parallel worker process builds the algorithm once
-(:func:`worker_algorithm`) and reuses it, cache included, for every chunk it
-executes.
+A registry name resolves to the process-wide instance
+(:func:`worker_algorithm`) on every path, so a batch — and every cell of a
+sweep — reuses one algorithm object, its decision cache (see
+:mod:`repro.core.engine`) and its successor tables.  Each parallel worker
+process resolves the name the same way and reuses the instance for every
+chunk it executes.
+
+``kernel="table"`` batches follow one policy:
+
+* an FSYNC batch is answered in the calling process by one table lookup per
+  configuration (:func:`_table_batch_results`), whatever ``workers`` says —
+  the lookups are cheap and a pool would parallelize only the marshalling;
+* any other scheduler builds the batch's tables once, in this process and
+  before the serial/parallel split.  Serial batches then run the table
+  engine at every size; parallel batches publish the tables as table stores
+  (:mod:`repro.core.shared_tables`) that every worker maps.
 """
 from __future__ import annotations
 
@@ -62,14 +73,13 @@ DEFAULT_CHUNK_SIZE = 128
 def autotune_chunk_size(total: int, workers: int) -> int:
     """Chunk size balancing fan-out overhead against load balance.
 
-    A fixed 128-row chunk is badly matched to table sweeps: the 16,689-row
-    n=8 space splits into 131 tasks whose pickling/IPC overhead swamps the
-    per-chunk work, which is where the weak 2-worker speedup came from.
-    Targeting ~4 chunks per worker keeps every worker busy to the end (a
-    straggler chunk costs at most a quarter of one worker's share) while the
-    per-task overhead is paid tens of times, not hundreds.  Bounds keep
-    degenerate inputs sane: tiny batches still parallelize, huge ones do not
-    balloon a single task's payload.
+    A fixed 128-row chunk is badly matched to large parallel batches: a
+    scheduled sweep of the 16,689 n=8 roots would split into 131 tasks, each
+    paying pickling and IPC overhead.  Targeting ~4 chunks per worker keeps
+    every worker busy to the end (a straggler chunk costs at most a quarter
+    of one worker's share) while the per-task overhead is paid tens of times,
+    not hundreds.  Bounds keep degenerate inputs sane: tiny batches still
+    parallelize, huge ones do not balloon a single task's payload.
     """
     return max(32, min(4096, -(-total // (max(workers, 1) * 4))))
 
@@ -213,15 +223,12 @@ def _execute_chunk(payload: _ChunkPayload) -> Tuple[List[ConfigurationResult], D
         for handle in handles:
             attach_table(handle)
     scheduler = scheduler_from_spec(scheduler_spec)
-    if kernel == "table" and isinstance(scheduler, FullySynchronousScheduler):
-        results = _table_batch_results(node_tuples, algorithm, max_rounds)
-    else:
-        results = [
-            execute_configuration(
-                nodes, algorithm, scheduler=scheduler, max_rounds=max_rounds, kernel=kernel
-            )
-            for nodes in node_tuples
-        ]
+    results = [
+        execute_configuration(
+            nodes, algorithm, scheduler=scheduler, max_rounds=max_rounds, kernel=kernel
+        )
+        for nodes in node_tuples
+    ]
     # Per-chunk wall time: the histogram is what makes parallel load
     # imbalance visible (a few slow chunks dominating the sweep shows up as
     # a long tail here long before it shows in the aggregate speedup).
@@ -323,10 +330,12 @@ def iter_result_chunks(
     """Execute every configuration, yielding results chunk by chunk, in order.
 
     Exactly one of ``algorithm`` / ``algorithm_name`` must be provided.  With
-    ``workers > 1`` the chunks are fanned out over a multiprocessing pool;
-    that path requires ``algorithm_name`` (algorithms are rebuilt from the
-    registry inside each worker) and, when a scheduler is wanted, a textual
-    scheduler spec (see :func:`~repro.core.scheduler.scheduler_from_spec`).
+    ``workers > 1`` the chunks are fanned out over a multiprocessing pool —
+    except for a ``kernel="table"`` FSYNC batch, which is answered in process
+    (see the module docstring).  ``workers > 1`` requires ``algorithm_name``
+    (algorithms are rebuilt from the registry inside each worker) and, when
+    a scheduler is wanted, a textual scheduler spec (see
+    :func:`~repro.core.scheduler.scheduler_from_spec`), on every kernel.
     ``chunk_size=None`` (the default) autotunes the parallel chunk size from
     the batch row count (:func:`autotune_chunk_size`); serial streaming uses
     :data:`DEFAULT_CHUNK_SIZE`.
@@ -372,22 +381,43 @@ def _iter_result_chunks_uncounted(
         raise ValueError("chunk_size must be at least 1")
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; available: {KERNELS}")
+    if workers > 1:
+        if algorithm_name is None:
+            raise ValueError("parallel execution requires algorithm_name (registry lookup)")
+        if isinstance(scheduler, Scheduler):
+            raise ValueError(
+                "parallel execution requires a scheduler spec string, not an instance"
+            )
+
+    if algorithm is None:
+        algorithm = worker_algorithm(algorithm_name)
+    scheduler_obj = scheduler_from_spec(scheduler)
+    if kernel == "table" and isinstance(scheduler_obj, FullySynchronousScheduler):
+        # One table build and one functional-graph summary pass answer the
+        # whole FSYNC batch in process, whatever ``workers`` says: a pool
+        # would parallelize only the marshalling of the answers.
+        results = _table_batch_results(configurations, algorithm, max_rounds)
+        step = chunk_size or DEFAULT_CHUNK_SIZE
+        for start in range(0, len(results), step):
+            yield results[start : start + step]
+        return
+
+    tables: List = []
+    if kernel == "table":
+        # Build every table the batch needs once, before the serial/parallel
+        # split: the engine builds on demand only up to n=7, so without this
+        # a serial batch past n=7 would run the packed kernel.
+        from .table_kernel import scoped_table  # late: avoids an import cycle
+
+        configurations = list(configurations)
+        for size in sorted({len(item) for item in configurations}):
+            table = scoped_table(algorithm, size)
+            if table is not None:
+                tables.append(table)
 
     if workers <= 1:
         if chunk_size is None:
             chunk_size = DEFAULT_CHUNK_SIZE
-        if algorithm is None:
-            from ..algorithms.registry import create_algorithm  # late: import cycle
-
-            algorithm = create_algorithm(algorithm_name)
-        scheduler_obj = scheduler_from_spec(scheduler)
-        if kernel == "table" and isinstance(scheduler_obj, FullySynchronousScheduler):
-            # The table fast path: one build + one functional-graph summary pass
-            # answers the whole FSYNC batch (no per-execution simulation).
-            results = _table_batch_results(configurations, algorithm, max_rounds)
-            for start in range(0, len(results), chunk_size):
-                yield results[start : start + chunk_size]
-            return
         chunk: List[ConfigurationResult] = []
         for item in configurations:
             chunk.append(
@@ -406,13 +436,6 @@ def _iter_result_chunks_uncounted(
             yield chunk
         return
 
-    if algorithm_name is None:
-        raise ValueError("parallel execution requires algorithm_name (registry lookup)")
-    if isinstance(scheduler, Scheduler):
-        raise ValueError(
-            "parallel execution requires a scheduler spec string, not an instance"
-        )
-
     node_tuples = _node_tuples(configurations)
     if chunk_size is None:
         chunk_size = autotune_chunk_size(len(node_tuples), workers)
@@ -420,25 +443,13 @@ def _iter_result_chunks_uncounted(
     pool = None
     published: List = []
     try:
-        builder = worker_algorithm(algorithm_name) if kernel == "table" else None
-        if builder is not None and node_tuples:
-            # Build the successor tables once in the parent (the Compute
-            # fan-out itself runs on the pool) and publish each as a table
-            # store: every worker maps the one table instead of rebuilding —
-            # the build is paid once per batch, not once per process.
+        if tables:
+            # Publish each table as a table store: every worker maps the one
+            # table instead of rebuilding it.
             from .shared_tables import publish_table  # late: avoids an import cycle
-            from .table_kernel import scoped_table
 
-            pool = multiprocessing.get_context("spawn").Pool(
-                processes=min(workers, os.cpu_count() or 1)
-            )
-            for table_size in sorted({len(nodes) for nodes in node_tuples}):
-                table = scoped_table(
-                    builder, table_size, workers=workers, pool=pool,
-                    algorithm_name=algorithm_name,
-                )
-                if table is not None:
-                    published.append(publish_table(table, algorithm_name))
+            for table in tables:
+                published.append(publish_table(table, algorithm_name))
         payloads: List[_ChunkPayload] = [
             (
                 algorithm_name,
@@ -450,9 +461,10 @@ def _iter_result_chunks_uncounted(
             )
             for i in range(0, len(node_tuples), chunk_size)
         ]
-        for results, delta in run_chunked_tasks(
-            payloads, _execute_chunk, workers=workers, pool=pool
-        ):
+        pool = multiprocessing.get_context("spawn").Pool(
+            processes=min(workers, os.cpu_count() or 1, max(len(payloads), 1))
+        )
+        for results, delta in run_chunked_tasks(payloads, _execute_chunk, pool=pool):
             _obs.merge(delta)
             yield results
     finally:

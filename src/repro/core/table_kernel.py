@@ -705,63 +705,35 @@ def _geometry_pass(
     return views, diameters, gathered
 
 
-def _decision_pass(
-    algorithm: GatheringAlgorithm,
-    bitmasks: List[int],
-    workers: int = 1,
-    pool=None,
-    algorithm_name: Optional[str] = None,
-) -> "np.ndarray":
+def _decision_pass(algorithm: GatheringAlgorithm, bitmasks: List[int]) -> "np.ndarray":
     """Move code (int8) of every view bitmask, through the decision cache.
 
     The only Python-loop cost of a build: each bitmask not yet in the
-    algorithm's decision cache is resolved by its ``compute``.  With
-    ``workers > 1`` (or an explicit ``pool``), a registry ``algorithm_name``
-    and at least 2048 views, the loop is fanned out over worker processes
-    (:func:`_codes_chunk`) in deterministic chunk order and the resolved
-    codes are merged back into this process's decision cache, so later
-    single executions agree.
+    algorithm's decision cache is resolved by its ``compute``, in process.
+    A worker pool does not pay here: on a 2-core host the n=8 pass (12,381
+    views) took 0.10–0.14 s serially and 0.43–0.44 s on an already started
+    2-process pool.
     """
     from .engine import decision_cache_for  # late: avoids an import cycle
 
     start_time = time.perf_counter()
     cache = decision_cache_for(algorithm)
     codes = np.zeros(len(bitmasks), dtype=np.int8)
-    parallel = (workers > 1 or pool is not None) and algorithm_name is not None
-    if parallel and len(bitmasks) >= 2048:
-        from .runner import run_chunked_tasks  # late: avoids an import cycle
-
-        chunk = max(512, -(-len(bitmasks) // (max(workers, 2) * 4)))
-        payloads = [
-            (algorithm_name, bitmasks[i : i + chunk])
-            for i in range(0, len(bitmasks), chunk)
-        ]
-        offset = 0
-        for chunk_codes, delta in run_chunked_tasks(
-            payloads, _codes_chunk, workers=workers, pool=pool
-        ):
-            _obs.merge(delta)
-            codes[offset : offset + len(chunk_codes)] = chunk_codes
-            offset += len(chunk_codes)
-        for bitmask, code in zip(bitmasks, codes.tolist()):
-            if bitmask not in cache:
-                cache[bitmask] = None if code == 0 else _DIRECTIONS[code - 1]
-    else:
-        compute = algorithm.compute
-        visibility_range = algorithm.visibility_range
-        misses = 0
-        for slot, bitmask in enumerate(bitmasks):
-            try:
-                decision = cache[bitmask]
-            except KeyError:
-                misses += 1
-                decision = compute(View.from_bitmask(bitmask, visibility_range))
-                cache[bitmask] = decision
-            if decision is not None:
-                codes[slot] = _CODE_OF[decision]
-        _obs.counter("decision_cache.lookups").inc(len(bitmasks))
-        if misses:
-            _obs.counter("decision_cache.misses").inc(misses)
+    compute = algorithm.compute
+    visibility_range = algorithm.visibility_range
+    misses = 0
+    for slot, bitmask in enumerate(bitmasks):
+        try:
+            decision = cache[bitmask]
+        except KeyError:
+            misses += 1
+            decision = compute(View.from_bitmask(bitmask, visibility_range))
+            cache[bitmask] = decision
+        if decision is not None:
+            codes[slot] = _CODE_OF[decision]
+    _obs.counter("decision_cache.lookups").inc(len(bitmasks))
+    if misses:
+        _obs.counter("decision_cache.misses").inc(misses)
     _obs_record_span("table.compute", time.perf_counter() - start_time, views=len(bitmasks))
     record_peak_rss()
     return codes
@@ -1076,24 +1048,15 @@ class SuccessorTable:
 
     # ------------------------------------------------------------------ build
     @classmethod
-    def build(
-        cls,
-        algorithm: GatheringAlgorithm,
-        size: int,
-        workers: int = 1,
-        pool=None,
-        algorithm_name: Optional[str] = None,
-    ) -> "SuccessorTable":
+    def build(cls, algorithm: GatheringAlgorithm, size: int) -> "SuccessorTable":
         """Materialize the table for ``algorithm`` over the ``size``-robot space.
 
-        ``workers`` / ``pool`` / ``algorithm_name`` fan the Compute pass out
-        over worker processes (see :func:`_decision_pass`).
+        Every pass runs in this process, the Compute pass included (see
+        :func:`_decision_pass`).
         """
         build_start = time.perf_counter()
         vt = view_table(size, algorithm.visibility_range)
-        codes = _decision_pass(
-            algorithm, vt.unique_views.tolist(), workers, pool, algorithm_name
-        )
+        codes = _decision_pass(algorithm, vt.unique_views.tolist())
         table = cls._from_codes(vt, codes)
         estimated = estimate_table_bytes(size)
         actual = table.array_bytes()
@@ -1600,13 +1563,12 @@ class TableFsyncVerdict:
 # ---------------------------------------------------------------------------
 
 def _codes_chunk(payload: Tuple[str, List[int]]) -> Tuple["np.ndarray", Dict]:
-    """Worker entry point of the parallel Compute fan-out: views -> codes.
+    """Views -> codes for one chunk of unique view bitmasks, by registry name.
 
-    Resolves one chunk of unique view bitmasks through the per-process
-    algorithm instance (:func:`_decision_pass`, serially — no view table, no
-    enumeration: the chunk is self-contained), returning the int8 move codes
-    plus the drained metrics delta the parent merges (see
-    :mod:`repro.obs.metrics`).
+    Nothing in the package calls it: every table build runs its Compute pass
+    serially.  It stays only as a named target of the benchmark tracer.
+    Returns the int8 move codes of :func:`_decision_pass` plus the drained
+    metrics delta (see :mod:`repro.obs.metrics`).
     """
     algorithm_name, bitmasks = payload
     from .runner import worker_algorithm  # late: avoids an import cycle
@@ -1618,9 +1580,6 @@ def _codes_chunk(payload: Tuple[str, List[int]]) -> Tuple["np.ndarray", Dict]:
 def successor_table(
     algorithm: GatheringAlgorithm,
     size: int,
-    workers: int = 1,
-    pool=None,
-    algorithm_name: Optional[str] = None,
     disk_cache: Optional[str] = None,
 ) -> SuccessorTable:
     """The memoized successor table of ``algorithm`` over the ``size`` space.
@@ -1633,9 +1592,7 @@ def successor_table(
     from their base algorithm's table via delta-aware invalidation instead of
     being rebuilt, which is what makes per-candidate CEGIS evaluation cheap.
 
-    ``workers`` / ``pool`` / ``algorithm_name`` parallelize a cold build's
-    Compute phase (see :meth:`SuccessorTable.build`); they are ignored when
-    the table is already memoized or derived.
+    A cold build runs in this process (see :meth:`SuccessorTable.build`).
 
     ``disk_cache`` (or the ``REPRO_TABLE_CACHE`` environment variable when
     the argument is omitted) names a directory of table stores
@@ -1654,14 +1611,11 @@ def successor_table(
         def build() -> SuccessorTable:
             layers = getattr(algorithm, "table_kernel_layers", None)
             if layers is None:
-                return SuccessorTable.build(
-                    algorithm, size, workers=workers, pool=pool, algorithm_name=algorithm_name
-                )
+                return SuccessorTable.build(algorithm, size)
             base, overrides, amendments = layers
-            return successor_table(
-                base, size, workers=workers, pool=pool, algorithm_name=None,
-                disk_cache=disk_cache,
-            ).derive(overrides, amendments)
+            return successor_table(base, size, disk_cache=disk_cache).derive(
+                overrides, amendments
+            )
 
         cache_dir = disk_cache if disk_cache is not None else os.environ.get(_TABLE_CACHE_ENV)
         if cache_dir:
@@ -1690,9 +1644,6 @@ def scoped_table(
     algorithm: GatheringAlgorithm,
     size: int,
     build: bool = True,
-    workers: int = 1,
-    pool=None,
-    algorithm_name: Optional[str] = None,
     disk_cache: Optional[str] = None,
 ) -> Optional[SuccessorTable]:
     """The table of whichever tier covers ``size``-robot spaces, or ``None``.
@@ -1702,8 +1653,8 @@ def scoped_table(
     out-of-core :func:`~repro.core.sharded_tables.sharded_successor_table`
     within :func:`sharded_in_scope`, else ``None``.  ``build=False`` returns
     only a table already memoized on ``algorithm`` (a single execution never
-    pays for a build).  The build arguments go to :func:`successor_table`;
-    the sharded tier takes ``disk_cache`` as its store root.  Algorithms
+    pays for a build).  Either tier builds in this process; ``disk_cache``
+    is the store root of both.  Algorithms
     whose views do not fit the view column (:func:`view_in_scope`) get
     ``None`` at every size.
     """
@@ -1712,10 +1663,7 @@ def scoped_table(
     if table_in_scope(size):
         if not build:
             return (getattr(algorithm, "_successor_tables", None) or {}).get(size)
-        return successor_table(
-            algorithm, size, workers=workers, pool=pool,
-            algorithm_name=algorithm_name, disk_cache=disk_cache,
-        )
+        return successor_table(algorithm, size, disk_cache=disk_cache)
     if sharded_in_scope(size):
         if not build:
             return (getattr(algorithm, "_sharded_tables", None) or {}).get(size)

@@ -127,9 +127,7 @@ class GatheringService:
                 # Past the in-RAM bound the table is a shard store that
                 # builds (or reopens) once here; requests stream from it.
                 with span("serve.load_table", algorithm=name, size=size):
-                    table = scoped_table(
-                        algorithm, size, algorithm_name=name, disk_cache=self.table_cache
-                    )
+                    table = scoped_table(algorithm, size, disk_cache=self.table_cache)
                     if table is None:
                         _LOG.warning("size %d outside every table scope; skipping", size)
                         continue
@@ -322,10 +320,7 @@ class GatheringService:
             from ..core.table_kernel import scoped_table
 
             with span("serve.census", algorithm=request.algorithm, size=request.size):
-                table = scoped_table(
-                    algorithm, request.size, algorithm_name=request.algorithm,
-                    disk_cache=self.table_cache,
-                )
+                table = scoped_table(algorithm, request.size, disk_cache=self.table_cache)
                 if table is None:
                     raise ProtocolError(
                         f"size {request.size} is outside every table scope", field="size"

@@ -258,21 +258,25 @@ def test_render_text_and_prometheus():
 
 
 # ------------------------------------------------- cross-process exactness
-def test_parallel_sweep_counters_match_serial_exactly():
-    """A two-worker n=8 table sweep reports byte-identical counters.
+def test_parallel_sweep_counters_match_serial_exactly(monkeypatch):
+    """A two-worker scheduled table sweep reports byte-identical counters.
 
     Workers drain their registry into every chunk result and the parent
     merges the deltas, so the merged totals must equal both the serial
     totals and the ground truth from the batch itself — counts, not
-    samples.
+    samples.  The batch is scheduled (an FSYNC table batch is answered in
+    process and never reaches a worker), and both legs start from a fresh
+    algorithm instance, so the ``decision_cache.*`` counts compare like
+    with like.
     """
     np = pytest.importorskip("numpy")  # noqa: F841  (table kernel needs it)
     from repro.algorithms.visibility2 import ShibataGatheringAlgorithm
+    from repro.core import runner
     from repro.core.runner import run_many
     from repro.core.table_kernel import clear_table_caches
     from repro.enumeration.polyhex import enumerate_canonical_node_sets
 
-    configurations = enumerate_canonical_node_sets(8)[::16]
+    configurations = enumerate_canonical_node_sets(7)[::16]
     stores_before = set(glob.glob("/dev/shm/repro_tbl_*"))
 
     clear_table_caches()
@@ -280,15 +284,18 @@ def test_parallel_sweep_counters_match_serial_exactly():
     serial = run_many(
         configurations,
         algorithm=ShibataGatheringAlgorithm(),
+        scheduler="round-robin:2",
         max_rounds=600,
         kernel="table",
     )
     serial_delta = obs.export_delta()
 
     clear_table_caches()
+    monkeypatch.delitem(runner._WORKER_ALGORITHMS, "shibata-visibility2", raising=False)
     parallel = run_many(
         configurations,
         algorithm_name="shibata-visibility2",
+        scheduler="round-robin:2",
         max_rounds=600,
         kernel="table",
         workers=2,

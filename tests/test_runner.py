@@ -139,6 +139,69 @@ def test_parallel_rejects_scheduler_instances():
         )
 
 
+# ------------------------------------------------------------ table batches
+
+def test_fsync_table_batch_with_workers_starts_no_pool(monkeypatch):
+    import multiprocessing
+
+    pytest.importorskip("numpy")
+    configs = enumerate_connected_configurations(6)
+    serial = run_many(configs, algorithm_name="shibata-visibility2", max_rounds=300,
+                      kernel="table")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started for an FSYNC table batch")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    parallel = run_many(configs, algorithm_name="shibata-visibility2", max_rounds=300,
+                        kernel="table", workers=2)
+    assert parallel.results == serial.results
+
+
+@pytest.mark.parametrize("scheduler", [None, "round-robin:2"])
+def test_table_batches_keep_the_parallel_argument_checks(scheduler):
+    with pytest.raises(ValueError, match="algorithm_name"):
+        run_many([hexagon()], algorithm=ShibataGatheringAlgorithm(), scheduler=scheduler,
+                 workers=2, kernel="table")
+    instance = scheduler_from_spec(scheduler)
+    with pytest.raises(ValueError, match="spec string"):
+        run_many([hexagon()], algorithm_name="shibata-visibility2", scheduler=instance,
+                 workers=2, kernel="table")
+
+
+def test_table_sweep_builds_its_table_once(monkeypatch):
+    from repro import obs
+    from repro.core import runner
+
+    pytest.importorskip("numpy")
+    monkeypatch.delitem(runner._WORKER_ALGORITHMS, "shibata-visibility2", raising=False)
+    obs.export_delta()
+    cells = run_sweep(["shibata-visibility2"], max_rounds_grid=[100, 200, 300], size=6,
+                      kernel="table")
+    assert len(cells) == 3
+    assert obs.export_delta()["counters"]["table.succ_builds"] == 1
+
+
+def test_serial_scheduled_table_batch_past_n7_runs_on_the_table():
+    from repro import obs
+    from repro.core.table_kernel import clear_table_caches
+
+    pytest.importorskip("numpy")
+    configs = enumerate_connected_configurations(8)[::128]
+    algorithm = ShibataGatheringAlgorithm()
+    obs.export_delta()
+    table = run_many(configs, algorithm=algorithm, scheduler="round-robin:2",
+                     max_rounds=200, kernel="table")
+    assert obs.export_delta()["counters"]["table.succ_builds"] == 1
+    assert 8 in algorithm._successor_tables
+    packed = run_many(configs, algorithm=ShibataGatheringAlgorithm(),
+                      scheduler="round-robin:2", max_rounds=200)
+    for table_result, packed_result in zip(table.results, packed.results):
+        assert table_result == packed_result
+    assert table.total == packed.total == len(configs)
+    clear_table_caches(algorithm)
+
+
 def test_execution_batch_aggregates():
     batch = ExecutionBatch(algorithm_name="x")
     assert batch.total == 0

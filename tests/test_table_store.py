@@ -207,12 +207,15 @@ def test_persisted_table_is_published_without_a_copy(tmp_path, monkeypatch):
 
 
 def test_abandoned_iteration_leaves_no_private_store(monkeypatch):
+    # A scheduled batch: an FSYNC table batch is answered in process and
+    # publishes nothing.
     monkeypatch.delenv("REPRO_TABLE_CACHE", raising=False)
     clear_table_caches(worker_algorithm(ALGORITHM))
     before = _private_stores()
     chunks = iter_result_chunks(
         enumerate_canonical_node_sets(SIZE),
         algorithm_name=ALGORITHM,
+        scheduler="round-robin:2",
         workers=2,
         chunk_size=16,
         kernel="table",
