@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. the committed additive repair), or the literal name "
         "'learned' for the committed shibata-visibility2 repair",
     )
-    p_synth.add_argument("--workers", type=_positive_int, default=1)
     p_synth.add_argument(
         "--kernel",
         default="auto",
@@ -628,7 +627,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             chain_budget=args.chain_budget,
             max_depth=args.max_depth,
             branch=args.branch,
-            workers=args.workers,
             ssync_validate=not args.no_ssync_validate,
             checkpoint_path=args.checkpoint,
             resume=args.resume,

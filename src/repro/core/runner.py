@@ -147,38 +147,17 @@ def execute_configuration(
 # Streaming core.
 # ---------------------------------------------------------------------------
 
-def run_chunked_tasks(
-    payloads: Sequence,
-    worker: Callable,
-    workers: int = 1,
-    pool=None,
-) -> Iterator:
-    """Yield ``worker(payload)`` for every payload, in order.
+def run_chunked_tasks(payloads: Sequence, worker: Callable, pool) -> Iterator:
+    """Yield ``worker(payload)`` for every payload, in order, from ``pool``.
 
     The shared fan-out primitive of the batch runner and the transition-graph
-    explorer (:mod:`repro.explore`): with ``workers <= 1`` the payloads are
-    processed inline; otherwise they are distributed over a spawn-context
-    multiprocessing pool.  ``worker`` must be a module-level function and the
-    payloads picklable primitives (the spawn context re-imports the package in
-    each child).
-
-    Callers that fan out repeatedly (the explorer expands one BFS level per
-    call) pass a ``pool`` they own so spawn startup is paid once; it is left
-    open for them to close.  Without ``pool`` a fresh one is created and torn
-    down around this call.
+    explorer (:mod:`repro.explore`).  Both own a spawn-context
+    multiprocessing ``pool`` (the explorer reuses one across BFS levels, so
+    spawn start-up is paid once) and close it themselves.  ``worker`` must be
+    a module-level function and the payloads picklable primitives (the spawn
+    context re-imports the package in each child).
     """
-    if pool is not None:
-        for result in pool.imap(worker, payloads):
-            yield result
-        return
-    if workers <= 1:
-        for payload in payloads:
-            yield worker(payload)
-        return
-    workers = min(workers, os.cpu_count() or 1, max(len(payloads), 1))
-    with multiprocessing.get_context("spawn").Pool(processes=workers) as created:
-        for result in created.imap(worker, payloads):
-            yield result
+    yield from pool.imap(worker, payloads)
 
 
 _ChunkPayload = Tuple[str, Optional[str], List[NodeTuple], int, str, Tuple]
@@ -234,6 +213,18 @@ def _execute_chunk(payload: _ChunkPayload) -> Tuple[List[ConfigurationResult], D
     # a long tail here long before it shows in the aggregate speedup).
     _obs.histogram("runner.chunk_seconds").observe(time.perf_counter() - chunk_start)
     return results, _obs.export_delta()
+
+
+def _in_process(kernel: str, scheduler: Union[None, str, Scheduler]) -> bool:
+    """Whether a batch is answered in this process whatever ``workers`` says.
+
+    That is an FSYNC ``kernel="table"`` batch: one table build and one
+    functional-graph summary pass answer it, and a pool would parallelize
+    only the marshalling of the answers.
+    """
+    return kernel == "table" and isinstance(
+        scheduler_from_spec(scheduler), FullySynchronousScheduler
+    )
 
 
 def _table_batch_results(
@@ -392,10 +383,7 @@ def _iter_result_chunks_uncounted(
     if algorithm is None:
         algorithm = worker_algorithm(algorithm_name)
     scheduler_obj = scheduler_from_spec(scheduler)
-    if kernel == "table" and isinstance(scheduler_obj, FullySynchronousScheduler):
-        # One table build and one functional-graph summary pass answer the
-        # whole FSYNC batch in process, whatever ``workers`` says: a pool
-        # would parallelize only the marshalling of the answers.
+    if _in_process(kernel, scheduler_obj):
         results = _table_batch_results(configurations, algorithm, max_rounds)
         step = chunk_size or DEFAULT_CHUNK_SIZE
         for start in range(0, len(results), step):
@@ -543,7 +531,9 @@ def run_many(
 
     ``progress`` is called as ``progress(done, total)`` after every completed
     configuration (serial) or chunk (parallel).  Parameters are shared with
-    :func:`iter_result_chunks`.
+    :func:`iter_result_chunks`.  The batch's ``workers`` (and its
+    ``runner.batch`` span and log line) report the processes actually used:
+    1 for an FSYNC ``kernel="table"`` batch, which ignores ``workers``.
     """
     config_list = list(configurations)
     total = len(config_list)
@@ -561,7 +551,6 @@ def run_many(
         algorithm_name=resolved_name,
         scheduler_name=scheduler_name,
         max_rounds=max_rounds,
-        workers=max(workers, 1),
     )
 
     # Per-configuration progress granularity on the serial path matches the
@@ -583,6 +572,8 @@ def run_many(
         if progress is not None:
             progress(len(batch.results), total)
     batch.elapsed_seconds = time.perf_counter() - start
+    # The scheduler spec is known valid here: the batch has run.
+    batch.workers = 1 if _in_process(kernel, scheduler) else max(workers, 1)
     _obs_record_span(
         "runner.batch",
         batch.elapsed_seconds,

@@ -56,7 +56,6 @@ from .ruleset import (
 from .search import (
     amend_candidates,
     candidate_moves,
-    propose_chains,
     repair_chain,
     simulate_outcome,
     simulate_to_quiescence,
@@ -80,7 +79,6 @@ __all__ = [
     "learned_ruleset",
     "load_ruleset",
     "overrides_to_ruleset",
-    "propose_chains",
     "repair_chain",
     "result_algorithm",
     "ruleset_algorithm",

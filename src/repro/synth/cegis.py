@@ -394,8 +394,7 @@ def synthesize(
 ) -> SynthesisResult:
     """Run the CEGIS loop and return the best-found repair.
 
-    Exactly one of ``base`` / ``base_name`` must be given (the named form is
-    required for ``workers > 1``, mirroring the batch runner).  ``roots``
+    Exactly one of ``base`` / ``base_name`` must be given.  ``roots``
     restricts the state space (default: the exhaustive enumeration of
     ``size``-robot connected configurations).  ``checkpoint_path`` persists
     the search state as JSON after every iteration; with ``resume=True`` an
@@ -424,6 +423,10 @@ def synthesize(
     walk on derived tables.  ``"auto"`` (the default) picks ``"table"`` when
     NumPy is available and the root set fits the table's scope, else
     ``"packed"``.  All kernels produce byte-identical searches.
+
+    The chain search runs in the calling process.  ``workers`` is accepted
+    and ignored, as :func:`~repro.core.runner.run_many` ignores it for FSYNC
+    table batches, so callers that pass it keep working.
     """
     if (base is None) == (base_name is None):
         raise ValueError("provide exactly one of base / base_name")
@@ -559,7 +562,9 @@ def synthesize(
         None if base_table is None else base_table.derive(assigned, amended)
     )
 
-    def explore_current(mode: str, with_witnesses: bool = False, table=None):
+    # ``layers`` = ``(assigned, amended)`` explores that composition instead of
+    # the live one.
+    def explore_current(mode: str, with_witnesses: bool = False, table=None, layers=None):
         nonlocal explores
         explores += 1
         _obs.counter("cegis.explores").inc()
@@ -571,8 +576,9 @@ def synthesize(
                 # or the accepted table itself) — no transition-graph
                 # materialization.
                 return (current_table if table is None else table).fsync_verdict(root_rows)
+            additive, amendments = layers or (assigned, amended)
             return explore(
-                algorithm=OverrideAlgorithm(base, assigned, amendments=amended),
+                algorithm=OverrideAlgorithm(base, additive, amendments=amendments),
                 roots=roots,
                 size=size,
                 mode=mode,
@@ -609,10 +615,12 @@ def synthesize(
     # composition).
     refuted_chains: Set[FrozenSet[Tuple[int, str]]] = set()
 
-    def ssync_baseline() -> FrozenSet[int]:
+    def ssync_baseline(accepted_layers) -> FrozenSet[int]:
         nonlocal ssync_won_baseline
         if ssync_won_baseline is None:
-            ssync_won_baseline = _won_roots(explore_current("ssync"))
+            ssync_won_baseline = _won_roots(
+                explore_current("ssync", layers=accepted_layers)
+            )
             say(f"ssync regression baseline: {len(ssync_won_baseline)} won roots")
         return ssync_won_baseline
 
@@ -644,6 +652,9 @@ def synthesize(
             if current_table is None
             else _trial_table(current_table, additive_items, amend_items, amended)
         )
+        # The SSYNC baseline is computed lazily, after the chain is written:
+        # it must explore the accepted composition, not the trial.
+        accepted_layers = (dict(assigned), dict(amended))
         for bitmask, direction in additive_items.items():
             assigned[bitmask] = direction
         for bitmask, direction in amend_items.items():
@@ -662,7 +673,7 @@ def synthesize(
                     # activation schedule and preserve every adversarially-won
                     # root.  Gating each commit keeps the end-of-run SSYNC
                     # validation a formality instead of a demolition.
-                    baseline = ssync_baseline()
+                    baseline = ssync_baseline(accepted_layers)
                     ssync_trial = explore_current("ssync")
                     if (
                         _bad(ssync_trial.root_census) == 0
@@ -713,11 +724,9 @@ def synthesize(
                     base,
                     assigned,
                     blocked,
-                    base_name=base_name,
                     budget=chain_budget,
                     max_depth=max_depth,
                     branch=branch,
-                    workers=workers,
                     amended=amended,
                     allow_amend=amending,
                     amend_branch=amend_branch,

@@ -27,10 +27,6 @@ different safe direction) or add a move for a robot the printed rules leave
 idle.  Amendments forfeit the additive layer's preserves-by-construction
 guarantee, which is why the CEGIS loop guards their commits with the
 won-root regression gate.
-
-Chain search over many counterexamples is embarrassingly parallel and fans
-out over :func:`repro.core.runner.run_chunked_tasks`, like every other batch
-workload in this repository.
 """
 from __future__ import annotations
 
@@ -46,7 +42,6 @@ from ..core.engine import (
     detect_collision_nodes,
     move_intents,
 )
-from ..core.runner import run_chunked_tasks
 from ..core.view import View
 from ..obs import metrics as _obs
 from ..grid.coords import Coord
@@ -64,7 +59,6 @@ __all__ = [
     "simulate_to_quiescence",
     "simulate_outcome",
     "repair_chain",
-    "propose_chains",
     "propose_chain_list",
     "SIMULATE_MAX_ROUNDS",
 ]
@@ -401,238 +395,31 @@ def repair_chain(
     return dfs(packed, {}, 0, frozenset(), root_table, None), expansions
 
 
-# ---------------------------------------------------------------------------
-# Parallel chain proposal over many counterexamples.
-# ---------------------------------------------------------------------------
-
-_ChainPayload = Tuple[
-    str,
-    Dict[int, str],
-    Dict[int, str],
-    List[Tuple[int, str]],
-    List[List[Tuple[int, str]]],
-    List[int],
-    Tuple[int, int, int, bool, int, str],
-]
-
-
-def _encode_direction(direction: Optional[Direction]) -> str:
-    return direction.name if direction is not None else "STAY"
-
-
-def _decode_direction(name: str) -> Optional[Direction]:
-    return None if name == "STAY" else Direction[name]
-
-
-def _chain_chunk(
-    payload: _ChainPayload,
-) -> Tuple[List[Tuple[Optional[Dict[int, str]], int]], Dict]:
-    """Worker entry point: run the chain search for one chunk of terminals.
-
-    Returns the encoded chains plus the worker registry's drained metrics
-    delta (:func:`repro.obs.metrics.export_delta`) for the parent to merge.
-    """
-    (
-        base_name,
-        assigned_names,
-        amended_names,
-        blocked_list,
-        refuted_list,
-        terminals,
-        params,
-    ) = payload
-    budget, max_depth, branch, allow_amend, amend_branch, kernel = params
-    from ..core.runner import worker_algorithm  # late: avoids an import cycle
-
-    base = worker_algorithm(base_name)
-    assigned = {bm: Direction[name] for bm, name in assigned_names.items()}
-    amended = {bm: _decode_direction(name) for bm, name in amended_names.items()}
-    blocked = set(blocked_list)
-    refuted = {frozenset((bm, name) for bm, name in sig) for sig in refuted_list}
-    results: List[Tuple[Optional[Dict[int, str]], int]] = []
-    for packed in terminals:
-        chain, expansions = repair_chain(
-            packed,
-            base,
-            assigned,
-            blocked,
-            budget=budget,
-            max_depth=max_depth,
-            branch=branch,
-            amended=amended,
-            allow_amend=allow_amend,
-            amend_branch=amend_branch,
-            refuted=refuted,
-            kernel=kernel,
-        )
-        encoded = (
-            None
-            if chain is None
-            else {bm: _encode_direction(d) for bm, d in chain.items()}
-        )
-        results.append((encoded, expansions))
-    return results, _obs.export_delta()
-
-
-def propose_chains(
-    terminals: Sequence[int],
-    base: GatheringAlgorithm,
-    assigned: Assignment,
-    blocked: Optional[BlockedPairs] = None,
-    base_name: Optional[str] = None,
-    budget: int = 600,
-    max_depth: int = 30,
-    branch: int = 6,
-    workers: int = 1,
-    chunk_size: int = 16,
-    amended: Optional[Amendment] = None,
-    allow_amend: bool = False,
-    amend_branch: int = 10,
-    refuted: Optional[RefutedChains] = None,
-    kernel: str = "packed",
-) -> Tuple[Amendment, int]:
-    """Aggregate repair chains for many counterexamples into one proposal.
-
-    Chains are merged first-wins per view bitmask (conflicting follow-up
-    chains are re-derived in the next CEGIS iteration once the first repair
-    is committed or refuted).  Returns ``(pending decisions, expansions)``;
-    pending values are ``None`` for forced-stay amendments.  With
-    ``workers > 1`` the terminals fan out over a spawn pool, which requires
-    ``base_name`` so workers can rebuild the base algorithm from the
-    registry.
-    """
-    pending: Amendment = {}
-    total_expansions = 0
-    committed_amend = amended or {}
-    if workers > 1:
-        if base_name is None:
-            raise ValueError("parallel chain search requires base_name (registry lookup)")
-        payloads = _chain_payloads(
-            terminals,
-            base_name,
-            assigned,
-            committed_amend,
-            blocked,
-            refuted,
-            chunk_size,
-            (budget, max_depth, branch, allow_amend, amend_branch, kernel),
-        )
-        for chunk, delta in run_chunked_tasks(payloads, _chain_chunk, workers=workers):
-            _obs.merge(delta)
-            for encoded, expansions in chunk:
-                total_expansions += expansions
-                if encoded:
-                    for bm, name in encoded.items():
-                        pending.setdefault(bm, _decode_direction(name))
-        return pending, total_expansions
-
-    for packed in terminals:
-        chain, expansions = repair_chain(
-            packed,
-            base,
-            assigned,
-            blocked,
-            budget=budget,
-            max_depth=max_depth,
-            branch=branch,
-            amended={**committed_amend, **{k: v for k, v in pending.items()}},
-            allow_amend=allow_amend,
-            amend_branch=amend_branch,
-            refuted=refuted,
-            kernel=kernel,
-        )
-        total_expansions += expansions
-        if chain:
-            for bm, direction in chain.items():
-                pending.setdefault(bm, direction)
-    return pending, total_expansions
-
-
-def _chain_payloads(
-    terminals: Sequence[int],
-    base_name: str,
-    assigned: Assignment,
-    amended: Amendment,
-    blocked: Optional[BlockedPairs],
-    refuted: Optional[RefutedChains],
-    chunk_size: int,
-    params: Tuple[int, int, int, bool, int, str],
-) -> List[_ChainPayload]:
-    """Picklable spawn-pool payloads for one round of chain searches."""
-    assigned_names = {bm: d.name for bm, d in assigned.items()}
-    amended_names = {bm: _encode_direction(d) for bm, d in amended.items()}
-    blocked_list = sorted(blocked) if blocked else []
-    refuted_list = sorted(sorted(sig) for sig in refuted) if refuted else []
-    return [
-        (
-            base_name,
-            assigned_names,
-            amended_names,
-            blocked_list,
-            refuted_list,
-            list(terminals[i : i + chunk_size]),
-            params,
-        )
-        for i in range(0, len(terminals), chunk_size)
-    ]
-
-
 def propose_chain_list(
     terminals: Sequence[int],
     base: GatheringAlgorithm,
     assigned: Assignment,
     blocked: Optional[BlockedPairs] = None,
-    base_name: Optional[str] = None,
     budget: int = 600,
     max_depth: int = 30,
     branch: int = 6,
-    workers: int = 1,
-    chunk_size: int = 16,
     amended: Optional[Amendment] = None,
     allow_amend: bool = False,
     amend_branch: int = 10,
     refuted: Optional[RefutedChains] = None,
     kernel: str = "packed",
 ) -> Tuple[List[Tuple[int, Amendment]], int]:
-    """Per-counterexample repair chains, unmerged.
+    """Per-counterexample repair chains, unmerged, searched in this process.
 
-    Unlike :func:`propose_chains`, every chain is derived independently
-    against the committed state only and returned as ``(terminal, chain)``
-    pairs in input order, so the caller can trial-commit each chain as one
-    atomic unit — a chain's decisions were validated *together* by the
-    targeted replay, and splitting them apart refutes parts that are only
-    wrong in isolation.  Returns ``(chains, expansions)``.
+    Every chain is derived independently against the committed state only
+    and returned as ``(terminal, chain)`` pairs in input order, so the caller
+    can trial-commit each chain as one atomic unit — a chain's decisions were
+    validated *together* by the targeted replay, and splitting them apart
+    refutes parts that are only wrong in isolation.  Returns
+    ``(chains, expansions)``.
     """
     chains: List[Tuple[int, Amendment]] = []
     total_expansions = 0
-    if workers > 1:
-        if base_name is None:
-            raise ValueError("parallel chain search requires base_name (registry lookup)")
-        payloads = _chain_payloads(
-            terminals,
-            base_name,
-            assigned,
-            amended or {},
-            blocked,
-            refuted,
-            chunk_size,
-            (budget, max_depth, branch, allow_amend, amend_branch, kernel),
-        )
-        position = 0
-        for chunk, delta in run_chunked_tasks(payloads, _chain_chunk, workers=workers):
-            _obs.merge(delta)
-            for encoded, expansions in chunk:
-                total_expansions += expansions
-                if encoded:
-                    chains.append(
-                        (
-                            terminals[position],
-                            {bm: _decode_direction(name) for bm, name in encoded.items()},
-                        )
-                    )
-                position += 1
-        return chains, total_expansions
-
     for packed in terminals:
         chain, expansions = repair_chain(
             packed,

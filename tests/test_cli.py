@@ -322,7 +322,6 @@ def test_telemetry_manifest_trace_and_run_id_correlation(tmp_path, capsys):
         ["verify", "--workers", "-1"],
         ["sweep", "--workers", "0"],
         ["explore", "--workers", "0"],
-        ["synth", "--workers", "0"],
         ["serve", "--workers", "0"],
     ],
 )
@@ -333,6 +332,14 @@ def test_size_and_workers_must_be_positive(argv, capsys):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert "must be at least 1" in err
+
+
+def test_synth_has_no_workers_flag(capsys):
+    # The chain search runs in one process: synth takes no --workers.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -158,6 +158,42 @@ def test_fsync_table_batch_with_workers_starts_no_pool(monkeypatch):
     assert parallel.results == serial.results
 
 
+def test_fsync_table_batch_reports_one_worker(tmp_path):
+    import json
+    import logging
+
+    from repro.core import runner
+    from repro.obs import tracing
+
+    pytest.importorskip("numpy")
+    assert runner._in_process("table", None)
+    assert runner._in_process("table", FullySynchronousScheduler())
+    assert not runner._in_process("table", "round-robin:2")
+    assert not runner._in_process("packed", "fsync")
+
+    lines = []
+    handler = logging.Handler()
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger("repro.core.runner")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    trace = tmp_path / "trace.jsonl"
+    tracing.configure_sink(str(trace))
+    try:
+        batch = run_many(enumerate_connected_configurations(5),
+                         algorithm_name="shibata-visibility2", kernel="table", workers=2)
+    finally:
+        tracing.close_sink()
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert batch.workers == 1
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    (span,) = [record for record in spans if record["name"] == "runner.batch"]
+    assert span["attrs"]["workers"] == 1
+    assert any("batch done" in line and "workers=1 " in line for line in lines)
+
+
 @pytest.mark.parametrize("scheduler", [None, "round-robin:2"])
 def test_table_batches_keep_the_parallel_argument_checks(scheduler):
     with pytest.raises(ValueError, match="algorithm_name"):

@@ -51,8 +51,14 @@ from repro.grid.packing import pack_nodes
 from oracles import expand_packed_combinations
 
 
-def _assert_no_shm_leak():
-    assert not glob.glob("/dev/shm/repro_tbl_*"), "leaked shared-memory segments"
+def _shm_stores():
+    return set(glob.glob("/dev/shm/repro_tbl_*"))
+
+
+def _assert_no_shm_leak(before):
+    # Only stores this test made: another process's sweep may hold its own.
+    leaked = sorted(_shm_stores() - before)
+    assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 
 # ---------------------------------------------------------------- enumeration
@@ -154,6 +160,7 @@ def test_clear_table_caches_drops_views_and_tables(tmp_path):
 def test_shared_table_publish_attach_roundtrip():
     clear_table_caches()
     clear_table_caches(worker_algorithm("shibata-visibility2"))
+    stores_before = _shm_stores()
     algorithm = ShibataGatheringAlgorithm()
     table = successor_table(algorithm, 5)
     handle = publish_table(table, "shibata-visibility2")
@@ -176,11 +183,12 @@ def test_shared_table_publish_attach_roundtrip():
         clear_table_caches(worker_algorithm("shibata-visibility2"))
     # The attached arrays outlive the removed files: mappings stay valid.
     assert int(attached.succ.sum()) == int(table.succ.sum())
-    _assert_no_shm_leak()
+    _assert_no_shm_leak(stores_before)
 
 
 def test_parallel_table_sweep_matches_serial_and_cleans_up():
     clear_table_caches()
+    stores_before = _shm_stores()
     configurations = enumerate_canonical_node_sets(8)[::16]
     algorithm = ShibataGatheringAlgorithm()
     serial = run_many(configurations, algorithm=algorithm, max_rounds=600,
@@ -189,4 +197,4 @@ def test_parallel_table_sweep_matches_serial_and_cleans_up():
     parallel = run_many(configurations, algorithm_name="shibata-visibility2",
                         max_rounds=600, kernel="table", workers=2)
     assert parallel.results == serial.results
-    _assert_no_shm_leak()
+    _assert_no_shm_leak(stores_before)

@@ -101,6 +101,63 @@ def test_synth_progress_reconciliation(recovery_result, recovery_roots):
     assert progress["ssync_safe"] is True
 
 
+def test_workers_keyword_starts_no_pool(monkeypatch, recovery_roots, recovery_result):
+    """``workers`` is accepted and ignored: the chain search runs in process."""
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("synthesize must not start a process pool")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    result = synthesize(
+        base_name=ABLATED,
+        roots=recovery_roots,
+        max_iterations=4,
+        chain_budget=300,
+        max_depth=20,
+        branch=4,
+        workers=2,
+    )
+    timing = ("elapsed_seconds", "candidates_per_second")
+
+    def untimed(summary):
+        return {key: value for key, value in summary.items() if key not in timing}
+
+    assert result.ruleset == recovery_result.ruleset
+    assert untimed(result.summary()) == untimed(recovery_result.summary())
+
+
+def test_ssync_gate_baseline_is_the_accepted_composition(monkeypatch, recovery_roots):
+    """The SSYNC regression baseline explores what was accepted, not the trial."""
+    from repro.synth import cegis
+
+    explored = []
+    real_explore = cegis.explore
+
+    def recording_explore(*args, **kwargs):
+        if kwargs.get("mode") == "ssync":
+            algorithm = kwargs["algorithm"]
+            explored.append((dict(algorithm.overrides), dict(algorithm.amendments)))
+        return real_explore(*args, **kwargs)
+
+    monkeypatch.setattr(cegis, "explore", recording_explore)
+    result = synthesize(
+        base_name=ABLATED,
+        roots=recovery_roots,
+        max_iterations=1,
+        chain_budget=300,
+        max_depth=20,
+        branch=4,
+    )
+    assert result.improved
+    # Nothing is accepted before the first gated trial, so the baseline is
+    # the bare base; the trial it gates carries the chain.
+    baseline, trial = explored[0], explored[1]
+    assert baseline == ({}, {})
+    assert trial != baseline
+
+
 def test_checkpoint_round_trip_and_resume(tmp_path, recovery_roots):
     checkpoint = tmp_path / "synth.ckpt.json"
     first = synthesize(

@@ -8,7 +8,7 @@ from repro.grid.directions import Direction
 from repro.grid.packing import pack_nodes, unpack_nodes, view_bitmask
 from repro.synth.search import (
     candidate_moves,
-    propose_chains,
+    propose_chain_list,
     repair_chain,
     simulate_to_quiescence,
 )
@@ -130,7 +130,7 @@ def test_repair_chain_respects_budget(ablated):
     assert expansions == 0
 
 
-def test_propose_chains_serial(ablated):
+def test_propose_chain_list_serial(ablated):
     from repro.explore import explore
     from repro.explore.transitions import TERMINAL_DEADLOCK
 
@@ -140,43 +140,11 @@ def test_propose_chains_serial(ablated):
         for packed, kind in report.graph.terminal.items()
         if kind == TERMINAL_DEADLOCK
     ][:5]
-    pending, expansions = propose_chains(terminals, ablated, {})
-    assert pending
+    chains, expansions = propose_chain_list(terminals, ablated, {})
+    assert chains
     assert expansions > 0
-    for bitmask, direction in pending.items():
-        assert isinstance(bitmask, int)
-        assert isinstance(direction, Direction)
-
-
-def test_propose_chains_parallel_requires_name(ablated):
-    with pytest.raises(ValueError):
-        propose_chains([1], ablated, {}, workers=2)
-
-
-@pytest.mark.slow
-def test_propose_chains_parallel_matches_serial(ablated):
-    from repro.explore import explore
-    from repro.explore.transitions import TERMINAL_DEADLOCK
-
-    report = explore(algorithm=ablated, mode="fsync", with_witnesses=False)
-    terminals = [
-        packed
-        for packed, kind in report.graph.terminal.items()
-        if kind == TERMINAL_DEADLOCK
-    ][:4]
-    serial, _ = propose_chains(terminals, ablated, {})
-    parallel, _ = propose_chains(
-        terminals,
-        ablated,
-        {},
-        base_name="shibata-visibility2[minus-R3c]",
-        workers=2,
-        chunk_size=2,
-    )
-    # Workers search terminals independently (no first-wins feedback between
-    # chunks), so the merged proposals form a superset of every per-terminal
-    # chain; each individually proposed assignment must also appear serially
-    # when derived from the same clean state.
-    assert set(parallel) >= set()
-    assert parallel  # found chains
-    assert serial
+    for terminal, chain in chains:
+        assert terminal in terminals
+        for bitmask, direction in chain.items():
+            assert isinstance(bitmask, int)
+            assert isinstance(direction, Direction)
