@@ -17,7 +17,7 @@ are indistinguishable from the uncached runs.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from ..core.algorithm import GatheringAlgorithm, Move
 from ..core.view import View
@@ -85,6 +85,17 @@ class CachedAlgorithm(GatheringAlgorithm):
             )
             cache[bitmask] = decision
             return decision
+
+    def decide_bitmasks(self, bitmasks: Sequence[int]) -> List[Move]:
+        """The inner algorithm's batch decisions; each view counts as a miss.
+
+        Unlike :meth:`decide` it neither reads nor writes the shared cache:
+        its caller, the table kernel's Compute pass, looks the views up first
+        and stores what comes back.
+        """
+        decisions = self.inner.decide_bitmasks(bitmasks)
+        self.misses += len(decisions)
+        return decisions
 
     # ------------------------------------------------------------- utilities
     def warm(self, views: Iterable[View]) -> None:

@@ -11,7 +11,7 @@ the model forbids (algorithm instances are shared by all robots).
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..grid.directions import Direction
 from .view import View
@@ -34,6 +34,15 @@ class GatheringAlgorithm(abc.ABC):
     of oblivious deterministic robots requires.  Every kernel relies on it:
     the packed kernel memoizes decisions per view bitmask, and the table
     kernel resolves each unique view once for a whole configuration space.
+
+    :meth:`decide_bitmasks` is the batch form the table kernel's Compute pass
+    calls once per build, on every view its decision cache misses.  It must
+    return exactly ``compute(View.from_bitmask(b, visibility_range))`` for
+    each bitmask ``b``, in order, and be as pure: no state that outlives the
+    call, and no reads or writes of the decision cache (the caller fills it).
+    The default loops :meth:`compute`; an algorithm whose rules are bit tests
+    overrides it with an array pass (as
+    :class:`~repro.algorithms.visibility2.ShibataGatheringAlgorithm` does).
     """
 
     #: Visibility range the algorithm is designed for.
@@ -45,6 +54,14 @@ class GatheringAlgorithm(abc.ABC):
     @abc.abstractmethod
     def compute(self, view: View) -> Move:
         """Return the move of a robot whose Look phase produced ``view``."""
+
+    def decide_bitmasks(self, bitmasks: Sequence[int]) -> List[Move]:
+        """The :meth:`compute` decision of every view bitmask, in order."""
+        visibility_range = self.visibility_range
+        return [
+            self.compute(View.from_bitmask(int(bitmask), visibility_range))
+            for bitmask in bitmasks
+        ]
 
     def __call__(self, view: View) -> Move:
         return self.compute(view)

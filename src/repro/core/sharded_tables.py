@@ -398,7 +398,7 @@ def _fill_sharded_store(
 
     # Pass 3: decisions over the unique-view union, then per-shard move codes.
     unique_views = np.unique(views)
-    codes = _decision_pass(algorithm, unique_views.tolist())
+    codes = _decision_pass(algorithm, unique_views)
     move_code = codes[np.searchsorted(unique_views, views)]
     for shard in range(shards):
         lo, hi = shard * rows_per_shard, min((shard + 1) * rows_per_shard, rows)

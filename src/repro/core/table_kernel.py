@@ -19,8 +19,10 @@ differs:
   pair of every configuration and OR-reduced per robot.
 * **Compute, gathered** (:func:`_decision_pass`, span ``table.compute``) —
   the distinct view bitmasks (about 5.2k for the full seven-robot space) are
-  resolved once through the algorithm's decision cache; every robot's move
-  is then a single array gather ``codes[view_slot]``.
+  resolved once through the algorithm's decision cache, the misses in one
+  call to the algorithm's batch method (an array pass for
+  ``shibata-visibility2``); every robot's move is then a single array
+  gather ``codes[view_slot]``.
 * **Move, resolved** (:func:`_resolve_pass`, span ``table.resolve``) — the
   full-activation successor of every configuration is computed vectorized
   with one sort per row (:func:`resolve_rows_arrays`): sorting the robots'
@@ -66,7 +68,7 @@ import time
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +81,6 @@ from .algorithm import GatheringAlgorithm
 from .bitsets import subset_masks
 from .configuration import Configuration
 from .trace import Outcome
-from .view import View
 
 _LOG = get_logger("core.table_kernel")
 
@@ -291,6 +292,7 @@ def _subset_masks_array(m: int) -> "np.ndarray":
 #: Move codes: 0 = stay, ``i + 1`` = the i-th member of :class:`Direction`.
 _DIRECTIONS: Tuple[Direction, ...] = tuple(Direction)
 _CODE_OF: Dict[Direction, int] = {d: i + 1 for i, d in enumerate(_DIRECTIONS)}
+_MOVE_CODE: Dict[Optional[Direction], int] = {None: 0, **_CODE_OF}
 _DELTAS = np.array([(0, 0)] + [d.value for d in _DIRECTIONS], dtype=np.int16)
 
 #: Per-row kinds of the resolved successor function.
@@ -705,36 +707,32 @@ def _geometry_pass(
     return views, diameters, gathered
 
 
-def _decision_pass(algorithm: GatheringAlgorithm, bitmasks: List[int]) -> "np.ndarray":
-    """Move code (int8) of every view bitmask, through the decision cache.
+def _decision_pass(algorithm: GatheringAlgorithm, bitmasks: Sequence[int]) -> "np.ndarray":
+    """Move code (int8) of every distinct view bitmask, through the decision cache.
 
-    The only Python-loop cost of a build: each bitmask not yet in the
-    algorithm's decision cache is resolved by its ``compute``, in process.
-    A worker pool does not pay here: on a 2-core host the n=8 pass (12,381
-    views) took 0.10–0.14 s serially and 0.43–0.44 s on an already started
-    2-process pool.
+    Views already in the algorithm's decision cache are answered from it; the
+    rest are decided by one call to the algorithm's batch method
+    (:meth:`~repro.core.algorithm.GatheringAlgorithm.decide_bitmasks`), in
+    process, and written back, each counted once in
+    ``decision_cache.misses``.  For ``shibata-visibility2`` that call is one
+    masked array pass per rule of Algorithm 1: on a 2-core host a cold pass
+    takes ~4 ms at n=7 (5,188 views), ~8 ms at n=8 (12,381) and ~15 ms at
+    n=9 (26,112), where deciding view by view through ``compute`` took
+    50–70 ms, 130–190 ms and 320–410 ms.
     """
     from .engine import decision_cache_for  # late: avoids an import cycle
 
     start_time = time.perf_counter()
     cache = decision_cache_for(algorithm)
-    codes = np.zeros(len(bitmasks), dtype=np.int8)
-    compute = algorithm.compute
-    visibility_range = algorithm.visibility_range
-    misses = 0
-    for slot, bitmask in enumerate(bitmasks):
-        try:
-            decision = cache[bitmask]
-        except KeyError:
-            misses += 1
-            decision = compute(View.from_bitmask(bitmask, visibility_range))
-            cache[bitmask] = decision
-        if decision is not None:
-            codes[slot] = _CODE_OF[decision]
-    _obs.counter("decision_cache.lookups").inc(len(bitmasks))
-    if misses:
-        _obs.counter("decision_cache.misses").inc(misses)
-    _obs_record_span("table.compute", time.perf_counter() - start_time, views=len(bitmasks))
+    keys = np.asarray(bitmasks).tolist()
+    missed = [key for key in keys if key not in cache]
+    if missed:
+        cache.update(zip(missed, algorithm.decide_bitmasks(missed)))
+        _obs.counter("decision_cache.misses").inc(len(missed))
+    decisions = map(cache.__getitem__, keys)
+    codes = np.fromiter(map(_MOVE_CODE.__getitem__, decisions), dtype=np.int8, count=len(keys))
+    _obs.counter("decision_cache.lookups").inc(len(keys))
+    _obs_record_span("table.compute", time.perf_counter() - start_time, views=len(keys))
     record_peak_rss()
     return codes
 
@@ -1056,7 +1054,7 @@ class SuccessorTable:
         """
         build_start = time.perf_counter()
         vt = view_table(size, algorithm.visibility_range)
-        codes = _decision_pass(algorithm, vt.unique_views.tolist())
+        codes = _decision_pass(algorithm, vt.unique_views)
         table = cls._from_codes(vt, codes)
         estimated = estimate_table_bytes(size)
         actual = table.array_bytes()

@@ -23,6 +23,10 @@
   — the breadth-first search over ``Coord`` offsets and the per-neighbour
   scan, the oracles of the bit-parallel guards of
   :mod:`repro.algorithms.guards`;
+* :func:`reference_shibata_explain` — Algorithm 1 as the hand-written
+  if-chain over occupied/empty label tests and the base-node choice, the
+  oracle of the rule table of :mod:`repro.algorithms.visibility2`
+  (``explain`` and the array pass ``decide_bitmasks``);
 * :func:`first_firing_rule` — the linear scan over a rule list, the oracle of
   the exact-view index of :class:`repro.synth.dsl.RuleSet`;
 * :func:`lazy_fsync_summary` — the memoized per-row walk of the successor
@@ -57,6 +61,7 @@ from typing import (
 
 import numpy as np
 
+from repro.algorithms.guards import connectivity_safe
 from repro.core.algorithm import GatheringAlgorithm
 from repro.core.bitsets import subset_masks
 from repro.core.configuration import Configuration
@@ -99,7 +104,7 @@ from repro.explore.transitions import (
 )
 from repro.grid.coords import Coord, as_coord, distance, neighbors
 from repro.grid.directions import DIRECTIONS, Direction
-from repro.grid.labels import Label, label_of_offset
+from repro.grid.labels import VISIBILITY_2_LABELS, Label, label_of_offset, offset_of_label
 from repro.grid.packing import pack_nodes, pack_offsets, unpack_nodes, unpack_offsets
 
 
@@ -511,6 +516,152 @@ def reference_entry_uncontested(view, direction: Direction) -> bool:
         if view.occupied(neighbor):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 1 as printed: the if-chain oracle of the visibility-2 rule table.
+# ---------------------------------------------------------------------------
+
+def _label_sets(bit_labels):
+    """``[occupied labels of every bit pattern]`` over ``(bit, label)`` pairs."""
+    return [
+        frozenset(label for index, (_, label) in enumerate(bit_labels) if pattern >> index & 1)
+        for pattern in range(1 << len(bit_labels))
+    ]
+
+
+#: Labels of the low and high nine bits of a range-2 view bitmask, by pattern.
+_BIT_LABELS = sorted(
+    (pack_offsets([offset_of_label(label)], 2), label) for label in VISIBILITY_2_LABELS
+)
+_LOW_LABELS = _label_sets(_BIT_LABELS[:9])
+_HIGH_LABELS = _label_sets(_BIT_LABELS[9:])
+
+#: Labels with x-element > 0 except (1,1) and (1,-1) (the R1 east check).
+_EAST_OF_R1_FLANKS = tuple(
+    label for label in VISIBILITY_2_LABELS if label[0] > 0 and label not in ((1, 1), (1, -1))
+)
+
+
+def reference_shibata_explain(
+    view,
+    disabled_rules: Iterable[str] = (),
+    include_reconstructed: bool = True,
+) -> Tuple[str, Optional[Direction]]:
+    """``(rule id, move)`` of Algorithm 1 for ``view``, guard by guard.
+
+    The literal guards run first; when they leave the robot idle and
+    ``include_reconstructed`` holds, the two ``recon:*`` rules are tried,
+    each also requiring :func:`~repro.algorithms.guards.connectivity_safe`.
+    """
+    if view.visibility_range != 2:
+        raise ValueError("the algorithm requires visibility range 2")
+    bits = view.bitmask()
+    occupied = _LOW_LABELS[bits & 511] | _HIGH_LABELS[bits >> 9]
+    o = occupied.__contains__
+    e = VISIBILITY_2_LABELS.difference(occupied).__contains__
+
+    def on(rule_id):
+        return rule_id not in disabled_rules
+
+    # Base node (Section IV-A): the empty (4,0) flanked by robots at (3,1)
+    # and (3,-1), else the robot label with the largest x-element if unique.
+    if e((4, 0)) and o((3, 1)) and o((3, -1)):
+        base = (4, 0)
+    else:
+        top = max([x for x, _ in occupied if x > 0], default=0)
+        tied = [label for label in occupied if label[0] == top] + ([(0, 0)] if top == 0 else [])
+        base = tied[0] if len(tied) == 1 else None
+
+    def literal():
+        if (
+            on("R1")
+            and e((2, 0))
+            and o((1, 1))
+            and o((1, -1))
+            and all(e(label) for label in _EAST_OF_R1_FLANKS)
+        ):
+            if e((-2, 0)) or (o((-2, 0)) and (o((-1, 1)) or o((-1, -1)))):
+                return ("R1", Direction.E)
+            return ("R1:hold", None)
+        if base == (4, 0):
+            if on("R2a") and e((2, 0)) and (
+                (e((-1, 1)) and e((-2, 0)) and e((-1, -1)))
+                or (o((1, -1)) and e((-2, 0)) and e((-1, 1)))
+                or (o((1, 1)) and e((-2, 0)) and e((-1, -1)))
+                or (o((1, -1)) and o((-1, -1)) and o((-2, 0)) and e((-1, 1)))
+                or (o((-2, 0)) and o((-1, 1)) and o((1, 1)) and e((-1, -1)))
+            ):
+                return ("R2a", Direction.E)
+            if (
+                on("R2b") and o((2, 0)) and e((1, 1)) and e((-2, 0)) and e((-1, 1))
+                and (
+                    (e((-1, -1)) and e((2, 2)))
+                    or (o((2, 2)) and o((3, 1)) and o((3, -1)) and o((-2, -2)))
+                )
+            ):
+                return ("R2b", Direction.NE)
+            if (
+                on("R2c") and o((2, 0)) and o((1, 1)) and e((1, -1)) and e((-1, -1))
+                and e((-2, 0)) and e((-1, 1)) and e((2, -2)) and (o((1, 1)) or o((2, 2)))
+            ):
+                return ("R2c", Direction.SE)
+            return ("stay:4,0", None)
+        if base == (3, -1):
+            if on("R3a") and e((1, -1)) and e((-1, -1)) and e((0, -2)) and (
+                (e((-2, 0)) and e((-1, 1))) or (o((-1, 1)) and o((1, 1)) and e((0, 2)))
+            ):
+                return ("R3a", Direction.SE)
+            if on("R3b") and o((1, -1)) and e((2, 0)) and e((-1, 1)) and (
+                e((-2, 0)) or (o((-2, 0)) and o((-1, -1)))
+            ):
+                return ("R3b", Direction.E)
+            if (
+                on("R3c") and o((1, -1)) and o((2, 0)) and o((1, 1))
+                and e((-1, -1)) and e((-2, 0)) and e((-2, -2))
+            ):
+                return ("R3c", Direction.SW)
+            return ("stay:3,-1", None)
+        if base == (2, -2):
+            if on("R4") and e((-1, -1)) and e((-2, 0)) and e((-3, -1)) and e((-1, 1)):
+                return ("R4", Direction.SW)
+            return ("stay:2,-2", None)
+        if base == (3, 1):
+            if on("R5a") and e((1, 1)) and (
+                (e((-1, 1)) and e((-2, 0)) and e((-1, -1)))
+                or (o((1, -1)) and o((-1, -1)) and e((0, -2)) and e((-1, 1)))
+            ):
+                return ("R5a", Direction.NE)
+            if on("R5b") and o((1, 1)) and e((2, 0)) and (
+                (e((-2, 0)) and e((-1, -1))) or (e((-1, -1)) and o((-2, 0)) and o((-1, 1)))
+            ):
+                return ("R5b", Direction.E)
+            if (
+                on("R5c") and o((1, 1)) and o((2, 0)) and o((1, -1))
+                and e((-1, 1)) and e((-2, 0)) and e((-2, 2))
+            ):
+                return ("R5c", Direction.NW)
+            return ("stay:3,1", None)
+        if base == (2, 2):
+            if on("R6") and e((-1, 1)) and e((-3, 1)) and e((-2, 0)) and e((-1, -1)):
+                return ("R6", Direction.NW)
+            return ("stay:2,2", None)
+        return ("stay", None)
+
+    rule, move = literal()
+    if not include_reconstructed or move is not None:
+        return (rule, move)
+    if (
+        base == (2, -2) and o((-2, 0)) and e((-1, -1)) and e((-3, -1)) and e((-1, 1))
+        and e((1, -1)) and e((0, -2)) and e((2, 0)) and connectivity_safe(view, Direction.SW)
+    ):
+        return ("recon:R4-west", Direction.SW)
+    if (
+        base == (2, 2) and o((-2, 0)) and e((-1, 1)) and e((-3, 1)) and e((-1, -1))
+        and e((1, 1)) and e((0, 2)) and e((2, 0)) and connectivity_safe(view, Direction.NW)
+    ):
+        return ("recon:R6-west", Direction.NW)
+    return (rule, move)
 
 
 def first_firing_rule(rules, view, mode: Optional[str] = None):

@@ -7,8 +7,8 @@ Property tests for the three legs of the scale-out work:
 * the bitset SSYNC activation enumeration is byte-identical to the
   ``itertools.combinations`` oracle (``tests/oracles.py``) over *every*
   seven-robot root and a seeded sample of eight-robot roots;
-* the parallel sweep over a published table store equals the serial table
-  sweep exactly and never leaks a ``/dev/shm`` directory, and the
+* the parallel scheduled sweep over a published table store equals the
+  serial table sweep exactly and never leaks a ``/dev/shm`` directory, and the
   publish/attach/unpublish round trip preserves every array.
 
 The exhaustive n=8 censuses pinned in :mod:`repro.analysis.census_pins`
@@ -21,6 +21,7 @@ import pytest
 
 np = pytest.importorskip("numpy")  # the scale-out paths ride the table kernel
 
+from repro import obs
 from repro.algorithms.visibility2 import ShibataGatheringAlgorithm
 from repro.analysis.census_pins import (
     N8_ROOTS,
@@ -28,6 +29,7 @@ from repro.analysis.census_pins import (
     PINNED_CENSUS_N8,
     pinned_census,
 )
+from repro.core import runner
 from repro.core.runner import run_many, worker_algorithm
 from repro.core.sharded_tables import sharded_successor_table
 from repro.core.shared_tables import attach_table, publish_table, unpublish_table
@@ -186,15 +188,22 @@ def test_shared_table_publish_attach_roundtrip():
     _assert_no_shm_leak(stores_before)
 
 
-def test_parallel_table_sweep_matches_serial_and_cleans_up():
+def test_parallel_table_sweep_matches_serial_and_cleans_up(monkeypatch):
+    # A scheduled batch: an FSYNC table batch is answered in process and
+    # would start no pool and publish no store.
     clear_table_caches()
     stores_before = _shm_stores()
-    configurations = enumerate_canonical_node_sets(8)[::16]
+    configurations = enumerate_canonical_node_sets(7)[::16]
     algorithm = ShibataGatheringAlgorithm()
-    serial = run_many(configurations, algorithm=algorithm, max_rounds=600,
-                      kernel="table")
+    serial = run_many(configurations, algorithm=algorithm, scheduler="round-robin:2",
+                      max_rounds=600, kernel="table")
     clear_table_caches(algorithm)
+    monkeypatch.delitem(runner._WORKER_ALGORITHMS, "shibata-visibility2", raising=False)
+    obs.export_delta()
     parallel = run_many(configurations, algorithm_name="shibata-visibility2",
-                        max_rounds=600, kernel="table", workers=2)
+                        scheduler="round-robin:2", max_rounds=600, kernel="table",
+                        workers=2)
+    assert obs.export_delta()["counters"].get("shm.segments_published", 0) >= 1
+    assert parallel.workers == 2
     assert parallel.results == serial.results
     _assert_no_shm_leak(stores_before)
