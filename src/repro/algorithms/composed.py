@@ -26,7 +26,7 @@ plain callable ``View -> Move``.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.algorithm import GatheringAlgorithm, Move
 from ..core.view import View
@@ -86,6 +86,28 @@ class ComposedAlgorithm(GatheringAlgorithm):
         if move is not None:
             return move
         return self._extension_compute(view)
+
+    def decide_bitmasks(self, bitmasks: Sequence[int]) -> List[Move]:
+        """:meth:`compute` of every bitmask, the base layer in one batch call.
+
+        One ``base.decide_bitmasks`` call decides the base layer of every
+        view; the override layer (when bound) and, on base stays, the
+        extension layer then run per view in :meth:`compute`'s order.
+        """
+        moves = list(self.base.decide_bitmasks(bitmasks))
+        decide_override = self._decide_override
+        for index, bitmask in enumerate(bitmasks):
+            if decide_override is None and moves[index] is not None:
+                continue
+            view = View.from_bitmask(int(bitmask), self.visibility_range)
+            if decide_override is not None:
+                matched, _, move = decide_override(view)
+                if matched:
+                    moves[index] = move
+                    continue
+            if moves[index] is None:
+                moves[index] = self._extension_compute(view)
+        return moves
 
     def explain(self, view: View) -> Tuple[str, Move]:
         """Like the base algorithm's ``explain``: the firing rule and its move."""

@@ -48,7 +48,10 @@ subset of every row resolves in one array pass.
 CEGIS loop (:mod:`repro.synth`): a candidate rule set touches a known set of
 exact views, so :meth:`SuccessorTable.derive` recomputes only the rows whose
 view multiset intersects the changed views and re-resolves those rows
-vectorized, sharing every untouched array with the parent table.
+vectorized, sharing every untouched array with the parent table.  The tables
+derived from one built table share a memo of resolved row states (a row
+plus its move codes), so a search that revisits a decision resolves each
+such state once.
 
 The kernel is exact, not approximate: every query answered from the table is
 byte-identical to the packed kernel (``tests/test_table_kernel.py`` checks
@@ -484,6 +487,7 @@ class ViewTable:
         self._packed: Optional[List[int]] = None
         self._packed_index: Optional[Dict[int, int]] = None
         self._canonical_index: Optional[CanonicalIndex] = None
+        self._slot_index: Optional[Dict[int, int]] = None
 
         self.views, self.diameters, self.gathered = _geometry_pass(
             positions, visibility_range
@@ -531,6 +535,7 @@ class ViewTable:
         vt._packed = None
         vt._packed_index = None
         vt._canonical_index = None
+        vt._slot_index = None
         return vt
 
     # ------------------------------------------------------------------ lookup
@@ -582,20 +587,17 @@ class ViewTable:
 
     def slot_of_view(self, bitmask: int) -> Optional[int]:
         """Unique-view slot of ``bitmask`` (``None`` if it never occurs)."""
-        position = int(np.searchsorted(self.unique_views, bitmask))
-        if position < len(self.unique_views) and int(self.unique_views[position]) == bitmask:
-            return position
-        return None
+        if self._slot_index is None:
+            self._slot_index = {b: s for s, b in enumerate(self.unique_views.tolist())}
+        return self._slot_index.get(bitmask)
 
     def rows_of_slots(self, slots: "np.ndarray") -> "np.ndarray":
-        """All rows whose view multiset contains any of the given slots."""
-        if len(slots) == 0:
-            return np.empty(0, dtype=np.int32)
-        pieces = [
-            self._rows_by_slot[self._slot_bounds[s] : self._slot_bounds[s + 1]]
-            for s in slots
-        ]
-        return np.unique(np.concatenate(pieces))
+        """All rows whose view multiset contains any of the given slots, sorted."""
+        mark = np.zeros(self.count, dtype=bool)
+        bounds = self._slot_bounds
+        for s in slots.tolist():
+            mark[self._rows_by_slot[bounds[s] : bounds[s + 1]]] = True
+        return np.flatnonzero(mark)
 
     def row_of_nodes(self, nodes: Iterable[Tuple[int, int]]) -> Optional[int]:
         """Table row of an arbitrary translate of a canonical shape.
@@ -650,7 +652,8 @@ def clear_table_caches(algorithm: Optional[GatheringAlgorithm] = None) -> None:
     """Drop memoized state-space tables so large sizes don't accumulate.
 
     Empties the process-wide view-table registry and, when ``algorithm`` is
-    given, that instance's successor tables of both tiers too.  Successor
+    given, that instance's successor tables of both tiers too (and with them
+    the row memos of their derivation lineages).  Successor
     tables otherwise live exactly as long as their algorithm instance; the
     view tables are global and survive until this call.  Benchmarks and tests
     that build n>=8 tables call this afterwards to return the memory.
@@ -997,6 +1000,56 @@ class _EdgeMemo:
         return lengths, bits[index], dst[index]
 
 
+class _RowMemo:
+    """Resolved rows of one derivation lineage, keyed by row state.
+
+    A row state is a row plus its per-robot move codes.  Its
+    :data:`RESOLVED_FIELDS` values are a pure function of that state and the
+    shared :class:`ViewTable`, so a lineage need resolve each state only
+    once.  The int64 key is ``row * 7**n + sum(code_i * 7**i)``; the keys are
+    kept sorted, with each field's values in a parallel array, so a batch of
+    states is looked up with one ``searchsorted``.
+    """
+
+    def __init__(self, count: int, size: int) -> None:
+        self._radix = 7**size
+        assert count * self._radix < 1 << 63, "row-state keys overflow int64"
+        self._powers = 7 ** np.arange(size, dtype=np.int64)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._values: List["np.ndarray"] = []
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def keys(self, rows: "np.ndarray", move_code: "np.ndarray") -> "np.ndarray":
+        """The state keys of ``rows`` whose move codes are ``move_code``."""
+        return rows.astype(np.int64) * self._radix + move_code.astype(np.int64) @ self._powers
+
+    def find(self, keys: "np.ndarray") -> "np.ndarray":
+        """The memo position of each key (-1 where the state is not memoized)."""
+        found = np.full(len(keys), -1, dtype=np.int64)
+        if len(self._keys):
+            at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+            hit = self._keys[at] == keys
+            found[hit] = at[hit]
+        return found
+
+    def gather(self, found: "np.ndarray") -> Tuple["np.ndarray", ...]:
+        """The :data:`RESOLVED_FIELDS` values at memo positions ``found``."""
+        return tuple(values[found] for values in self._values)
+
+    def store(self, keys: "np.ndarray", resolved: Sequence["np.ndarray"]) -> None:
+        """Memoize new, distinct ``keys`` with their resolved field values."""
+        if not self._values:
+            self._values = [np.empty(0, dtype=values.dtype) for values in resolved]
+        order = np.argsort(keys)
+        at = np.searchsorted(self._keys, keys[order])
+        self._keys = np.insert(self._keys, at, keys[order])
+        self._values = [
+            np.insert(values, at, new[order]) for values, new in zip(self._values, resolved)
+        ]
+
+
 class SuccessorTable:
     """The materialized transition function of one algorithm.
 
@@ -1010,6 +1063,10 @@ class SuccessorTable:
     * ``succ`` — successor row for ``kind == KIND_STEP`` (-1 otherwise);
     * ``collision_code`` — which forbidden behaviour a ``KIND_COLLISION``
       row commits.
+
+    A built table is the root of a derivation lineage: every table
+    :meth:`derive` makes from it, directly or in a chain, shares its SSYNC
+    expansion memo and its row memo of resolved row states.
     """
 
     def __init__(
@@ -1043,6 +1100,10 @@ class SuccessorTable:
         self._ssync_cache = _EdgeMemo(view.count)
         self._ssync_dirty = np.empty(0, dtype=np.int64)
         self._ssync_local = _EdgeMemo(view.count)
+        #: Resolved row states, shared along the derivation lineage like
+        #: ``_ssync_cache``: :meth:`derive` resolves only the states no table
+        #: of the lineage has resolved before (made by the first derive).
+        self._row_memo: Optional[_RowMemo] = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -1104,8 +1165,16 @@ class SuccessorTable:
         table's own code says *stay*); ``amendments`` replace the printed
         decision unconditionally (``None`` forces a stay) — exactly the
         layering of :class:`repro.synth.ruleset.OverrideAlgorithm`.  Only the
-        rows containing a changed view are re-resolved; every untouched array
+        rows containing a changed view are re-derived; every untouched array
         is shared with the parent.
+
+        A derived row is resolved at most once per lineage (the tables derived,
+        directly or in a chain, from one built table): the lineage's row memo
+        answers every dirty row whose state — row plus move codes — an earlier
+        derive already resolved, and only the misses go through the resolve
+        pass — one :func:`resolve_rows_arrays` call per ``_BUILD_BLOCK`` rows,
+        none when every dirty row hits.  The memo lives as long as the
+        lineage's tables do.
         """
         vt = self.view
         codes = self.codes.copy()
@@ -1123,8 +1192,9 @@ class SuccessorTable:
         dirty = vt.rows_of_slots(changed)
         _obs.counter("table.derives").inc()
         _obs.counter("table.rows_rederived").inc(len(dirty))
+        dirty_codes = codes[vt.view_slot[dirty]]
         move_code = self.move_code.copy()
-        move_code[dirty] = codes[vt.view_slot[dirty]]
+        move_code[dirty] = dirty_codes
         table = SuccessorTable(
             view=vt,
             codes=codes,
@@ -1135,11 +1205,27 @@ class SuccessorTable:
             succ=self.succ.copy(),
             collision_code=self.collision_code.copy(),
         )
-        table._resolve_rows(dirty)
+        if self._row_memo is None:
+            self._row_memo = _RowMemo(vt.count, vt.size)
+        memo = table._row_memo = self._row_memo
+        keys = memo.keys(dirty, dirty_codes)
+        found = memo.find(keys)
+        hit = found >= 0
+        for field, values in zip(RESOLVED_FIELDS, memo.gather(found[hit])):
+            getattr(table, field)[dirty[hit]] = values
+        missed = dirty[~hit]
+        if len(missed):
+            table._resolve_rows(missed)
+            memo.store(keys[~hit], [getattr(table, field)[missed] for field in RESOLVED_FIELDS])
+        _obs.counter("table.derive_memo_hits").inc(len(dirty) - len(missed))
+        _obs.gauge("table.derive_memo_entries").set(len(memo))
         # Share the lineage's SSYNC expansion cache; only the rows this
         # delta chain touched must be re-expanded (into the local overlay).
         table._ssync_cache = self._ssync_cache
-        table._ssync_dirty = np.union1d(self._ssync_dirty, dirty).astype(np.int64)
+        mark = np.zeros(vt.count, dtype=bool)
+        mark[self._ssync_dirty] = True
+        mark[dirty] = True
+        table._ssync_dirty = np.flatnonzero(mark).astype(np.int64, copy=False)
         return table
 
     # -------------------------------------------------- vectorized resolution
@@ -1588,7 +1674,10 @@ def successor_table(
     ``table_kernel_layers`` protocol — ``(base, overrides, amendments)``, as
     :class:`repro.synth.ruleset.OverrideAlgorithm` does — are **derived**
     from their base algorithm's table via delta-aware invalidation instead of
-    being rebuilt, which is what makes per-candidate CEGIS evaluation cheap.
+    being rebuilt, which is what makes per-candidate CEGIS evaluation cheap:
+    all the tables derived from one base table resolve each row state once
+    (see :meth:`SuccessorTable.derive`), and the memo of those states goes
+    with the base table when :func:`clear_table_caches` drops it.
 
     A cold build runs in this process (see :meth:`SuccessorTable.build`).
 

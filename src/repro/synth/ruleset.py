@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..algorithms.composed import ComposedAlgorithm
 from ..core.algorithm import GatheringAlgorithm, Move
@@ -122,6 +122,20 @@ class OverrideAlgorithm(GatheringAlgorithm):
         if move is not None:
             return move
         return self.overrides.get(bitmask)
+
+    def decide_bitmasks(self, bitmasks: Sequence[int]) -> List[Move]:
+        """:meth:`compute` of every bitmask, the base layer in one batch call.
+
+        One ``base.decide_bitmasks`` call, then per view the amendment layer
+        (which replaces the base move) and, on base stays, the overrides.
+        """
+        moves = list(self.base.decide_bitmasks(bitmasks))
+        for index, bitmask in enumerate(map(int, bitmasks)):
+            if bitmask in self.amendments:
+                moves[index] = self.amendments[bitmask]
+            elif moves[index] is None:
+                moves[index] = self.overrides.get(bitmask)
+        return moves
 
 
 def overrides_to_ruleset(

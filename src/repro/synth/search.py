@@ -72,6 +72,9 @@ Amendment = Dict[int, Optional[Direction]]
 #: Pairs the verifier has refuted; the search must not propose them again.
 BlockedPairs = Set[Tuple[int, str]]
 
+#: :func:`candidate_moves` lists by stuck configuration (packed integer).
+CandidateLists = Dict[int, List[Tuple[int, Direction]]]
+
 #: Whole chains the verifier has refuted (as frozen decision signatures); the
 #: search must derive a *different* chain rather than re-propose one of these.
 RefutedChains = Set[FrozenSet[Tuple[int, str]]]
@@ -277,6 +280,7 @@ def repair_chain(
     amend_branch: int = 10,
     refuted: Optional[RefutedChains] = None,
     kernel: str = "packed",
+    candidates: Optional[CandidateLists] = None,
 ) -> Tuple[Optional[Amendment], int]:
     """Search a chain of new assignments that drives ``packed`` to gathered.
 
@@ -294,6 +298,11 @@ def repair_chain(
     derive an *alternative* chain instead of re-proposing the refuted one —
     the refinement half of the CEGIS triangle at chain granularity.
 
+    ``candidates`` memoizes :func:`candidate_moves` by stuck configuration;
+    it is valid for one ``blocked`` set and visibility range, so callers
+    searching several terminals against the same refutations share it
+    (:func:`propose_chain_list` does).
+
     Returns ``(chain, expansions)`` — the extra decisions on success (may be
     empty if the configuration already gathers; values are ``None`` for
     forced stays), ``None`` if the budget, depth or candidate space is
@@ -310,6 +319,8 @@ def repair_chain(
     decision touches are re-resolved.
     """
     committed_amend = amended or {}
+    if candidates is None:
+        candidates = {}
     failed: Set[int] = set()
     expansions = 0
     base_table = _base_table_for(base, packed) if kernel == "table" else None
@@ -347,8 +358,11 @@ def repair_chain(
             if settled in path or settled in failed:
                 return None
             expansions += 1
-            positions = unpack_nodes(settled)
-            options = candidate_moves(positions, blocked, base.visibility_range)
+            options = candidates.get(settled)
+            if options is None:
+                options = candidates[settled] = candidate_moves(
+                    unpack_nodes(settled), blocked, base.visibility_range
+                )
             for bitmask, direction in options[:branch]:
                 if bitmask in assigned or bitmask in committed_amend or bitmask in extra:
                     continue
@@ -416,9 +430,16 @@ def propose_chain_list(
     can trial-commit each chain as one atomic unit — a chain's decisions were
     validated *together* by the targeted replay, and splitting them apart
     refutes parts that are only wrong in isolation.  Returns
-    ``(chains, expansions)``.
+    ``(chains, expansions)``; ``expansions`` counts every expanded point of
+    every search.
+
+    The searches share one :func:`candidate_moves` list per stuck
+    configuration: ``blocked``, the base and its visibility range are fixed
+    for the call, so a configuration two terminals' searches reach gets the
+    same candidates either way.
     """
     chains: List[Tuple[int, Amendment]] = []
+    candidates: CandidateLists = {}
     total_expansions = 0
     for packed in terminals:
         chain, expansions = repair_chain(
@@ -434,6 +455,7 @@ def propose_chain_list(
             amend_branch=amend_branch,
             refuted=refuted,
             kernel=kernel,
+            candidates=candidates,
         )
         total_expansions += expansions
         if chain:

@@ -63,3 +63,33 @@ def test_hexagon_views_all_get_stay_or_rear_bases():
         base = determine_base_label(view)
         assert base is not None
         assert base in BASE_STAY_LABELS or base in BASE_MOVE_LABELS
+
+
+def test_rule_table_base_guards_match_determine_base_label_on_every_view():
+    """Algorithm 1's rule table folds base-node determination into its masks.
+
+    Each ``_BASE_*`` guard of :mod:`repro.algorithms.visibility2` must match
+    a range-2 view exactly when :func:`determine_base_label` returns its
+    label, on all 262,144 views, so the two statements cannot drift apart.
+    """
+    np = pytest.importorskip("numpy")
+    from repro.algorithms import visibility2
+    from repro.grid.packing import view_bit_count
+
+    bits = np.arange(1 << view_bit_count(2), dtype=np.int64)
+    labels = [determine_base_label(View.from_bitmask(int(b), 2)) for b in bits]
+    guards = {
+        (4, 0): visibility2._BASE_4_0,
+        (3, -1): visibility2._BASE_3_M1,
+        (3, 1): visibility2._BASE_3_P1,
+        (2, -2): visibility2._BASE_2_M2,
+        (2, 2): visibility2._BASE_2_P2,
+    }
+    assert set(guards) == set(BASE_MOVE_LABELS)
+    for label, guard in guards.items():
+        matched = np.zeros(len(bits), dtype=bool)
+        for occupied, empty in guard:
+            matched |= (bits & (occupied | empty)) == occupied
+        expected = np.array([found == label for found in labels])
+        disagree = np.flatnonzero(matched != expected)
+        assert len(disagree) == 0, (label, len(disagree), [hex(b) for b in disagree[:5]])

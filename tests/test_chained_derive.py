@@ -4,7 +4,7 @@ The CEGIS search derives each repair-DFS child from its parent's table and
 each commit trial from the accepted composition's table, instead of
 re-deriving ``base + every layer`` from the base table.  Both routes must
 give byte-identical tables: the same codes, per-row arrays, lineage dirty
-set and SSYNC expansions.
+set and SSYNC expansions — whatever the lineage's row memo already holds.
 """
 import random
 
@@ -13,7 +13,7 @@ import pytest
 np = pytest.importorskip("numpy")  # the table kernel is numpy-optional
 
 from repro.algorithms import create_algorithm
-from repro.core.table_kernel import successor_table
+from repro.core.table_kernel import SuccessorTable, successor_table
 from repro.grid.directions import DIRECTIONS
 from repro.synth.cegis import _trial_table
 
@@ -142,3 +142,55 @@ def test_amendment_reverting_an_additive_rule(base_table):
     assert one_shot is base_table
     assert len(chained._ssync_dirty) > 0
     assert_same_tables(chained, one_shot, rng, same_dirty=False)
+
+
+def test_warm_lineage_derives_match_a_fresh_lineage(base_table):
+    """The lineage's row memo answers states siblings resolved, byte-identically.
+
+    Every chain is derived twice on one lineage — the second time the memo
+    holds its states and its siblings' (the same steps in other orders,
+    reverted views, forced stays) — and once on a fresh lineage whose memo
+    starts empty.  All three must agree, with each other and with a table
+    resolved row by row from the chain's codes, and the warm repeat must
+    resolve nothing new.
+    """
+    size = base_table.view.size
+    algorithm = create_algorithm("shibata-visibility2")
+    rng = random.Random(400 + size)
+    stays, views = view_slots(base_table, rng)
+    stay_set = set(stays)
+    movers = [bm for bm in views if bm not in stay_set]
+    printed = dict(zip(movers, algorithm.decide_bitmasks(movers)))
+    additive = [({bm: random_direction(rng, allow_stay=False)}, {}) for bm in stays[:3]]
+    forced = [({}, {bm: None}) for bm in movers[:2]]
+    redirected = [({}, {bm: random_direction(rng, allow_stay=False)}) for bm in movers[2:4]]
+    reverted = [({}, {bm: printed[bm]}) for bm in movers[2:4]]
+    shadowed = [({}, {stays[0]: None})]  # a forced stay over an additive rule's view
+    chains = [
+        additive + forced,
+        forced + additive,
+        additive[:1] + redirected + reverted,
+        redirected[:1] + additive[1:] + reverted[:1] + forced[1:],
+        additive[:1] + shadowed + redirected[1:],
+    ]
+
+    def derive_chain(root, chain):
+        table, amended = root, {}
+        for additive_items, amend_items in chain:
+            table = _trial_table(table, additive_items, amend_items, amended)
+            amended.update(amend_items)
+        return table
+
+    warm_root = SuccessorTable.build(algorithm, size)
+    first = [derive_chain(warm_root, chain) for chain in chains]
+    entries = len(warm_root._row_memo)
+    assert entries > 0
+    for chain, cold in zip(chains, first):
+        warm = derive_chain(warm_root, chain)
+        fresh = derive_chain(SuccessorTable.build(algorithm, size), chain)
+        assert_same_tables(warm, fresh, rng)
+        assert_same_tables(cold, fresh, rng)
+        rebuilt = SuccessorTable._from_codes(warm.view, warm.codes)
+        for name in ARRAYS:
+            assert_same_bytes(getattr(warm, name), getattr(rebuilt, name), name)
+    assert len(warm_root._row_memo) == entries

@@ -22,6 +22,7 @@ from repro.synth import (
     OverrideAlgorithm,
     RuleSet,
     amend_candidates,
+    learned_amend_ruleset,
     learned_ruleset,
     overrides_to_ruleset,
     repair_chain,
@@ -401,6 +402,29 @@ def test_amend_budget_caps_override_rules(disconnect_roots):
         ssync_validate=False,
     )
     assert result.override_rules <= 2
+
+
+def test_readme_amending_run_reproduces_the_committed_rule_set():
+    """The README's amending reproduction finds exactly the committed artefact.
+
+    ``learned_visibility2_amend.json`` (``shibata-visibility2-synth2``) is the
+    output of this run; the run must still find the same 61 rules in the
+    same order, validated under SSYNC, with all 3652 roots gathered or safe.
+    """
+    result = synthesize(
+        base_name="shibata-visibility2",
+        seed_ruleset=learned_ruleset(),
+        max_iterations=50,
+        chain_budget=1500,
+        branch=8,
+        allow_amend=True,
+        amend_branch=20,
+    )
+    committed = learned_amend_ruleset()
+    assert len(committed.rules) == 61
+    assert result.ruleset.rules == committed.rules
+    assert result.validated is True
+    assert result.final_census == {"gathered": 1, "safe": 3651}
 
 
 # ---------------------------------------------------------------------------

@@ -148,3 +148,34 @@ def test_propose_chain_list_serial(ablated):
         for bitmask, direction in chain.items():
             assert isinstance(bitmask, int)
             assert isinstance(direction, Direction)
+
+
+def test_propose_chain_list_shares_candidate_lists(base, monkeypatch):
+    """One ``candidate_moves`` call per distinct stuck configuration, same chains.
+
+    The searches of the base's deadlock terminals reach common stuck points;
+    sharing their candidate lists must not change any chain or the
+    expansion count, which still counts every expanded point.
+    """
+    from repro.explore import explore
+    from repro.explore.transitions import TERMINAL_DEADLOCK
+    from repro.synth import search
+
+    report = explore(algorithm=base, mode="fsync", with_witnesses=False)
+    terminals = sorted(
+        packed
+        for packed, kind in report.graph.terminal.items()
+        if kind == TERMINAL_DEADLOCK
+    )[:40]
+    alone = [repair_chain(packed, base, {}, kernel="table") for packed in terminals]
+    calls = []
+    real = search.candidate_moves
+    monkeypatch.setattr(
+        search,
+        "candidate_moves",
+        lambda positions, *rest: calls.append(positions) or real(positions, *rest),
+    )
+    chains, expansions = propose_chain_list(terminals, base, {}, kernel="table")
+    assert chains == [(packed, chain) for packed, (chain, _) in zip(terminals, alone) if chain]
+    assert expansions == sum(count for _, count in alone)
+    assert len(calls) == len(set(map(tuple, calls))) < expansions

@@ -13,7 +13,10 @@ give :func:`oracles.reference_shibata_explain`'s answer:
 
 The table kernel's Compute pass decides every cache miss with one call to the
 batch method, and :class:`~repro.algorithms.cached.CachedAlgorithm` forwards
-it, so a wrapped algorithm builds through the array path too.
+it, so a wrapped algorithm builds through the array path too.  The
+compositions (``-synth``, ``-synth2`` and the search's ``OverrideAlgorithm``)
+decide their base layer in one such call and must still answer exactly like
+their per-view ``compute``.
 """
 import random
 
@@ -23,6 +26,7 @@ np = pytest.importorskip("numpy")
 
 from oracles import reference_shibata_explain
 from repro import obs
+from repro.algorithms import create_algorithm
 from repro.algorithms.cached import CachedAlgorithm
 from repro.algorithms.visibility2 import ALL_RULE_IDS, RULES, ShibataGatheringAlgorithm
 from repro.core.algorithm import FunctionAlgorithm
@@ -206,3 +210,61 @@ def test_partly_warm_cache_counts_only_new_misses():
     reference = SuccessorTable.build(ShibataGatheringAlgorithm(), 7)
     np.testing.assert_array_equal(table.codes, reference.codes)
     np.testing.assert_array_equal(table.move_code, reference.move_code)
+
+
+# ---------------------------------------------------------------------------
+# Compositions: the base layer in one batch call, the layers above per view.
+# ---------------------------------------------------------------------------
+
+def _forced_stay_composition():
+    """An ``OverrideAlgorithm`` with additive moves, forced stays and redirections."""
+    from repro.synth.ruleset import OverrideAlgorithm
+
+    base = ShibataGatheringAlgorithm()
+    unique = view_table(7, 2).unique_views.tolist()
+    moves = base.decide_bitmasks(unique)
+    stays = [bitmask for bitmask, move in zip(unique, moves) if move is None]
+    movers = [bitmask for bitmask, move in zip(unique, moves) if move is not None]
+    directions = list(Direction)
+    overrides = {bitmask: directions[i % 6] for i, bitmask in enumerate(stays[::41])}
+    amendments = {bitmask: None for bitmask in movers[::13]}
+    amendments.update({bitmask: directions[i % 6] for i, bitmask in enumerate(movers[5::29])})
+    # A forced stay over an additive rule's view: the amendment wins.
+    amendments[next(iter(overrides))] = None
+    return OverrideAlgorithm(base, overrides, amendments=amendments)
+
+
+COMPOSITIONS = {
+    "synth": lambda: create_algorithm("shibata-visibility2-synth"),
+    "synth2": lambda: create_algorithm("shibata-visibility2-synth2"),
+    "forced-stays": _forced_stay_composition,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITIONS))
+def test_composition_batch_matches_compute_on_every_n7_view(name, monkeypatch):
+    unique = view_table(7, 2).unique_views.tolist()
+    expected = COMPOSITIONS[name]()
+    want = [expected.compute(View.from_bitmask(bitmask, 2)) for bitmask in unique]
+    algorithm = COMPOSITIONS[name]()
+    batches = []
+    decide = algorithm.base.decide_bitmasks
+    monkeypatch.setattr(
+        algorithm.base, "decide_bitmasks", lambda b: batches.append(len(b)) or decide(b)
+    )
+    monkeypatch.setattr(algorithm.base, "compute", lambda view: pytest.fail("base.compute"))
+    assert algorithm.decide_bitmasks(np.array(unique)) == want
+    assert batches == [len(unique)]
+    if name == "forced-stays":
+        assert None in algorithm.amendments.values() and algorithm.overrides
+
+
+def test_synth2_table_builds_through_the_batch_path(monkeypatch):
+    """A service start-up build of ``-synth2`` calls no per-view ``compute``."""
+    algorithm = create_algorithm("shibata-visibility2-synth2")
+    for layer in (algorithm, algorithm.base):
+        monkeypatch.setattr(layer, "compute", lambda view: pytest.fail("a build called compute"))
+    table = SuccessorTable.build(CachedAlgorithm(algorithm), 7)
+    monkeypatch.undo()
+    per_view = FunctionAlgorithm(create_algorithm("shibata-visibility2-synth2").compute, 2)
+    np.testing.assert_array_equal(table.codes, SuccessorTable.build(per_view, 7).codes)
