@@ -70,7 +70,7 @@ import sys
 import time
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,6 +93,7 @@ __all__ = [
     "ViewTable",
     "SuccessorTable",
     "TableFsyncVerdict",
+    "TableSsyncVerdict",
     "CanonicalIndex",
     "estimate_table_bytes",
     "estimate_sharded_bytes",
@@ -1532,6 +1533,64 @@ class SuccessorTable:
         """
         return TableFsyncVerdict(self, np.asarray(root_rows, dtype=np.int32))
 
+    def ssync_verdict(self, root_rows: "np.ndarray") -> "TableSsyncVerdict":
+        """The adversarial-SSYNC model-checking verdict over a root set, in row space.
+
+        The explorer's answer without its graph: the vertex id is the table
+        row.  A breadth-first search from ``root_rows`` (distinct rows)
+        expands each level with one :meth:`expand_level` call, so the
+        lineage's SSYNC memos serve every edge they already hold, and a
+        visited mask decides which destinations are new.  The edges go into
+        one :class:`~repro.explore.transitions.GraphArrays` over all rows
+        (``STATE_ABSENT`` for the rows never reached), which
+        :func:`~repro.explore.analyzer.classify_arrays` classifies in one
+        pass.  No vertex is named by packed configuration.
+        """
+        from ..explore.analyzer import classify_arrays  # late: avoids an import cycle
+        from ..explore.transitions import STATE_ABSENT, GraphArrays
+
+        start_time = time.perf_counter()
+        root_rows = np.asarray(root_rows, dtype=np.int64)
+        count = self.view.count
+        state = np.full(count, STATE_ABSENT, dtype=np.int8)
+        reached = np.zeros(count, dtype=bool)
+        reached[root_rows] = True
+        frontier = np.flatnonzero(reached)
+        sources: List["np.ndarray"] = []
+        bits_parts: List["np.ndarray"] = []
+        dst_parts: List["np.ndarray"] = []
+        levels = 0
+        while len(frontier):
+            kind, src, bits, dst = self.expand_level(frontier, "ssync")
+            state[frontier] = kind
+            sources.append(frontier[src])
+            bits_parts.append(bits)
+            dst_parts.append(dst)
+            target = dst[dst >= 0]
+            fresh = np.unique(target[~reached[target]])
+            reached[fresh] = True
+            frontier = fresh
+            levels += 1
+        src = np.concatenate(sources)
+        order = np.argsort(src, kind="stable")  # CSR: by source row, subset order kept
+        arrays = GraphArrays(
+            state=state,
+            indptr=np.concatenate(([0], np.cumsum(np.bincount(src, minlength=count)))),
+            bits=np.concatenate(bits_parts)[order],
+            dst=np.concatenate(dst_parts)[order],
+            roots=root_rows,
+        )
+        verdict = TableSsyncVerdict(classify_arrays(arrays), root_rows)
+        _obs_record_span(
+            "table.ssync_verdict",
+            time.perf_counter() - start_time,
+            roots=len(root_rows),
+            rows=int(reached.sum()),
+            edges=len(src),
+            levels=levels,
+        )
+        return verdict
+
 
 #: Sentinel distinguishing "memoized as None" from "not yet settled".
 _UNSETTLED = object()
@@ -1553,7 +1612,7 @@ class TableFsyncVerdict:
         self.root_rows = root_rows
         self._outcome = table.fsync_summary().outcome[root_rows]
 
-    @property
+    @cached_property
     def root_census(self) -> Dict[str, int]:
         """Class histogram over the roots, in the analyzer's reporting order."""
         table = self.table
@@ -1577,6 +1636,10 @@ class TableFsyncVerdict:
         packed = self.table.view.packed
         won = self.root_rows[self._outcome == OUT_GATHERED]
         return frozenset(packed[row] for row in won.tolist())
+
+    def won_mask(self) -> "np.ndarray":
+        """:meth:`won_roots` as a mask over the table's rows."""
+        return _row_mask(self.table.view.count, self.root_rows[self._outcome == OUT_GATHERED])
 
     def counterexamples_by_mass(self, include_failures: bool = False) -> List[int]:
         """The explorer's counterexample ordering, straight from the table.
@@ -1640,6 +1703,44 @@ class TableFsyncVerdict:
         for visited in path:
             settles[visited] = result
         return result
+
+
+def _row_mask(count: int, rows: "np.ndarray") -> "np.ndarray":
+    mask = np.zeros(count, dtype=bool)
+    mask[rows] = True
+    return mask
+
+
+class TableSsyncVerdict:
+    """A graph-free adversarial-SSYNC exploration verdict, in row space.
+
+    What the CEGIS loop asks an SSYNC
+    :class:`~repro.explore.report.ExplorationReport` for — the root census
+    and the won roots — read off the per-row classes of
+    :meth:`SuccessorTable.ssync_verdict`.  The classes are the explorer's,
+    root for root.
+    """
+
+    def __init__(self, classes: "np.ndarray", root_rows: "np.ndarray") -> None:
+        #: Index into :data:`~repro.explore.analyzer.CLASSES` per table row
+        #: (-1 for the rows no root reaches).
+        self.classes = classes
+        self.root_rows = root_rows
+
+    @cached_property
+    def root_census(self) -> Dict[str, int]:
+        """Class histogram over the roots, in the analyzer's reporting order."""
+        from ..explore.analyzer import Classification  # late: avoids an import cycle
+
+        return Classification._histogram(self.classes[self.root_rows])
+
+    def won_mask(self) -> "np.ndarray":
+        """Mask over the table's rows of the roots classified gathered or safe."""
+        from ..explore.analyzer import CLASSES  # late: avoids an import cycle
+
+        won_classes = (CLASSES.index("gathered"), CLASSES.index("safe"))
+        won = np.isin(self.classes[self.root_rows], won_classes)
+        return _row_mask(len(self.classes), self.root_rows[won])
 
 
 # ---------------------------------------------------------------------------

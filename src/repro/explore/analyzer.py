@@ -24,9 +24,11 @@ disconnected > deadlock > livelock.
 
 The pass runs on the graph's CSR arrays
 (:attr:`~repro.explore.transitions.TransitionGraph.arrays`), for both
-kernels.  Every "can reach" set is a backward closure over the reverse CSR,
-computed in frontier rounds.  Livelocks come from **Kahn peeling**: remove
-the vertices left with no successor vertex until none is left to remove;
+kernels; :func:`classify_arrays` runs it on bare arrays, which is how the
+CEGIS gate classifies a table's rows without a graph.  Every "can reach" set
+is a backward closure over the reverse CSR, computed in frontier rounds.
+Livelocks come from **Kahn peeling**: remove the vertices left with no
+successor vertex until none is left to remove;
 the survivors are exactly the vertices with an infinite path, that is, those
 that reach a cycle.  Terminal vertices have no outgoing edges, so such a
 cycle never contains a gathered vertex.  The iterative Tarjan SCC pass then
@@ -58,6 +60,7 @@ __all__ = [
     "Classification",
     "strongly_connected_components",
     "classify",
+    "classify_arrays",
 ]
 
 #: All possible vertex classes, in report order.
@@ -230,28 +233,45 @@ class _ReverseEdges:
         """Mask of the vertices from which a seed is reachable (seeds
         included), one frontier round per BFS level."""
         reached = seeds.copy()
+        slot = np.empty(len(reached), dtype=np.int64)
         frontier = np.nonzero(reached)[0]
         while len(frontier):
             predecessors = self.predecessors(frontier)
-            frontier = np.unique(predecessors[~reached[predecessors]])
+            frontier = _distinct(predecessors[~reached[predecessors]], slot)
             reached[frontier] = True
         return reached
 
     def survivors(self) -> "np.ndarray":
         """Mask of the vertices that survive Kahn peeling: repeatedly remove
         the vertices left with no successor vertex.  They are exactly the
-        vertices with an infinite path, i.e. those that can reach a cycle."""
+        vertices with an infinite path, i.e. those that can reach a cycle.
+
+        A level costs O(its edges): the removed vertices' predecessors lose
+        one out-degree per edge, and those left with none, each named once,
+        are the next level."""
         count = len(self._indptr) - 1
         out_degree = np.bincount(self.src[self.real], minlength=count)
         alive = np.ones(count, dtype=bool)
+        slot = np.empty(count, dtype=np.int64)
         frontier = np.nonzero(out_degree == 0)[0]
         while len(frontier):
             alive[frontier] = False
             predecessors = self.predecessors(frontier)
-            out_degree -= np.bincount(predecessors, minlength=count)
-            touched = np.unique(predecessors)
-            frontier = touched[out_degree[touched] == 0]
+            np.subtract.at(out_degree, predecessors, 1)
+            frontier = _distinct(predecessors[out_degree[predecessors] == 0], slot)
         return alive
+
+
+def _distinct(vertices: "np.ndarray", slot: "np.ndarray") -> "np.ndarray":
+    """``vertices`` with each repeated id kept once, in O(len(vertices)).
+
+    ``slot`` is scratch space over the vertex ids: every occurrence writes
+    its position there, and the one occurrence whose write is left standing
+    is kept.
+    """
+    position = np.arange(len(vertices), dtype=np.int64)
+    slot[vertices] = position
+    return vertices[slot[vertices] == position]
 
 
 def classify(graph: TransitionGraph) -> Classification:
@@ -262,6 +282,27 @@ def classify(graph: TransitionGraph) -> Classification:
     Tarjan only over the peeling's survivors, to name the cyclic vertices.
     """
     arrays = graph.arrays
+    classes, reach, cyclic, reverse = _analyze(arrays)
+    return Classification(
+        graph, classes, reach, reverse.closure(arrays.state == STATE_GATHERED), cyclic
+    )
+
+
+def classify_arrays(arrays: GraphArrays) -> "np.ndarray":
+    """The class of every vertex id of ``arrays``, without a graph.
+
+    The verdicts of :func:`classify` as one array: an index into
+    :data:`CLASSES` per vertex id, -1 for an id whose state is
+    ``STATE_ABSENT``.  Nothing is named by packed configuration, so a caller
+    whose vertex ids are table rows gets its answers in row space.
+    """
+    return _analyze(arrays)[0]
+
+
+def _analyze(
+    arrays: GraphArrays,
+) -> Tuple["np.ndarray", Dict[str, "np.ndarray"], "np.ndarray", _ReverseEdges]:
+    """``(classes, reach, cyclic, reverse)`` of the graph ``arrays``."""
     state, dst = arrays.state, arrays.dst
     reverse = _ReverseEdges(arrays)
     src, real = reverse.src, reverse.real
@@ -296,6 +337,4 @@ def classify(graph: TransitionGraph) -> Classification:
     classes[state == STATE_DEADLOCK] = CLASSES.index("deadlock")
     classes[state == STATE_UNEXPLORED] = CLASSES.index("unknown")
     classes[state == STATE_ABSENT] = -1
-    return Classification(
-        graph, classes, reach, reverse.closure(state == STATE_GATHERED), cyclic
-    )
+    return classes, reach, cyclic, reverse

@@ -34,6 +34,16 @@ livelock witness is blamed, removed and blocked, and the FSYNC loop resumes —
 so a returned result with ``validated=True`` is exhaustively collision- and
 livelock-free under *every* activation schedule, not just FSYNC.
 
+On the table kernel no step of the gate builds a transition graph.  A
+trial's FSYNC verdict is read off its derived table's functional graph
+(:meth:`~repro.core.table_kernel.SuccessorTable.fsync_verdict`), and its
+SSYNC verdict is a breadth-first search over the same table's rows,
+classified in row space
+(:meth:`~repro.core.table_kernel.SuccessorTable.ssync_verdict`); won-root
+sets are row masks.  A final validation reads the row verdict first and
+explores with witnesses only when it finds a collision or a livelock, since
+only a witness can name the rule to blame.
+
 Long searches checkpoint their full state (assignments, amendments, blocked
 pairs, iteration history) as JSON after every iteration and can resume from
 it; the checkpoint schema is versioned (see
@@ -45,7 +55,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..core.algorithm import GatheringAlgorithm
 from ..core.configuration import Configuration
@@ -60,9 +81,13 @@ from ..obs import metrics as _obs
 from ..obs import span as _span
 from .dsl import RuleSet
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _LOG = get_logger("synth.cegis")
 from .ruleset import OverrideAlgorithm, overrides_to_ruleset, ruleset_algorithm, ruleset_layers
 from .search import (
+    AmendLists,
     Amendment,
     Assignment,
     blocked_name,
@@ -79,6 +104,10 @@ __all__ = [
 ]
 
 Progress = Callable[[str], None]
+
+#: The roots a verdict wins: a row mask on the table path, packed roots on
+#: the packed one (see :func:`_won_roots`).
+WonRoots = Union[FrozenSet[int], "np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -205,20 +234,34 @@ def _bad(census: Dict[str, int]) -> int:
     return census.get("collision", 0) + census.get("livelock", 0)
 
 
-def _won_roots(report) -> FrozenSet[int]:
+def _won_roots(report) -> WonRoots:
     """The roots the explored composition wins (classified gathered or safe).
 
-    Accepts either a full :class:`~repro.explore.report.ExplorationReport`
-    or a graph-free :class:`~repro.core.table_kernel.TableFsyncVerdict` (the
-    table kernel's fast path); both answer identically.
+    A table verdict (:class:`~repro.core.table_kernel.TableFsyncVerdict` or
+    :class:`~repro.core.table_kernel.TableSsyncVerdict`) answers with a mask
+    over the table's rows; a full
+    :class:`~repro.explore.report.ExplorationReport` (the packed kernel) with
+    a frozenset of packed roots.  One run compares only like with like:
+    see :func:`_covers`.
     """
-    method = getattr(report, "won_roots", None)
+    method = getattr(report, "won_mask", None)
     if method is not None:
         return method()
     roots = report.graph.arrays.roots
     classes = report.classification.classes[roots]
     won = (classes == CLASSES.index("gathered")) | (classes == CLASSES.index("safe"))
     return frozenset(report.graph.packed_of_vertices(roots[won]))
+
+
+def _covers(won, baseline) -> bool:
+    """Whether ``won`` keeps every root of ``baseline`` (two :func:`_won_roots`)."""
+    if isinstance(won, frozenset):
+        return baseline <= won
+    return not bool((baseline & ~won).any())
+
+
+def _won_count(won) -> int:
+    return len(won) if isinstance(won, frozenset) else int(won.sum())
 
 
 def _report_counterexamples(report, include_failures: bool) -> List[int]:
@@ -415,14 +458,17 @@ def synthesize(
     instead of from scratch (mutually exclusive with ``resume``).
 
     ``kernel`` selects the verification/replay machinery: ``"table"`` runs
-    every FSYNC trial evaluation on the vectorized successor table with
+    every trial evaluation on the vectorized successor table with
     delta-aware invalidation (a candidate chain touches a known set of exact
     views, so only the affected table rows are recomputed and the verdict is
     re-traversed from the dirtied configurations — no 3652-root
-    re-simulation), and the chain search's targeted replay becomes a pointer
-    walk on derived tables.  ``"auto"`` (the default) picks ``"table"`` when
-    NumPy is available and the root set fits the table's scope, else
-    ``"packed"``.  All kernels produce byte-identical searches.
+    re-simulation); the SSYNC half of the gate searches the same derived
+    table's rows instead of building a transition graph, and witnesses are
+    built only for a failing final validation.  The chain search's targeted
+    replay becomes a pointer walk on derived tables.  ``"auto"`` (the
+    default) picks ``"table"`` when NumPy is available and the root set fits
+    the table's scope, else ``"packed"``.  All kernels produce byte-identical
+    searches.
 
     The chain search runs in the calling process.  ``workers`` is accepted
     and ignored, as :func:`~repro.core.runner.run_many` ignores it for FSYNC
@@ -563,20 +609,32 @@ def synthesize(
     )
 
     # ``layers`` = ``(assigned, amended)`` explores that composition instead of
-    # the live one.
+    # the live one; ``table`` is that composition's table when the caller
+    # already derived it (a trial).
     def explore_current(mode: str, with_witnesses: bool = False, table=None, layers=None):
         nonlocal explores
         explores += 1
         _obs.counter("cegis.explores").inc()
         with _span("cegis.verify", mode=mode):
-            if mode == "fsync" and base_table is not None:
-                # Graph-free trial evaluation: the verdict is read off the
-                # composition's functional graph (``table``, derived from the
-                # accepted composition's table by the trial's own decisions,
-                # or the accepted table itself) — no transition-graph
-                # materialization.
-                return (current_table if table is None else table).fsync_verdict(root_rows)
             additive, amendments = layers or (assigned, amended)
+            if base_table is not None:
+                # Graph-free evaluation on the composition's table rows: the
+                # FSYNC verdict is read off its functional graph, the SSYNC
+                # verdict off a row-space search of its expansions — no
+                # transition graph, no packed naming.
+                if table is None:
+                    table = (
+                        current_table
+                        if layers is None
+                        else base_table.derive(additive, amendments)
+                    )
+                if mode == "fsync":
+                    return table.fsync_verdict(root_rows)
+                verdict = table.ssync_verdict(root_rows)
+                if not (with_witnesses and _bad(verdict.root_census)):
+                    return verdict
+                # A failing validation must blame a rule: only a full
+                # exploration extracts the witnesses that name one.
             return explore(
                 algorithm=OverrideAlgorithm(base, additive, amendments=amendments),
                 roots=roots,
@@ -607,21 +665,24 @@ def synthesize(
 
     # The adversarial-SSYNC half of the regression gate: computed lazily on
     # the first amending trial-commit, then maintained across commits.
-    ssync_won_baseline: Optional[FrozenSet[int]] = None
+    ssync_won_baseline: Optional[WonRoots] = None
 
     # Whole-chain refutations from the regression gate, fed back into the
     # chain search so rejected chains are re-derived differently (in-memory
     # only: a resumed run cheaply re-discovers them against its checkpointed
     # composition).
     refuted_chains: Set[FrozenSet[Tuple[int, str]]] = set()
+    # Amendment candidate lists before refutations, shared by every search of
+    # the run (the chain search filters ``blocked`` on lookup).
+    amend_lists: AmendLists = {}
 
-    def ssync_baseline(accepted_layers) -> FrozenSet[int]:
+    def ssync_baseline(accepted_layers) -> WonRoots:
         nonlocal ssync_won_baseline
         if ssync_won_baseline is None:
             ssync_won_baseline = _won_roots(
                 explore_current("ssync", layers=accepted_layers)
             )
-            say(f"ssync regression baseline: {len(ssync_won_baseline)} won roots")
+            say(f"ssync regression baseline: {_won_count(ssync_won_baseline)} won roots")
         return ssync_won_baseline
 
     def amend_capacity() -> Optional[int]:
@@ -665,7 +726,7 @@ def synthesize(
         deadlocks_ok = census.get("deadlock", 0) <= report.root_census.get("deadlock", 0)
         if _bad(census) == 0 and deadlocks_ok and _ok(census) > best:
             trial_won = _won_roots(trial)
-            if won_fsync <= trial_won:
+            if _covers(trial_won, won_fsync):
                 if ssync_validate:
                     # The SSYNC half of the gate: every chain — additive rules
                     # can open adversarial livelocks too — must keep the
@@ -674,13 +735,12 @@ def synthesize(
                     # root.  Gating each commit keeps the end-of-run SSYNC
                     # validation a formality instead of a demolition.
                     baseline = ssync_baseline(accepted_layers)
-                    ssync_trial = explore_current("ssync")
-                    if (
-                        _bad(ssync_trial.root_census) == 0
-                        and baseline <= _won_roots(ssync_trial)
-                    ):
-                        ssync_won_baseline = _won_roots(ssync_trial)
-                        accepted = True
+                    ssync_trial = explore_current("ssync", table=trial_table)
+                    if _bad(ssync_trial.root_census) == 0:
+                        ssync_won = _won_roots(ssync_trial)
+                        if _covers(ssync_won, baseline):
+                            ssync_won_baseline = ssync_won
+                            accepted = True
                 else:
                     accepted = True
             if accepted:
@@ -732,6 +792,7 @@ def synthesize(
                     amend_branch=amend_branch,
                     refuted=refuted_chains,
                     kernel=kernel,
+                    amend_lists=amend_lists,
                 )
             candidates_evaluated += expansions
             # Reconciles exactly with SynthesisResult.candidates_evaluated:

@@ -75,6 +75,10 @@ BlockedPairs = Set[Tuple[int, str]]
 #: :func:`candidate_moves` lists by stuck configuration (packed integer).
 CandidateLists = Dict[int, List[Tuple[int, Direction]]]
 
+#: :func:`amend_candidates` lists before refutations are applied, by
+#: ``(positions, intents, visibility_range)``.
+AmendLists = Dict[Tuple[object, ...], List[Tuple[int, Optional[Direction]]]]
+
 #: Whole chains the verifier has refuted (as frozen decision signatures); the
 #: search must derive a *different* chain rather than re-propose one of these.
 RefutedChains = Set[FrozenSet[Tuple[int, str]]]
@@ -151,6 +155,7 @@ def amend_candidates(
     intents: Dict[Coord, Direction],
     blocked: Optional[BlockedPairs] = None,
     visibility_range: int = 2,
+    memo: Optional[AmendLists] = None,
 ) -> List[Tuple[int, Optional[Direction]]]:
     """Candidate amendments at a *moving* (non-quiescent) configuration.
 
@@ -162,18 +167,44 @@ def amend_candidates(
     configuration" the quiescent-only search could never propose.  Forced
     stays rank first (they stabilize the round the failure happens in), then
     moves by centroid-approach priority; ties break deterministically.
+
+    ``memo`` keeps the list before ``blocked`` is applied, keyed by
+    ``(positions, intents, visibility_range)``; the refutations are filtered
+    out on every lookup, and filtering a sorted list keeps its order, so a
+    memo stays valid while ``blocked`` grows (:func:`synthesize
+    <repro.synth.cegis.synthesize>` keeps one per run).
     """
+    if memo is None:
+        options = _amend_options(positions, intents, visibility_range)
+    else:
+        key = (tuple(positions), frozenset(intents.items()), visibility_range)
+        options = memo.get(key)
+        if options is None:
+            options = memo[key] = _amend_options(positions, intents, visibility_range)
+    if not blocked:
+        return list(options)
+    return [
+        (bitmask, direction)
+        for bitmask, direction in options
+        if (bitmask, blocked_name(direction)) not in blocked
+    ]
+
+
+def _amend_options(
+    positions: Sequence[Tuple[int, int]],
+    intents: Dict[Coord, Direction],
+    visibility_range: int,
+) -> List[Tuple[int, Optional[Direction]]]:
+    """:func:`amend_candidates` with nothing blocked."""
     options: List[Tuple[int, int, int, str]] = []
     for pos in positions:
         bitmask = view_bitmask(positions, pos, visibility_range)
         view = View.from_bitmask(bitmask, visibility_range)
         current = intents.get(Coord(pos[0], pos[1]))
-        if current is not None and (blocked is None or (bitmask, "STAY") not in blocked):
+        if current is not None:
             options.append((0, 0, bitmask, "STAY"))
         for direction in Direction:
             if direction == current:
-                continue
-            if blocked is not None and (bitmask, direction.name) in blocked:
                 continue
             if view.occupied(direction.value):
                 continue
@@ -281,6 +312,7 @@ def repair_chain(
     refuted: Optional[RefutedChains] = None,
     kernel: str = "packed",
     candidates: Optional[CandidateLists] = None,
+    amend_lists: Optional[AmendLists] = None,
 ) -> Tuple[Optional[Amendment], int]:
     """Search a chain of new assignments that drives ``packed`` to gathered.
 
@@ -301,7 +333,8 @@ def repair_chain(
     ``candidates`` memoizes :func:`candidate_moves` by stuck configuration;
     it is valid for one ``blocked`` set and visibility range, so callers
     searching several terminals against the same refutations share it
-    (:func:`propose_chain_list` does).
+    (:func:`propose_chain_list` does).  ``amend_lists`` is the ``memo`` of
+    :func:`amend_candidates`, valid whatever ``blocked`` holds.
 
     Returns ``(chain, expansions)`` — the extra decisions on success (may be
     empty if the configuration already gathers; values are ``None`` for
@@ -384,7 +417,9 @@ def repair_chain(
             expansions += 1
             positions = unpack_nodes(pre_failure)
             intents = move_intents(positions, composed(extra))
-            options = amend_candidates(positions, intents, blocked, base.visibility_range)
+            options = amend_candidates(
+                positions, intents, blocked, base.visibility_range, amend_lists
+            )
             for bitmask, direction in options[:amend_branch]:
                 # Unlike the additive branch, an amendment may re-target a view
                 # that already carries a committed *additive* rule (the
@@ -422,6 +457,7 @@ def propose_chain_list(
     amend_branch: int = 10,
     refuted: Optional[RefutedChains] = None,
     kernel: str = "packed",
+    amend_lists: Optional[AmendLists] = None,
 ) -> Tuple[List[Tuple[int, Amendment]], int]:
     """Per-counterexample repair chains, unmerged, searched in this process.
 
@@ -436,7 +472,8 @@ def propose_chain_list(
     The searches share one :func:`candidate_moves` list per stuck
     configuration: ``blocked``, the base and its visibility range are fixed
     for the call, so a configuration two terminals' searches reach gets the
-    same candidates either way.
+    same candidates either way.  ``amend_lists`` (see :func:`repair_chain`)
+    may outlive the call.
     """
     chains: List[Tuple[int, Amendment]] = []
     candidates: CandidateLists = {}
@@ -456,6 +493,7 @@ def propose_chain_list(
             refuted=refuted,
             kernel=kernel,
             candidates=candidates,
+            amend_lists=amend_lists,
         )
         total_expansions += expansions
         if chain:

@@ -303,6 +303,38 @@ def test_amend_candidates_respect_blocked_stays(synth_algorithm, disconnect_root
     assert all(d is not None for _, d in filtered)
 
 
+def test_amend_candidates_memo_agrees_while_blocked_grows(synth_algorithm, disconnect_roots):
+    """A memoized list, filtered on lookup, is the fresh list for every
+    refutation set: the memo is built before ``blocked`` and outlives it."""
+    from repro.core.engine import move_intents
+
+    inputs = []
+    for packed in disconnect_roots[:12]:
+        _, _, pre_failure = simulate_outcome(packed, synth_algorithm)
+        positions = unpack_nodes(pre_failure)
+        intents = move_intents(positions, synth_algorithm)
+        # The same positions under other intents are another memo entry.
+        inputs += [(positions, intents), (positions, dict(list(intents.items())[1:]))]
+    memo = {}
+    blocked = set()
+    for round_index in range(3):
+        for positions, intents in inputs:
+            fresh = amend_candidates(positions, intents, set(blocked), 2)
+            assert amend_candidates(positions, intents, blocked, 2, memo) == fresh
+            # Refute every other surviving candidate, stays and moves alike.
+            blocked |= {
+                (bitmask, "STAY" if d is None else d.name) for bitmask, d in fresh[round_index::2]
+            }
+    assert len(memo) == len({(tuple(p), frozenset(i.items())) for p, i in inputs})
+    # A hit is filtered, not stale: nothing refuted comes back.
+    positions, intents = inputs[0]
+    assert amend_candidates(positions, intents, blocked, 2, memo) == amend_candidates(
+        positions, intents, blocked, 2
+    )
+    for bitmask, direction in amend_candidates(positions, intents, blocked, 2, memo):
+        assert (bitmask, "STAY" if direction is None else direction.name) not in blocked
+
+
 def test_repair_chain_amends_a_disconnect_root(base, disconnect_roots):
     from repro.synth.ruleset import ruleset_layers as layers
 

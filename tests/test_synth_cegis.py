@@ -7,7 +7,6 @@ import pytest
 from repro.algorithms import create_algorithm
 from repro.analysis.synth_progress import THEOREM2_TARGET, synth_progress
 from repro.explore import explore
-from repro.grid.packing import unpack_nodes
 from repro.io.serialization import (
     load_synthesis_checkpoint,
     synthesis_to_dict,
@@ -26,26 +25,6 @@ from repro.grid.directions import Direction
 #: The deleted-guard base of the recovery example: Algorithm 1 with the
 #: printed anti-standstill rule R3c removed.
 ABLATED = "shibata-visibility2[minus-R3c]"
-
-
-@pytest.fixture(scope="module")
-def recovery_roots():
-    """Roots the full algorithm gathers but the ablated variant deadlocks."""
-    full = explore(algorithm_name="shibata-visibility2", mode="fsync", with_witnesses=False)
-    ok_full = {
-        packed
-        for packed in full.graph.roots
-        if full.classification.node_class[packed] in ("gathered", "safe")
-    }
-    ablated = explore(algorithm_name=ABLATED, mode="fsync", with_witnesses=False)
-    affected = [
-        packed
-        for packed in ablated.graph.roots
-        if ablated.classification.node_class[packed] not in ("gathered", "safe")
-        and packed in ok_full
-    ]
-    assert len(affected) > 100  # deleting R3c opens a real gap
-    return [unpack_nodes(packed) for packed in affected[:60]]
 
 
 @pytest.fixture(scope="module")
@@ -129,19 +108,23 @@ def test_workers_keyword_starts_no_pool(monkeypatch, recovery_roots, recovery_re
 
 
 def test_ssync_gate_baseline_is_the_accepted_composition(monkeypatch, recovery_roots):
-    """The SSYNC regression baseline explores what was accepted, not the trial."""
-    from repro.synth import cegis
+    """The SSYNC regression baseline judges what was accepted, not the trial.
 
-    explored = []
-    real_explore = cegis.explore
+    On the table path the gate's SSYNC verdicts are row verdicts
+    (:meth:`SuccessorTable.ssync_verdict`); each is recorded by the move
+    codes of the table it judges, i.e. by its composition.
+    """
+    np = pytest.importorskip("numpy")
+    from repro.core.table_kernel import SuccessorTable
 
-    def recording_explore(*args, **kwargs):
-        if kwargs.get("mode") == "ssync":
-            algorithm = kwargs["algorithm"]
-            explored.append((dict(algorithm.overrides), dict(algorithm.amendments)))
-        return real_explore(*args, **kwargs)
+    judged = []
+    real_verdict = SuccessorTable.ssync_verdict
 
-    monkeypatch.setattr(cegis, "explore", recording_explore)
+    def recording_verdict(self, root_rows):
+        judged.append(self.codes.copy())
+        return real_verdict(self, root_rows)
+
+    monkeypatch.setattr(SuccessorTable, "ssync_verdict", recording_verdict)
     result = synthesize(
         base_name=ABLATED,
         roots=recovery_roots,
@@ -153,9 +136,114 @@ def test_ssync_gate_baseline_is_the_accepted_composition(monkeypatch, recovery_r
     assert result.improved
     # Nothing is accepted before the first gated trial, so the baseline is
     # the bare base; the trial it gates carries the chain.
-    baseline, trial = explored[0], explored[1]
-    assert baseline == ({}, {})
-    assert trial != baseline
+    baseline, trial = judged[0], judged[1]
+    assert np.array_equal(baseline, SuccessorTable.build(create_algorithm(ABLATED), 7).codes)
+    assert not np.array_equal(trial, baseline)
+
+
+def _colliding_seed():
+    """A one-root state space and a seed rule set that fails SSYNC validation.
+
+    The root is quiescent under the paper's algorithm.  The first rule walks
+    one of its robots onto a neighbour that stays (a collision under every
+    schedule); the second is a stay view of another configuration, which
+    the root never reaches, so it never fires.
+    """
+    from repro.core.table_kernel import KIND_DEADLOCK, successor_table
+    from repro.core.view import View
+    from repro.grid.packing import view_bitmask
+
+    np = pytest.importorskip("numpy")
+    base = create_algorithm("shibata-visibility2")
+    table = successor_table(base, 7)
+    deadlocks = np.flatnonzero(table.kind == KIND_DEADLOCK)
+    nodes, other = (
+        [tuple(map(int, p)) for p in table.view.positions[int(row)]]
+        for row in (deadlocks[0], deadlocks[-1])
+    )
+    colliding = view_bitmask(nodes, nodes[0], 2)
+    idle = view_bitmask(other, other[0], 2)
+    assert idle not in {view_bitmask(nodes, p, 2) for p in nodes}
+    onto = next(d for d in Direction if View.from_bitmask(colliding, 2).occupied(d.value))
+    away = next(d for d in Direction if not View.from_bitmask(idle, 2).occupied(d.value))
+    seed = overrides_to_ruleset({colliding: onto, idle: away}, "colliding-seed", 2)
+    return base, [nodes], seed, (colliding, onto.name)
+
+
+def test_failing_ssync_validation_gets_witnesses_and_blames_a_rule(monkeypatch):
+    """A validation whose row verdict finds a collision explores with witnesses
+    (and only then), blames the rule that fired, and ends as the packed
+    kernel does."""
+    from repro.synth import cegis
+
+    base, roots, seed, colliding = _colliding_seed()
+    explored = []
+    real_explore = cegis.explore
+
+    def recording_explore(*args, **kwargs):
+        explored.append((kwargs["mode"], kwargs["with_witnesses"]))
+        return real_explore(*args, **kwargs)
+
+    monkeypatch.setattr(cegis, "explore", recording_explore)
+    results = {}
+    for kernel in ("table", "packed"):
+        explored.clear()
+        results[kernel] = synthesize(
+            base=base, roots=roots, max_iterations=0, seed_ruleset=seed, kernel=kernel
+        )
+        if kernel == "table":
+            # Two validations; only the failing one builds a graph.
+            assert explored == [("ssync", True)]
+    table, packed = results["table"], results["packed"]
+    assert table.blocked == packed.blocked == {colliding}
+    assert table.ruleset.rules == packed.ruleset.rules
+    assert len(table.ruleset) == 1  # the idle rule survives
+    assert table.validated is packed.validated is True
+    assert table.ssync_census == packed.ssync_census == {"deadlock": 1}
+    assert table.explores == packed.explores == 5
+
+
+def test_perfbench_synth_run_is_pinned(monkeypatch):
+    """The benchmark's synth-cegis run (``perfbench/child.py``'s arguments)
+    does exactly the work the benchmark checks for, and on the table path
+    its gate builds no transition graph."""
+    import hashlib
+
+    from repro.core.engine import default_kernel
+    from repro.synth import cegis
+
+    explored = []
+    real_explore = cegis.explore
+
+    def recording_explore(*args, **kwargs):
+        explored.append(kwargs["mode"])
+        return real_explore(*args, **kwargs)
+
+    monkeypatch.setattr(cegis, "explore", recording_explore)
+    result = synthesize(
+        base_name="shibata-visibility2",
+        size=7,
+        max_iterations=1,
+        chain_budget=600,
+        max_depth=30,
+        branch=6,
+        workers=1,
+        ssync_validate=True,
+        allow_amend=False,
+        amend_branch=10,
+        kernel="auto",
+    )
+    digest = hashlib.sha256(
+        json.dumps(result.ruleset.to_dict(), sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    assert result.explores == 117
+    assert result.candidates_evaluated == 309
+    assert result.final_ok == 2652
+    assert result.extend_rules == 7
+    assert result.validated is True
+    assert digest == "a1fd7d748d596ae8c036034d416c42cc2a1f68049b4bdbc25d9f71a2eb442926"
+    if default_kernel() == "table":
+        assert explored == []
 
 
 def test_checkpoint_round_trip_and_resume(tmp_path, recovery_roots):
