@@ -19,6 +19,8 @@ from repro.analysis.model_checking import reconcile_with_sweep
 from repro.core.table_kernel import clear_table_caches
 from repro.explore import explore
 
+from oracles import assert_same_graph
+
 #: Timings collected by the explorer benchmarks; the SSYNC benchmark (the
 #: last one in file order) persists them once both have passed.
 _EXPLORER_TIMINGS = {}
@@ -44,8 +46,7 @@ def _table_explores(mode, packed_report):
     warm = explore(algorithm=algorithm, size=7, mode=mode, kernel="table",
                    with_witnesses=False)
     for report in (cold, warm):
-        assert report.graph.edges == packed_report.graph.edges
-        assert report.graph.terminal == packed_report.graph.terminal
+        assert_same_graph(report.graph, packed_report.graph)
         assert report.root_census == packed_report.root_census
     return cold, warm
 

@@ -71,7 +71,7 @@ import time
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1541,8 +1541,9 @@ class SuccessorTable:
         expands each level with one :meth:`expand_level` call, so the
         lineage's SSYNC memos serve every edge they already hold, and a
         visited mask decides which destinations are new.  The edges go into
-        one :class:`~repro.explore.transitions.GraphArrays` over all rows
-        (``STATE_ABSENT`` for the rows never reached), which
+        one :class:`~repro.explore.transitions.GraphArrays` whose vertex ids
+        are all the table's rows (``STATE_ABSENT`` marks the rows no root
+        reaches), which
         :func:`~repro.explore.analyzer.classify_arrays` classifies in one
         pass.  No vertex is named by packed configuration.
         """
@@ -1601,7 +1602,7 @@ class TableFsyncVerdict:
 
     Exposes exactly what the CEGIS loop asks an FSYNC
     :class:`~repro.explore.report.ExplorationReport` for — the root census,
-    the won-root set and the mass-ordered counterexample list — computed from
+    the won-root mask and the mass-ordered counterexample list — computed from
     the table's :meth:`SuccessorTable.fsync_summary` (resolved once per table,
     for every row) instead of a materialized transition graph, and guaranteed
     to match the explorer's answers.
@@ -1631,78 +1632,97 @@ class TableFsyncVerdict:
         }
         return {name: count for name, count in counts.items() if count}
 
-    def won_roots(self) -> FrozenSet[int]:
-        """Packed roots whose execution gathers (classified gathered or safe)."""
-        packed = self.table.view.packed
-        won = self.root_rows[self._outcome == OUT_GATHERED]
-        return frozenset(packed[row] for row in won.tolist())
-
     def won_mask(self) -> "np.ndarray":
-        """:meth:`won_roots` as a mask over the table's rows."""
+        """Mask over the table's rows of the roots whose execution gathers
+        (classified gathered or safe)."""
         return _row_mask(self.table.view.count, self.root_rows[self._outcome == OUT_GATHERED])
 
     def counterexamples_by_mass(self, include_failures: bool = False) -> List[int]:
-        """The explorer's counterexample ordering, straight from the table.
-
-        Replays the graph walker's ``settles_in`` memoization exactly: the
-        first root to walk into a livelock cycle stamps every node it visited
-        — cycle members included — with *its* entry point, so later roots
-        entering the same cycle elsewhere attribute to that first entry.
-        This keeps the counterexample ordering (and hence the CEGIS search
-        trajectory) byte-identical to the packed kernel's even for cycles
-        with several entry points.  Every deadlock row a root reaches is that
-        root's settling row, so no reachable deadlock is left without mass.
-        """
+        """The explorer's counterexample ordering, straight from the table
+        (see :func:`counterexamples_by_mass`)."""
         table = self.table
         packed = table.view.packed
-        kind = table.kind
-        succ = table.succ
-        settles: Dict[int, Optional[int]] = {}
-        mass: Dict[int, int] = {}
-        for root in self.root_rows:
-            row = self._settle(int(root), settles, kind, succ, include_failures)
-            if row is not None:
-                counterexample = packed[row]
-                mass[counterexample] = mass.get(counterexample, 0) + 1
-        return sorted(mass, key=lambda item: (-mass[item], item))
+        return counterexamples_by_mass(
+            table.kind,
+            table.succ,
+            self.root_rows,
+            lambda rows: [packed[row] for row in rows],
+            include_failures,
+        )
 
-    @staticmethod
-    def _settle(
-        row: int,
-        settles: Dict[int, Optional[int]],
-        kind: "np.ndarray",
-        succ: "np.ndarray",
-        include_failures: bool,
-    ) -> Optional[int]:
-        """One root's counterexample, memoized like the graph walker's."""
-        path: List[int] = []
-        on_path: set = set()
-        current = row
-        while True:
-            memoized = settles.get(current, _UNSETTLED)
-            if memoized is not _UNSETTLED:
-                result = memoized
-                break
-            k = int(kind[current])
-            if k == KIND_GATHERED:
-                result = None
-                break
-            if k == KIND_DEADLOCK:
-                result = current
-                break
-            path.append(current)
-            on_path.add(current)
-            if k in (KIND_COLLISION, KIND_DISCONNECT):
-                # The fatal move is computed here: the amending counterexample.
-                result = current if include_failures else None
-                break
-            current = int(succ[current])
-            if current in on_path:
-                result = current if include_failures else None  # cycle entry
-                break
-        for visited in path:
-            settles[visited] = result
-        return result
+
+def counterexamples_by_mass(
+    kind: "np.ndarray",
+    succ: "np.ndarray",
+    roots: "np.ndarray",
+    name: Callable[[List[int]], List[int]],
+    include_failures: bool = False,
+) -> List[int]:
+    """Counterexamples of a functional (FSYNC) graph, heaviest first.
+
+    ``kind`` and ``succ`` are the graph per vertex id as the table holds it:
+    a ``KIND_*`` code, and for ``KIND_STEP`` the one successor.  A
+    counterexample is a deadlock vertex or — with ``include_failures``
+    (amending mode) — the vertex whose move enters a collision/disconnect
+    sink or closes a cycle: the configuration in which the fatal moves are
+    computed, which is exactly where an amendment can intervene.  Its mass is
+    the number of ``roots`` whose path settles in it (repairing a heavy one
+    rescues many roots at once).  The result is named by ``name`` (vertex
+    ids -> packed configurations) and sorted by descending mass, then packed
+    value.
+
+    The walk is memoized per vertex: the first root to walk into a livelock
+    cycle stamps every vertex it visited — cycle members included — with
+    *its* entry point, so later roots entering the same cycle elsewhere
+    attribute to that first entry.  Every deadlock a root reaches is that
+    root's settling vertex, so no reachable deadlock is left without mass.
+    """
+    settles: Dict[int, Optional[int]] = {}
+    mass: Dict[int, int] = {}
+    for root in roots.tolist():
+        vertex = _settle(root, settles, kind, succ, include_failures)
+        if vertex is not None:
+            mass[vertex] = mass.get(vertex, 0) + 1
+    named = dict(zip(name(list(mass)), mass.values()))
+    return sorted(named, key=lambda item: (-named[item], item))
+
+
+def _settle(
+    vertex: int,
+    settles: Dict[int, Optional[int]],
+    kind: "np.ndarray",
+    succ: "np.ndarray",
+    include_failures: bool,
+) -> Optional[int]:
+    """One root's counterexample, memoized in ``settles``."""
+    path: List[int] = []
+    on_path: set = set()
+    current = vertex
+    while True:
+        memoized = settles.get(current, _UNSETTLED)
+        if memoized is not _UNSETTLED:
+            result = memoized
+            break
+        k = int(kind[current])
+        if k == KIND_GATHERED:
+            result = None
+            break
+        if k == KIND_DEADLOCK:
+            result = current
+            break
+        path.append(current)
+        on_path.add(current)
+        if k in (KIND_COLLISION, KIND_DISCONNECT):
+            # The fatal move is computed here: the amending counterexample.
+            result = current if include_failures else None
+            break
+        current = int(succ[current])
+        if current in on_path:
+            result = current if include_failures else None  # cycle entry
+            break
+    for visited in path:
+        settles[visited] = result
+    return result
 
 
 def _row_mask(count: int, rows: "np.ndarray") -> "np.ndarray":
@@ -1716,7 +1736,7 @@ class TableSsyncVerdict:
 
     What the CEGIS loop asks an SSYNC
     :class:`~repro.explore.report.ExplorationReport` for — the root census
-    and the won roots — read off the per-row classes of
+    and the won-root mask — read off the per-row classes of
     :meth:`SuccessorTable.ssync_verdict`.  The classes are the explorer's,
     root for root.
     """

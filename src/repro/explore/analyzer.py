@@ -82,9 +82,10 @@ _FAILURE_PRIORITY = ("collision", "disconnected", "deadlock", "livelock", "unkno
 class Classification:
     """Per-vertex verdicts of one analysis pass, as arrays over vertex ids.
 
-    :attr:`node_class`, :attr:`can_reach`, :attr:`can_gather` and
-    :attr:`cyclic_nodes` name vertices by packed configuration; each is
-    built from the arrays on first access.
+    :attr:`classes` and :attr:`cyclic` are the verdicts; :attr:`node_class`,
+    :attr:`can_reach`, :attr:`can_gather` and :attr:`cyclic_nodes` name
+    vertices by packed configuration, and each is built from the arrays on
+    first access.
     """
 
     def __init__(
@@ -101,10 +102,11 @@ class Classification:
         self.truncated = graph.truncated
         #: Index into :data:`CLASSES` of every vertex id (-1: not a vertex).
         self.classes = classes
+        #: Mask of the vertex ids lying on a cycle of genuine moves.
+        self.cyclic = cyclic
         self._graph = graph
         self._reach = reach
         self._gather = gather
-        self._cyclic = cyclic
 
     def _packed(self, mask: "np.ndarray") -> FrozenSet[int]:
         packed = self._graph.vertex_packed()
@@ -133,7 +135,7 @@ class Classification:
     @cached_property
     def cyclic_nodes(self) -> FrozenSet[int]:
         """Vertices lying on a cycle of genuine moves (members of cyclic SCCs)."""
-        return self._packed(self._cyclic)
+        return self._packed(self.cyclic)
 
     def counts(self, nodes: Optional[Iterable[int]] = None) -> Dict[str, int]:
         """Histogram of classes, over all vertices or a given subset.

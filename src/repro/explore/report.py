@@ -3,17 +3,33 @@
 :func:`explore` is the one-call driver the CLI, the tests and the benchmark
 harness share: build the transition graph from a root set (the exhaustive
 enumeration by default), classify every vertex, and extract one minimal
-witness per failing class.
+witness per failing class.  Each stage records a span (``explore.build``,
+``explore.classify``, ``explore.witness``).
+
+An :class:`ExplorationReport` answers the CEGIS gate as the table kernel's
+verdicts do (``root_census``, :meth:`~ExplorationReport.won_mask`,
+:meth:`~ExplorationReport.counterexamples_by_mass`), so the gate has one
+verdict interface on both kernels.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 from ..core.runner import ConfigurationLike
-from .analyzer import Classification, classify
-from .transitions import TransitionGraph, build_transition_graph
+from ..obs import record_span as _obs_record_span
+from .analyzer import CLASSES, Classification, classify
+from .transitions import (
+    COLLISION_SINK,
+    DISCONNECT_SINK,
+    STATE_EDGES,
+    STATE_UNEXPLORED,
+    TransitionGraph,
+    build_transition_graph,
+)
 from .witness import Witness, find_witnesses
 
 __all__ = ["ExplorationReport", "explore"]
@@ -43,6 +59,46 @@ class ExplorationReport:
     def node_census(self) -> Dict[str, int]:
         """Class histogram over every discovered vertex."""
         return self.classification.counts()
+
+    def won_mask(self) -> "np.ndarray":
+        """Mask over the roots, in root order, of those classified gathered
+        or safe (what the CEGIS gate compares between two explorations)."""
+        classes = self.classification.classes[self.graph.arrays.roots]
+        return (classes == CLASSES.index("gathered")) | (classes == CLASSES.index("safe"))
+
+    def counterexamples_by_mass(self, include_failures: bool = False) -> List[int]:
+        """The counterexamples of an FSYNC exploration, heaviest first.
+
+        The functional graph maps onto the table's walker
+        (:func:`~repro.core.table_kernel.counterexamples_by_mass`): a vertex's
+        state is its kind, and its one edge gives its successor or, into a
+        sink, the collision/disconnect kind.  An unexplored vertex (a
+        truncated graph) has no successor, so it ends a walk as a sink does.
+        """
+        from ..core.table_kernel import (  # late: `import repro` loads no table kernel
+            KIND_COLLISION,
+            KIND_DISCONNECT,
+            counterexamples_by_mass,
+        )
+
+        if self.graph.mode != "fsync":
+            raise ValueError("counterexamples are read off an FSYNC exploration")
+        arrays = self.graph.arrays
+        kind = arrays.state.copy()
+        succ = np.zeros(len(kind), dtype=np.int64)
+        moving = np.flatnonzero(arrays.state == STATE_EDGES)
+        successor = arrays.dst[arrays.indptr[moving]]
+        succ[moving] = successor
+        kind[moving[successor == COLLISION_SINK]] = KIND_COLLISION
+        kind[moving[successor == DISCONNECT_SINK]] = KIND_DISCONNECT
+        kind[arrays.state == STATE_UNEXPLORED] = KIND_COLLISION
+        return counterexamples_by_mass(
+            kind,
+            succ,
+            arrays.roots,
+            lambda vids: self.graph.packed_of_vertices(np.array(vids, dtype=np.int64)),
+            include_failures,
+        )
 
     @property
     def all_roots_gather(self) -> bool:
@@ -117,6 +173,7 @@ def explore(
     start = time.perf_counter()
     classification = classify(graph)
     classify_seconds = time.perf_counter() - start
+    _obs_record_span("explore.classify", classify_seconds, vertices=graph.num_nodes)
 
     witnesses: Dict[str, Witness] = {}
     witness_seconds = 0.0
@@ -129,6 +186,12 @@ def explore(
             algorithm_name=None if algorithm is not None else graph.algorithm_name,
         )
         witness_seconds = time.perf_counter() - start
+        _obs_record_span(
+            "explore.witness",
+            witness_seconds,
+            vertices=graph.num_nodes,
+            witnesses=len(witnesses),
+        )
 
     return ExplorationReport(
         graph=graph,

@@ -25,8 +25,10 @@ order), which later gives the shortest possible per-round witnesses.
 
 The builder expands the BFS frontier one level at a time, over vertex ids
 numbered in discovery order, and stores the graph as CSR arrays
-(:class:`GraphArrays`); the packed-integer dicts of :class:`TransitionGraph`
-are views built on first access.  The table kernel works in row space from
+(:class:`GraphArrays`).  Those arrays are the only form of a graph: the
+classifier, the witness search and the CEGIS gate all walk them, and a
+vertex is named by its packed configuration only when something reports it
+(:meth:`TransitionGraph.packed_of_vertices`).  The table kernel works in row space from
 end to end: the roots become table rows in one array pass, and a level is one
 :meth:`repro.core.table_kernel.SuccessorTable.expand_level` call per table,
 whose ``(src, bits, dst)`` arrays go into the graph as they are.  The packed
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,11 +88,13 @@ STATE_EDGES = 0
 STATE_GATHERED = 1
 STATE_DEADLOCK = 2
 STATE_UNEXPLORED = 3
-#: Named only as an edge destination of a dict-built graph: not a vertex.
+#: Not a vertex: an id the search never reached.  A graph the builder makes
+#: has none; the row-space search of
+#: :meth:`~repro.core.table_kernel.SuccessorTable.ssync_verdict`, whose ids
+#: are all the table's rows, marks every row no root reaches with it.
 STATE_ABSENT = 4
 
 _STATE_OF_TERMINAL = {TERMINAL_GATHERED: STATE_GATHERED, TERMINAL_DEADLOCK: STATE_DEADLOCK}
-_TERMINAL_OF_STATE = {STATE_GATHERED: TERMINAL_GATHERED, STATE_DEADLOCK: TERMINAL_DEADLOCK}
 
 #: An edge: ``(mover_bits, destination)``.  Bit ``i`` of ``mover_bits`` refers
 #: to the ``i``-th robot of the source vertex's canonical sorted position
@@ -117,22 +121,19 @@ class GraphArrays(NamedTuple):
 class TransitionGraph:
     """The explored portion of the configuration transition graph.
 
-    The graph lives in :class:`GraphArrays` over vertex ids (the BFS
-    discovery order); :meth:`vertex_packed` names each vertex by its packed
-    configuration.  The dict views :attr:`edges`, :attr:`terminal`,
-    :attr:`roots` and :attr:`unexplored` are built from the arrays on first
-    access.  A graph built from those dicts instead (a hand-made test graph)
-    is converted to arrays once, when something first reads them.
+    The graph is its :class:`GraphArrays` over vertex ids (the BFS discovery
+    order, roots first); :meth:`vertex_packed` names every vertex by its
+    packed configuration and :meth:`packed_of_vertices` names a few, on
+    demand.  Nothing else is kept per vertex: readers walk the CSR arrays and
+    name only the vertices they report.
     """
 
     def __init__(
         self,
         algorithm_name: str,
         mode: str,
-        edges: Optional[Dict[int, Tuple[Edge, ...]]] = None,
-        terminal: Optional[Dict[int, str]] = None,
-        roots: Tuple[int, ...] = (),
-        unexplored: FrozenSet[int] = frozenset(),
+        arrays: GraphArrays,
+        packed_of: Callable[..., List[int]],
         require_connectivity: bool = True,
         elapsed_seconds: float = 0.0,
     ) -> None:
@@ -140,87 +141,30 @@ class TransitionGraph:
         self.algorithm_name = algorithm_name
         #: Edge semantics: ``"fsync"`` or ``"ssync"``.
         self.mode = mode
+        #: The CSR form of the graph.
+        self.arrays = arrays
         #: Whether connectivity was enforced (disconnecting edges end in the sink).
         self.require_connectivity = require_connectivity
         #: Wall-clock seconds spent building the graph.
         self.elapsed_seconds = elapsed_seconds
-        self._edges: Optional[Dict[int, Tuple[Edge, ...]]] = {} if edges is None else edges
-        self._terminal: Optional[Dict[int, str]] = {} if terminal is None else terminal
-        self._roots: Optional[Tuple[int, ...]] = tuple(roots)
-        self._unexplored: Optional[FrozenSet[int]] = frozenset(unexplored)
-        self._arrays: Optional[GraphArrays] = None
-        self._packed_of: Optional[Callable[..., List[int]]] = None
+        # ``packed_of()`` names every vertex, ``packed_of(vids)`` some.
+        self._packed_of: Optional[Callable[..., List[int]]] = packed_of
         self._vertex_packed: Optional[List[int]] = None
         self._vertex_index: Optional[Dict[int, int]] = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        algorithm_name: str,
-        mode: str,
-        arrays: GraphArrays,
-        packed_of: Callable[..., List[int]],
-        require_connectivity: bool = True,
-    ) -> "TransitionGraph":
-        """A graph around its arrays; ``packed_of()`` names every vertex and
-        ``packed_of(vids)`` names some."""
-        graph = cls(algorithm_name, mode, require_connectivity=require_connectivity)
-        graph._edges = graph._terminal = graph._roots = graph._unexplored = None
-        graph._arrays = arrays
-        graph._packed_of = packed_of
-        return graph
-
-    # ------------------------------------------------------------- arrays
-    @property
-    def arrays(self) -> GraphArrays:
-        """The CSR form of the graph (built once from the dicts if needed)."""
-        if self._arrays is None:
-            self._arrays = self._arrays_from_dicts()
-        return self._arrays
-
-    def _arrays_from_dicts(self) -> GraphArrays:
-        index: Dict[int, int] = {}
-        for packed in chain(self._edges, self._terminal, self._unexplored, self._roots):
-            index.setdefault(packed, len(index))
-        for edges in self._edges.values():
-            for _, destination in edges:
-                if destination >= 0:
-                    index.setdefault(destination, len(index))
-        state = np.full(len(index), STATE_ABSENT, dtype=np.int8)
-        state[[index[p] for p in self._edges]] = STATE_EDGES
-        for packed, kind in self._terminal.items():
-            state[index[packed]] = _STATE_OF_TERMINAL[kind]
-        state[[index[p] for p in self._unexplored]] = STATE_UNEXPLORED
-        out = [self._edges.get(packed, ()) for packed in index]
-        pairs = np.array(
-            [(b, index[d] if d >= 0 else d) for edges in out for b, d in edges],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        self._vertex_packed = list(index)
-        self._vertex_index = index
-        return GraphArrays(
-            state=state,
-            indptr=np.cumsum([0] + [len(edges) for edges in out], dtype=np.int64),
-            bits=pairs[:, 0],
-            dst=pairs[:, 1],
-            roots=np.array([index[p] for p in self._roots], dtype=np.int64),
-        )
+        self._roots: Optional[Tuple[int, ...]] = None
 
     def vertex_packed(self) -> List[int]:
         """Packed configuration of every vertex id."""
         if self._vertex_packed is None:
-            if self._packed_of is None:
-                self.arrays  # the dict conversion names the vertices
-            else:
-                self._vertex_packed = self._packed_of()
-                self._packed_of = None  # releases the BFS state and its tables
+            self._vertex_packed = self._packed_of()
+            self._packed_of = None  # releases the BFS state and its tables
         return self._vertex_packed
 
     def packed_of_vertices(self, vids: "np.ndarray") -> List[int]:
         """Packed configurations of some vertex ids, naming no other vertex."""
-        if self._vertex_packed is None and self._packed_of is not None:
+        if self._vertex_packed is None:
             return self._packed_of(vids)
-        packed = self.vertex_packed()
+        packed = self._vertex_packed
         return [packed[v] for v in vids.tolist()]
 
     def vertex_index(self) -> Dict[int, int]:
@@ -230,65 +174,24 @@ class TransitionGraph:
         return self._vertex_index
 
     def node_order(self) -> "np.ndarray":
-        """Vertex ids in :meth:`nodes` order: expanded movers, terminals, then
-        the unexplored vertices in the iteration order of :attr:`unexplored`."""
+        """The discovered vertex ids: expanded movers, then terminals, then
+        the unexplored vertices, each group in id order."""
         state = self.arrays.state
-        index = self.vertex_index() if self.truncated else {}
         return np.concatenate(
             (
-                np.nonzero(state == STATE_EDGES)[0],
-                np.nonzero((state == STATE_GATHERED) | (state == STATE_DEADLOCK))[0],
-                np.array([index[p] for p in self.unexplored], dtype=np.int64),
+                np.flatnonzero(state == STATE_EDGES),
+                np.flatnonzero((state == STATE_GATHERED) | (state == STATE_DEADLOCK)),
+                np.flatnonzero(state == STATE_UNEXPLORED),
             )
         )
-
-    # -------------------------------------------------------- dict views
-    @property
-    def edges(self) -> Dict[int, Tuple[Edge, ...]]:
-        """Outgoing edges of every expanded non-terminal vertex."""
-        if self._edges is None:
-            arrays = self.arrays
-            packed = self.vertex_packed()
-            destinations = [d if d < 0 else packed[d] for d in arrays.dst.tolist()]
-            pairs = list(zip(arrays.bits.tolist(), destinations))
-            bounds = arrays.indptr.tolist()
-            self._edges = {
-                packed[v]: tuple(pairs[bounds[v] : bounds[v + 1]])
-                for v in np.nonzero(arrays.state == STATE_EDGES)[0].tolist()
-            }
-        return self._edges
-
-    @property
-    def terminal(self) -> Dict[int, str]:
-        """Expanded quiescent vertices and their terminal kind."""
-        if self._terminal is None:
-            state = self.arrays.state
-            packed = self.vertex_packed()
-            self._terminal = {
-                packed[v]: _TERMINAL_OF_STATE[s]
-                for v, s in enumerate(state.tolist())
-                if s in _TERMINAL_OF_STATE
-            }
-        return self._terminal
 
     @property
     def roots(self) -> Tuple[int, ...]:
         """The packed root configurations the exploration started from."""
         if self._roots is None:
-            packed = self.vertex_packed()
-            self._roots = tuple(packed[v] for v in self.arrays.roots.tolist())
+            self._roots = tuple(self.packed_of_vertices(self.arrays.roots))
         return self._roots
 
-    @property
-    def unexplored(self) -> FrozenSet[int]:
-        """Discovered but never expanded vertices (node budget exhausted)."""
-        if self._unexplored is None:
-            packed = self.vertex_packed()
-            vids = np.nonzero(self.arrays.state == STATE_UNEXPLORED)[0]
-            self._unexplored = frozenset(packed[v] for v in vids.tolist())
-        return self._unexplored
-
-    # ------------------------------------------------------------------ access
     @property
     def truncated(self) -> bool:
         """Whether the node budget cut the exploration short."""
@@ -303,15 +206,6 @@ class TransitionGraph:
     def num_edges(self) -> int:
         """Number of stored (deduplicated) edges, sink edges included."""
         return len(self.arrays.dst)
-
-    def nodes(self) -> Iterable[int]:
-        """All discovered vertices."""
-        packed = self.vertex_packed()
-        return (packed[v] for v in self.node_order().tolist())
-
-    def successors(self, packed: int) -> Tuple[Edge, ...]:
-        """Outgoing edges of a vertex (empty for terminal/unexplored vertices)."""
-        return self.edges.get(packed, ())
 
     @staticmethod
     def positions(packed: int) -> Tuple[Coord, ...]:
@@ -660,8 +554,8 @@ def build_transition_graph(
 
     Breadth-first frontier expansion: every discovered vertex is expanded
     exactly once; ``max_nodes`` bounds the number of *expanded* vertices (the
-    remainder of the frontier is recorded as :attr:`TransitionGraph.unexplored`
-    and the graph is marked truncated).  Exactly one of ``algorithm`` /
+    remainder of the frontier keeps the state ``STATE_UNEXPLORED`` and the
+    graph is marked truncated).  Exactly one of ``algorithm`` /
     ``algorithm_name`` must be given; ``workers > 1`` requires the named
     form, mirroring :func:`repro.core.runner.run_many`.
 
@@ -800,7 +694,7 @@ def build_transition_graph(
         dst=np.concatenate(dst_parts) if dst_parts else empty,
         roots=np.arange(root_count, dtype=np.int64),
     )
-    graph = TransitionGraph.from_arrays(
+    graph = TransitionGraph(
         resolved_name, mode, arrays, vertices.vertex_packed, require_connectivity
     )
     graph.elapsed_seconds = time.perf_counter() - start

@@ -6,6 +6,12 @@ a shortest execution exhibiting the failure.  Witnesses turn the abstract
 census ("1365 configurations deadlock") into concrete, replayable evidence —
 the counterexample-driven loop the rule-reconstruction effort iterates on.
 
+The shortest paths are searched on the graph's CSR arrays
+(:attr:`~repro.explore.transitions.TransitionGraph.arrays`): a level BFS keeps
+a distance and a first-found parent edge per vertex id, and a vertex is named
+by its packed configuration only to break a tie between the nearest
+candidates or to start a witness's replay.
+
 Edges store activation choices relative to the *canonical* (translated)
 source vertex, but a readable trace should stay in one coordinate frame.  The
 extractor therefore replays the canonical edge path from the root with the
@@ -18,13 +24,22 @@ the engine and verifies every round, making traces self-checking artefacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.engine import step_nodes
 from ..grid.coords import Coord
 from ..grid.packing import unpack_nodes
 from .analyzer import Classification
-from .transitions import COLLISION_SINK, DISCONNECT_SINK, TERMINAL_DEADLOCK, TransitionGraph
+from .transitions import (
+    COLLISION_SINK,
+    DISCONNECT_SINK,
+    STATE_DEADLOCK,
+    GraphArrays,
+    TransitionGraph,
+    segment_index,
+)
 
 __all__ = ["WitnessStep", "Witness", "find_witnesses", "replay_witness"]
 
@@ -80,83 +95,104 @@ class Witness:
 
 
 # ---------------------------------------------------------------------------
-# Shortest-path machinery over the canonical graph.
+# Shortest paths over the graph's CSR arrays.
 # ---------------------------------------------------------------------------
 
-def _bfs_parents(
-    graph: TransitionGraph,
-) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
+def _sources(arrays: GraphArrays, edges: "np.ndarray") -> "np.ndarray":
+    """The source vertex id of each edge index."""
+    return np.searchsorted(arrays.indptr, edges, side="right") - 1
+
+
+def _first_occurrences(edges: "np.ndarray", targets: "np.ndarray"):
+    """``(edges, targets)`` keeping each target's first edge, in first-edge order."""
+    _, first = np.unique(targets, return_index=True)
+    first.sort()
+    return edges[first], targets[first]
+
+
+def _bfs_parents(arrays: GraphArrays) -> Tuple["np.ndarray", "np.ndarray"]:
     """Multi-source BFS from the roots over real (non-sink) edges.
 
-    Returns ``(distance, parent)`` where ``parent[v] = (predecessor, bits)``
-    is the edge of a shortest path from some root to ``v``.
+    Returns ``(distance, parent)`` over vertex ids: ``distance`` is -1 where
+    no root reaches, and ``parent[v]`` is the index of the edge into ``v`` of
+    a shortest path from some root (-1 for the roots).  A level expands its
+    frontier in order, each vertex's edges in order, and the first edge into
+    a new vertex is its parent, as a FIFO queue would pick it.
     """
-    distance: Dict[int, int] = {root: 0 for root in graph.roots}
-    parent: Dict[int, Tuple[int, int]] = {}
-    frontier: List[int] = list(graph.roots)
-    while frontier:
-        next_frontier: List[int] = []
-        for vertex in frontier:
-            for bits, destination in graph.successors(vertex):
-                if destination >= 0 and destination not in distance:
-                    distance[destination] = distance[vertex] + 1
-                    parent[destination] = (vertex, bits)
-                    next_frontier.append(destination)
-        frontier = next_frontier
+    count = len(arrays.state)
+    degree = np.diff(arrays.indptr)
+    distance = np.full(count, -1, dtype=np.int64)
+    parent = np.full(count, -1, dtype=np.int64)
+    frontier = arrays.roots
+    distance[frontier] = 0
+    level = 0
+    while len(frontier):
+        edges = segment_index(arrays.indptr[frontier], degree[frontier])
+        targets = arrays.dst[edges]
+        fresh = targets >= 0
+        fresh[fresh] = distance[targets[fresh]] < 0
+        edges, frontier = _first_occurrences(edges[fresh], targets[fresh])
+        level += 1
+        distance[frontier] = level
+        parent[frontier] = edges
     return distance, parent
 
 
-def _edge_path(
-    parent: Dict[int, Tuple[int, int]], target: int
-) -> List[Tuple[int, int]]:
-    """The canonical edge path root → target: a list of ``(source, bits)``."""
-    path: List[Tuple[int, int]] = []
+def _path_to(arrays: GraphArrays, parent: "np.ndarray", target: int) -> Tuple[int, List[int]]:
+    """``(origin, bits)``: where the parent chain into ``target`` starts, and
+    the mover bits of its edges in order."""
+    bits: List[int] = []
     vertex = target
-    while vertex in parent:
-        predecessor, bits = parent[vertex]
-        path.append((predecessor, bits))
-        vertex = predecessor
-    path.reverse()
-    return path
+    while parent[vertex] >= 0:
+        edge = int(parent[vertex])
+        bits.append(int(arrays.bits[edge]))
+        vertex = int(_sources(arrays, edge))
+    bits.reverse()
+    return vertex, bits
 
 
-def _nearest(candidates: Iterable[int], distance: Dict[int, int]) -> Optional[int]:
-    """The candidate closest to the roots (ties broken by packed value)."""
-    best: Optional[int] = None
-    for packed in candidates:
-        if packed not in distance:
-            continue
-        if best is None or (distance[packed], packed) < (distance[best], best):
-            best = packed
-    return best
+def _nearest(
+    graph: TransitionGraph, candidates: "np.ndarray", distance: "np.ndarray"
+) -> Optional[int]:
+    """The candidate id closest to the roots, ties broken by packed value.
+
+    Only the candidates tied at the minimum distance are named.
+    """
+    candidates = candidates[distance[candidates] >= 0]
+    if not len(candidates):
+        return None
+    nearest = distance[candidates]
+    tied = candidates[nearest == nearest.min()]
+    packed = graph.packed_of_vertices(tied)
+    return int(tied[packed.index(min(packed))])
 
 
-def _find_cycle(
-    graph: TransitionGraph, start: int, allowed: FrozenSet[int]
-) -> List[Tuple[int, int]]:
-    """A shortest cycle of real edges from ``start`` back to itself.
+def _find_cycle(arrays: GraphArrays, start: int, allowed: "np.ndarray") -> List[int]:
+    """The mover bits of a shortest cycle of real edges from ``start`` back
+    to itself, the first one met in the BFS order of :func:`_bfs_parents`.
 
     The search is restricted to ``allowed`` (the cyclic vertices); only paths
     inside ``start``'s own SCC can return, so the restriction is safe.
     """
-    parent: Dict[int, Tuple[int, int]] = {}
-    seen: Set[int] = {start}
-    frontier: List[int] = [start]
-    while frontier:
-        next_frontier: List[int] = []
-        for vertex in frontier:
-            for bits, destination in graph.successors(vertex):
-                if destination < 0:
-                    continue
-                if destination == start:
-                    path = _edge_path(parent, vertex)
-                    path.append((vertex, bits))
-                    return path
-                if destination in allowed and destination not in seen:
-                    seen.add(destination)
-                    parent[destination] = (vertex, bits)
-                    next_frontier.append(destination)
-        frontier = next_frontier
+    degree = np.diff(arrays.indptr)
+    parent = np.full(len(arrays.state), -1, dtype=np.int64)
+    seen = np.zeros(len(arrays.state), dtype=bool)
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    while len(frontier):
+        edges = segment_index(arrays.indptr[frontier], degree[frontier])
+        targets = arrays.dst[edges]
+        closing = np.flatnonzero(targets == start)
+        if len(closing):
+            edge = int(edges[closing[0]])
+            return _path_to(arrays, parent, int(_sources(arrays, edge)))[1] + [
+                int(arrays.bits[edge])
+            ]
+        fresh = targets >= 0
+        fresh[fresh] = allowed[targets[fresh]] & ~seen[targets[fresh]]
+        edges, frontier = _first_occurrences(edges[fresh], targets[fresh])
+        seen[frontier] = True
+        parent[frontier] = edges
     raise ValueError(f"no cycle through vertex {start} (not a cyclic vertex?)")
 
 
@@ -165,26 +201,21 @@ def _find_cycle(
 # ---------------------------------------------------------------------------
 
 def _materialize(
-    edge_path: Sequence[Tuple[int, int]],
+    rounds: Sequence[int],
     root: int,
     kind: str,
     algorithm,
     mode: str,
-    final_bits: Optional[int] = None,
     cycle_start: Optional[int] = None,
 ) -> Witness:
-    """Replay a canonical edge path in one coordinate frame.
+    """Replay the mover bits of a canonical edge path from the packed ``root``
+    in one coordinate frame.
 
-    ``final_bits`` appends one more round from the path's end vertex (used for
-    collision/disconnection, whose last edge leads into a sink).
+    For a collision or disconnection the last round is the sink edge.
     """
     current: Tuple[Coord, ...] = unpack_nodes(root)
     steps: List[WitnessStep] = []
     collision_kind: Optional[str] = None
-
-    rounds: List[int] = [bits for _, bits in edge_path]
-    if final_bits is not None:
-        rounds.append(final_bits)
 
     for index, bits in enumerate(rounds):
         positions = sorted(current)
@@ -230,7 +261,11 @@ def find_witnesses(
 
     Minimality is in rounds: the witness for a class ends at the closest
     possible vertex to the roots (multi-source BFS), and for livelocks the
-    appended cycle is itself a shortest cycle through that vertex.
+    appended cycle is itself a shortest cycle through that vertex.  The
+    search runs on the graph's CSR arrays; the candidates are read off the
+    vertex states, the sink edges and the classification's cyclic mask, and
+    only the candidates tied at the minimum distance and the witness roots
+    are named by packed configuration.
     """
     if (algorithm is None) == (algorithm_name is None):
         raise ValueError("provide exactly one of algorithm / algorithm_name")
@@ -239,54 +274,41 @@ def find_witnesses(
 
         algorithm = create_algorithm(algorithm_name)
 
-    distance, parent = _bfs_parents(graph)
+    arrays = graph.arrays
+    distance, parent = _bfs_parents(arrays)
     witnesses: Dict[str, Witness] = {}
 
-    def root_of(path: List[Tuple[int, int]], target: int) -> int:
-        return path[0][0] if path else target
-
-    # Deadlock: shortest path into a quiescent non-gathered vertex.
-    target = _nearest(
-        (p for p, kind in graph.terminal.items() if kind == TERMINAL_DEADLOCK), distance
-    )
-    if target is not None:
-        path = _edge_path(parent, target)
-        witnesses["deadlock"] = _materialize(
-            path, root_of(path, target), "deadlock", algorithm, graph.mode
+    def witness(
+        kind: str, target: int, extra: Sequence[int] = (), cycle_start: Optional[int] = None
+    ) -> Witness:
+        origin, rounds = _path_to(arrays, parent, target)
+        (root,) = graph.packed_of_vertices(np.array([origin], dtype=np.int64))
+        return _materialize(
+            rounds + list(extra), root, kind, algorithm, graph.mode, cycle_start
         )
 
+    # Deadlock: shortest path into a quiescent non-gathered vertex.
+    target = _nearest(graph, np.flatnonzero(arrays.state == STATE_DEADLOCK), distance)
+    if target is not None:
+        witnesses["deadlock"] = witness("deadlock", target)
+
     # Collision / disconnection: shortest path to a vertex with a sink edge,
-    # plus that sink edge as the final round.
+    # plus that sink edge (the one with the fewest mover bits) as the final
+    # round.
     for kind, sink in (("collision", COLLISION_SINK), ("disconnected", DISCONNECT_SINK)):
-        sources = {
-            source: min(bits for bits, dst in edges if dst == sink)
-            for source, edges in graph.edges.items()
-            if any(dst == sink for _, dst in edges)
-        }
-        target = _nearest(sources, distance)
+        sink_edges = np.flatnonzero(arrays.dst == sink)
+        sources = _sources(arrays, sink_edges)
+        target = _nearest(graph, np.unique(sources), distance)
         if target is not None:
-            path = _edge_path(parent, target)
-            witnesses[kind] = _materialize(
-                path,
-                root_of(path, target),
-                kind,
-                algorithm,
-                graph.mode,
-                final_bits=sources[target],
-            )
+            final_bits = int(arrays.bits[sink_edges[sources == target]].min())
+            witnesses[kind] = witness(kind, target, (final_bits,))
 
     # Livelock: shortest path to a cyclic vertex, plus a shortest cycle back.
-    target = _nearest(classification.cyclic_nodes, distance)
+    target = _nearest(graph, np.flatnonzero(classification.cyclic), distance)
     if target is not None:
-        path = _edge_path(parent, target)
-        cycle = _find_cycle(graph, target, classification.cyclic_nodes)
-        witnesses["livelock"] = _materialize(
-            path + cycle,
-            root_of(path, target),
-            "livelock",
-            algorithm,
-            graph.mode,
-            cycle_start=len(path),
+        cycle = _find_cycle(arrays, target, classification.cyclic)
+        witnesses["livelock"] = witness(
+            "livelock", target, cycle, cycle_start=int(distance[target])
         )
 
     return witnesses

@@ -32,17 +32,26 @@ After the FSYNC loop reaches a fixpoint the surviving rule set is re-verified
 under adversarial SSYNC edges.  Any rule that fires in an SSYNC collision or
 livelock witness is blamed, removed and blocked, and the FSYNC loop resumes —
 so a returned result with ``validated=True`` is exhaustively collision- and
-livelock-free under *every* activation schedule, not just FSYNC.
+livelock-free under *every* activation schedule, not just FSYNC.  There is
+one blame round per rule at the start; once they are spent, the returned
+composition is verified once more, so ``validated`` and ``ssync_census``
+always describe the rule set the run returns.
 
 On the table kernel no step of the gate builds a transition graph.  A
 trial's FSYNC verdict is read off its derived table's functional graph
 (:meth:`~repro.core.table_kernel.SuccessorTable.fsync_verdict`), and its
 SSYNC verdict is a breadth-first search over the same table's rows,
 classified in row space
-(:meth:`~repro.core.table_kernel.SuccessorTable.ssync_verdict`); won-root
-sets are row masks.  A final validation reads the row verdict first and
-explores with witnesses only when it finds a collision or a livelock, since
-only a witness can name the rule to blame.
+(:meth:`~repro.core.table_kernel.SuccessorTable.ssync_verdict`).  A final
+validation reads the row verdict first and explores with witnesses only when
+it finds a collision or a livelock, since only a witness can name the rule to
+blame.
+
+Both kernels answer the gate through one verdict interface: ``root_census``,
+``won_mask()`` and ``counterexamples_by_mass()``, on a table verdict or an
+:class:`~repro.explore.report.ExplorationReport` alike.  Won-root sets are
+boolean masks on both kernels (over the table's rows, or over an
+exploration's roots), and one run only compares masks of one kernel.
 
 Long searches checkpoint their full state (assignments, amendments, blocked
 pairs, iteration history) as JSON after every iteration and can resume from
@@ -72,9 +81,7 @@ from ..core.algorithm import GatheringAlgorithm
 from ..core.configuration import Configuration
 from ..core.runner import ConfigurationLike
 from ..core.view import View
-from ..explore.analyzer import CLASSES
 from ..explore.report import explore
-from ..explore.transitions import TERMINAL_DEADLOCK, TransitionGraph
 from ..grid.packing import view_bitmask
 from ..obs import get_logger
 from ..obs import metrics as _obs
@@ -104,10 +111,6 @@ __all__ = [
 ]
 
 Progress = Callable[[str], None]
-
-#: The roots a verdict wins: a row mask on the table path, packed roots on
-#: the packed one (see :func:`_won_roots`).
-WonRoots = Union[FrozenSet[int], "np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -234,44 +237,6 @@ def _bad(census: Dict[str, int]) -> int:
     return census.get("collision", 0) + census.get("livelock", 0)
 
 
-def _won_roots(report) -> WonRoots:
-    """The roots the explored composition wins (classified gathered or safe).
-
-    A table verdict (:class:`~repro.core.table_kernel.TableFsyncVerdict` or
-    :class:`~repro.core.table_kernel.TableSsyncVerdict`) answers with a mask
-    over the table's rows; a full
-    :class:`~repro.explore.report.ExplorationReport` (the packed kernel) with
-    a frozenset of packed roots.  One run compares only like with like:
-    see :func:`_covers`.
-    """
-    method = getattr(report, "won_mask", None)
-    if method is not None:
-        return method()
-    roots = report.graph.arrays.roots
-    classes = report.classification.classes[roots]
-    won = (classes == CLASSES.index("gathered")) | (classes == CLASSES.index("safe"))
-    return frozenset(report.graph.packed_of_vertices(roots[won]))
-
-
-def _covers(won, baseline) -> bool:
-    """Whether ``won`` keeps every root of ``baseline`` (two :func:`_won_roots`)."""
-    if isinstance(won, frozenset):
-        return baseline <= won
-    return not bool((baseline & ~won).any())
-
-
-def _won_count(won) -> int:
-    return len(won) if isinstance(won, frozenset) else int(won.sum())
-
-
-def _report_counterexamples(report, include_failures: bool) -> List[int]:
-    """Mass-ordered counterexamples from a report or a table verdict."""
-    method = getattr(report, "counterexamples_by_mass", None)
-    if method is not None:
-        return method(include_failures)
-    return _counterexamples_by_mass(report.graph, include_failures)
-
-
 def split_decisions(
     pending: Amendment,
     base: GatheringAlgorithm,
@@ -320,62 +285,6 @@ def _trial_table(table, additive_items: Assignment, amend_items: Amendment, amen
     return table.derive(
         {b: d for b, d in additive_items.items() if b not in amended}, amend_items
     )
-
-
-def _counterexamples_by_mass(
-    graph: TransitionGraph, include_failures: bool = False
-) -> List[int]:
-    """Counterexample vertices, heaviest first.
-
-    A counterexample is a terminal deadlock vertex or — with
-    ``include_failures`` (amending mode) — the vertex whose functional FSYNC
-    edge enters a collision/disconnect sink or closes a cycle: the
-    configuration in which the fatal moves are computed, which is exactly
-    where an amendment can intervene.  Mass is the number of roots whose
-    FSYNC path settles in the counterexample — repairing a heavy one rescues
-    many roots at once, which is the priority part of the outer search.
-    """
-    settles_in: Dict[int, Optional[int]] = {}
-
-    def settle(vertex: int) -> Optional[int]:
-        path: List[int] = []
-        current = vertex
-        while True:
-            if current in settles_in:
-                result = settles_in[current]
-                break
-            kind = graph.terminal.get(current)
-            if kind is not None:
-                result = current if kind == TERMINAL_DEADLOCK else None
-                break
-            path.append(current)
-            edges = graph.successors(current)
-            successors = [dst for _, dst in edges if dst >= 0]
-            if not successors:
-                # Sink edge (collision/disconnect): the fatal move is computed
-                # here, so this vertex is the amending counterexample.
-                result = current if include_failures else None
-                break
-            if current in successors:
-                result = current if include_failures else None  # self-loop
-                break
-            current = successors[0]
-            if current in path:
-                result = current if include_failures else None  # cycle (livelock)
-                break
-        for vertex_on_path in path:
-            settles_in[vertex_on_path] = result
-        return result
-
-    mass: Dict[int, int] = {}
-    for root in graph.roots:
-        counterexample = settle(root)
-        if counterexample is not None:
-            mass[counterexample] = mass.get(counterexample, 0) + 1
-    for packed, kind in graph.terminal.items():
-        if kind == TERMINAL_DEADLOCK:
-            mass.setdefault(packed, 0)
-    return sorted(mass, key=lambda packed: (-mass[packed], packed))
 
 
 def _fired_assignments(
@@ -661,11 +570,11 @@ def synthesize(
         report = base_report if not (assigned or amended) else explore_current("fsync")
     say(f"base census: {base_census}")
     best = _ok(report.root_census)
-    won_fsync = _won_roots(report)
+    won_fsync = report.won_mask()
 
     # The adversarial-SSYNC half of the regression gate: computed lazily on
     # the first amending trial-commit, then maintained across commits.
-    ssync_won_baseline: Optional[WonRoots] = None
+    ssync_won_baseline: Optional["np.ndarray"] = None
 
     # Whole-chain refutations from the regression gate, fed back into the
     # chain search so rejected chains are re-derived differently (in-memory
@@ -676,13 +585,11 @@ def synthesize(
     # the run (the chain search filters ``blocked`` on lookup).
     amend_lists: AmendLists = {}
 
-    def ssync_baseline(accepted_layers) -> WonRoots:
+    def ssync_baseline(accepted_layers) -> "np.ndarray":
         nonlocal ssync_won_baseline
         if ssync_won_baseline is None:
-            ssync_won_baseline = _won_roots(
-                explore_current("ssync", layers=accepted_layers)
-            )
-            say(f"ssync regression baseline: {_won_count(ssync_won_baseline)} won roots")
+            ssync_won_baseline = explore_current("ssync", layers=accepted_layers).won_mask()
+            say(f"ssync regression baseline: {int(ssync_won_baseline.sum())} won roots")
         return ssync_won_baseline
 
     def amend_capacity() -> Optional[int]:
@@ -725,8 +632,8 @@ def synthesize(
         accepted = False
         deadlocks_ok = census.get("deadlock", 0) <= report.root_census.get("deadlock", 0)
         if _bad(census) == 0 and deadlocks_ok and _ok(census) > best:
-            trial_won = _won_roots(trial)
-            if _covers(trial_won, won_fsync):
+            trial_won = trial.won_mask()
+            if not (won_fsync & ~trial_won).any():
                 if ssync_validate:
                     # The SSYNC half of the gate: every chain — additive rules
                     # can open adversarial livelocks too — must keep the
@@ -737,8 +644,8 @@ def synthesize(
                     baseline = ssync_baseline(accepted_layers)
                     ssync_trial = explore_current("ssync", table=trial_table)
                     if _bad(ssync_trial.root_census) == 0:
-                        ssync_won = _won_roots(ssync_trial)
-                        if _covers(ssync_won, baseline):
+                        ssync_won = ssync_trial.won_mask()
+                        if not (baseline & ~ssync_won).any():
                             ssync_won_baseline = ssync_won
                             accepted = True
                 else:
@@ -775,7 +682,7 @@ def synthesize(
             iteration_explores_before = explores
             capacity = amend_capacity()
             amending = allow_amend and capacity != 0
-            terminals = _report_counterexamples(report, include_failures=amending)
+            terminals = report.counterexamples_by_mass(include_failures=amending)
             if not terminals:
                 break
             with _span("cegis.propose", counterexamples=len(terminals)):
@@ -865,12 +772,17 @@ def synthesize(
     validated: Optional[bool] = None
     ssync_census: Optional[Dict[str, int]] = None
     if ssync_validate:
-        for _ in range(max(len(assigned) + len(amended), 1)):
-            ssync_report = explore_current("ssync", with_witnesses=True)
+        rounds = max(len(assigned) + len(amended), 1)
+        while True:
+            # Once the blame rounds are spent, the composition the run
+            # returns is still validated, so ``validated`` and
+            # ``ssync_census`` always describe the returned rule set.
+            ssync_report = explore_current("ssync", with_witnesses=rounds > 0)
             ssync_census = dict(ssync_report.root_census)
-            if _bad(ssync_census) == 0:
-                validated = True
+            validated = _bad(ssync_census) == 0
+            if validated or rounds == 0:
                 break
+            rounds -= 1
             blamed: Set[int] = set()
             for kind in ("collision", "livelock"):
                 witness = ssync_report.witnesses.get(kind)
@@ -878,8 +790,7 @@ def synthesize(
                     blamed |= _fired_assignments(witness, base, assigned, amended)
             say(f"ssync refinement: census {ssync_census}, blaming {len(blamed)} rules")
             if not blamed:
-                validated = False  # cannot attribute the failure to a rule
-                break
+                break  # cannot attribute the failure to a rule
             for bitmask in blamed:
                 if bitmask in assigned:
                     blocked.add((bitmask, assigned[bitmask].name))
@@ -891,11 +802,9 @@ def synthesize(
                 current_table = base_table.derive(assigned, amended)
             report = explore_current("fsync")
             best = _ok(report.root_census)
-            won_fsync = _won_roots(report)
+            won_fsync = report.won_mask()
             ssync_won_baseline = None  # the composition changed; recompute lazily
             run_fsync_loop()
-        else:
-            validated = False
         checkpoint(dict(report.root_census), base_census)
 
     name = ruleset_name or f"synth[{resolved_base_name}]"

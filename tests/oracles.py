@@ -41,12 +41,24 @@
   :func:`repro.explore.transitions.build_transition_graph`;
 * :func:`reference_classify` — the dict classifier (reverse-adjacency dicts,
   a set-based backward closure per failure kind, Tarjan over every vertex),
-  the oracle of the array pass :func:`repro.explore.analyzer.classify`.
+  the oracle of the array pass :func:`repro.explore.analyzer.classify`;
+* :class:`DictGraph` / :func:`dict_graph` / :func:`graph_from_dicts` — a
+  transition graph as packed-integer dicts (``edges``, ``terminal``,
+  ``roots``, ``unexplored``), the form the graph oracles walk, read off a
+  graph's CSR arrays or turned into one; :func:`assert_same_graph` holds two
+  graphs' arrays and vertex names equal;
+* :func:`reference_witnesses` — the queue BFS and cycle search over packed
+  integers, the oracle of the CSR witness search
+  :func:`repro.explore.witness.find_witnesses`;
+* :func:`reference_counterexamples_by_mass` — the memoized walk over an
+  FSYNC graph's dicts, the oracle of
+  :func:`repro.core.table_kernel.counterexamples_by_mass` on both kernels;
+  :func:`won_roots` names the roots a won mask stands for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import (
     Dict,
     FrozenSet,
@@ -92,16 +104,23 @@ from repro.core.table_kernel import (
 )
 from repro.core.trace import ExecutionTrace, Outcome, RoundRecord
 from repro.core.view import view_of
-from repro.explore.analyzer import strongly_connected_components
+from repro.explore.analyzer import CLASSES, strongly_connected_components
 from repro.explore.transitions import (
     COLLISION_SINK,
     DISCONNECT_SINK,
     MODES,
+    STATE_ABSENT,
+    STATE_DEADLOCK,
+    STATE_EDGES,
+    STATE_GATHERED,
+    STATE_UNEXPLORED,
     TERMINAL_DEADLOCK,
     TERMINAL_GATHERED,
+    GraphArrays,
     TransitionGraph,
     expand_packed,
 )
+from repro.explore.witness import Witness, _materialize
 from repro.grid.coords import Coord, as_coord, distance, neighbors
 from repro.grid.directions import DIRECTIONS, Direction
 from repro.grid.labels import VISIBILITY_2_LABELS, Label, label_of_offset, offset_of_label
@@ -843,9 +862,134 @@ def rowwise_expansion(
     return tuple((bits, destination) for destination, bits in targets_seen.items()), None
 
 
+#: An edge of a dict graph: ``(mover_bits, destination)``, the destination a
+#: packed configuration or a sink code.
+Edge = Tuple[int, int]
+
+
+@dataclass
+class DictGraph:
+    """A transition graph as packed-integer dicts: the form the oracles walk.
+
+    ``edges`` holds every expanded mover's edges and ``terminal`` every
+    quiescent vertex's kind, both in vertex-id (discovery) order;
+    ``unexplored`` lists the vertices a node budget left unexpanded, in that
+    order too.
+    """
+
+    algorithm_name: str
+    mode: str
+    edges: Dict[int, Tuple[Edge, ...]]
+    terminal: Dict[int, str]
+    roots: Tuple[int, ...]
+    unexplored: Tuple[int, ...] = ()
+
+    def successors(self, packed: int) -> Tuple[Edge, ...]:
+        """Outgoing edges of a vertex (empty for terminal/unexplored vertices)."""
+        return self.edges.get(packed, ())
+
+    def nodes(self) -> List[int]:
+        """Every discovered vertex: movers, terminals, then unexplored."""
+        return [*self.edges, *self.terminal, *self.unexplored]
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.unexplored)
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.edges) + len(self.terminal) + len(self.unexplored)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(out) for out in self.edges.values())
+
+
+def dict_graph(graph) -> DictGraph:
+    """The packed-integer dict views of a :class:`TransitionGraph`'s arrays
+    (a :class:`DictGraph` passes through)."""
+    if isinstance(graph, DictGraph):
+        return graph
+    arrays = graph.arrays
+    packed = graph.vertex_packed()
+    destinations = [d if d < 0 else packed[d] for d in arrays.dst.tolist()]
+    pairs = list(zip(arrays.bits.tolist(), destinations))
+    bounds = arrays.indptr.tolist()
+    edges: Dict[int, Tuple[Edge, ...]] = {}
+    terminal: Dict[int, str] = {}
+    unexplored: List[int] = []
+    for vertex, state in enumerate(arrays.state.tolist()):
+        if state == STATE_EDGES:
+            edges[packed[vertex]] = tuple(pairs[bounds[vertex] : bounds[vertex + 1]])
+        elif state == STATE_GATHERED:
+            terminal[packed[vertex]] = TERMINAL_GATHERED
+        elif state == STATE_DEADLOCK:
+            terminal[packed[vertex]] = TERMINAL_DEADLOCK
+        elif state == STATE_UNEXPLORED:
+            unexplored.append(packed[vertex])
+    return DictGraph(
+        graph.algorithm_name, graph.mode, edges, terminal, graph.roots, tuple(unexplored)
+    )
+
+
+def graph_from_dicts(
+    algorithm_name: str,
+    mode: str,
+    edges: Dict[int, Tuple[Edge, ...]],
+    terminal: Dict[int, str],
+    roots: Sequence[int],
+    unexplored: Iterable[int] = (),
+) -> TransitionGraph:
+    """A :class:`TransitionGraph` over hand-made packed-integer dicts.
+
+    Vertex ids go to the names in order: ``edges``, ``terminal``,
+    ``unexplored``, ``roots``, then the other edge destinations, which are
+    named but are not vertices (``STATE_ABSENT``).
+    """
+    unexplored = tuple(unexplored)
+    index: Dict[int, int] = {}
+    for packed in chain(edges, terminal, unexplored, roots):
+        index.setdefault(packed, len(index))
+    for out in edges.values():
+        for _, destination in out:
+            if destination >= 0:
+                index.setdefault(destination, len(index))
+    state = np.full(len(index), STATE_ABSENT, dtype=np.int8)
+    state[[index[p] for p in edges]] = STATE_EDGES
+    for packed, kind in terminal.items():
+        state[index[packed]] = STATE_GATHERED if kind == TERMINAL_GATHERED else STATE_DEADLOCK
+    state[[index[p] for p in unexplored]] = STATE_UNEXPLORED
+    out = [edges.get(packed, ()) for packed in index]
+    pairs = np.array(
+        [(b, index[d] if d >= 0 else d) for vertex_edges in out for b, d in vertex_edges],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    arrays = GraphArrays(
+        state=state,
+        indptr=np.cumsum([0] + [len(vertex_edges) for vertex_edges in out], dtype=np.int64),
+        bits=pairs[:, 0],
+        dst=pairs[:, 1],
+        roots=np.array([index[p] for p in roots], dtype=np.int64),
+    )
+    names = list(index)
+
+    def packed_of(vids=None) -> List[int]:
+        return list(names) if vids is None else [names[v] for v in np.asarray(vids).tolist()]
+
+    return TransitionGraph(algorithm_name, mode, arrays, packed_of)
+
+
+def assert_same_graph(got: TransitionGraph, want: TransitionGraph) -> None:
+    """Two graphs are one: equal CSR arrays, field by field (so one vertex
+    numbering), and equal packed names for every vertex id."""
+    for name, got_array, want_array in zip(GraphArrays._fields, got.arrays, want.arrays):
+        assert np.array_equal(got_array, want_array), name
+    assert got.vertex_packed() == want.vertex_packed()
+
+
 def reference_exploration(
     roots: Iterable, algorithm, mode: str, max_nodes: Optional[int] = None
-) -> TransitionGraph:
+) -> DictGraph:
     """Breadth-first exploration over packed integers, one vertex at a time.
 
     Roots are packed and deduplicated in first-seen order; every level is
@@ -877,13 +1021,13 @@ def reference_exploration(
                 if destination >= 0 and destination not in seen:
                     seen.add(destination)
                     frontier.append(destination)
-    return TransitionGraph(
+    return DictGraph(
         algorithm_name=algorithm.name,
         mode=mode,
         edges=edges,
         terminal=terminal,
         roots=tuple(packed_roots),
-        unexplored=frozenset(frontier),
+        unexplored=tuple(frontier),
     )
 
 
@@ -916,7 +1060,7 @@ def _backward_closure(
     return frozenset(seen)
 
 
-def reference_classify(graph: TransitionGraph) -> ReferenceClassification:
+def reference_classify(graph) -> ReferenceClassification:
     """Classify every vertex over the graph's dict views.
 
     One reverse-adjacency build, one set-based backward closure per failure
@@ -924,6 +1068,8 @@ def reference_classify(graph: TransitionGraph) -> ReferenceClassification:
     cyclic when it has two vertices or a self-loop); livelock is the
     backward closure of the cyclic vertices.
     """
+    graph = dict_graph(graph)
+    unexplored = set(graph.unexplored)
     reverse: Dict[int, List[int]] = {}
     forward: Dict[int, Tuple[int, ...]] = {}
     collision_sources: List[int] = []
@@ -968,7 +1114,7 @@ def reference_classify(graph: TransitionGraph) -> ReferenceClassification:
             cls = "gathered"
         elif kind == TERMINAL_DEADLOCK:
             cls = "deadlock"
-        elif packed in graph.unexplored:
+        elif packed in unexplored:
             cls = "unknown"
         else:
             for candidate in _FAILURE_PRIORITY:
@@ -979,3 +1125,179 @@ def reference_classify(graph: TransitionGraph) -> ReferenceClassification:
                 cls = "safe"
         result.node_class[packed] = cls
     return result
+
+
+def reference_counterexamples_by_mass(graph, include_failures: bool = False) -> List[int]:
+    """Counterexample vertices of an FSYNC graph, heaviest first, over its
+    dict views: a walk from every root along the one edge per vertex,
+    memoized per vertex, the oracle of
+    :func:`repro.core.table_kernel.counterexamples_by_mass`.
+
+    A counterexample is a terminal deadlock vertex or — with
+    ``include_failures`` — the vertex whose edge enters a sink or closes a
+    cycle; its mass is the number of roots whose path settles in it.
+    """
+    graph = dict_graph(graph)
+    settles_in: Dict[int, Optional[int]] = {}
+
+    def settle(vertex: int) -> Optional[int]:
+        path: List[int] = []
+        current = vertex
+        while True:
+            if current in settles_in:
+                result = settles_in[current]
+                break
+            kind = graph.terminal.get(current)
+            if kind is not None:
+                result = current if kind == TERMINAL_DEADLOCK else None
+                break
+            path.append(current)
+            successors = [dst for _, dst in graph.successors(current) if dst >= 0]
+            if not successors:
+                result = current if include_failures else None  # sink edge
+                break
+            if current in successors:
+                result = current if include_failures else None  # self-loop
+                break
+            current = successors[0]
+            if current in path:
+                result = current if include_failures else None  # cycle (livelock)
+                break
+        for vertex_on_path in path:
+            settles_in[vertex_on_path] = result
+        return result
+
+    mass: Dict[int, int] = {}
+    for root in graph.roots:
+        counterexample = settle(root)
+        if counterexample is not None:
+            mass[counterexample] = mass.get(counterexample, 0) + 1
+    for packed, kind in graph.terminal.items():
+        if kind == TERMINAL_DEADLOCK:
+            mass.setdefault(packed, 0)
+    return sorted(mass, key=lambda packed: (-mass[packed], packed))
+
+
+def won_roots(report) -> FrozenSet[int]:
+    """The packed roots an exploration classifies gathered or safe: the set
+    the CEGIS gate's won masks encode."""
+    roots = report.graph.arrays.roots
+    classes = report.classification.classes[roots]
+    won = (classes == CLASSES.index("gathered")) | (classes == CLASSES.index("safe"))
+    return frozenset(report.graph.packed_of_vertices(roots[won]))
+
+
+def _bfs_parents(
+    graph: DictGraph,
+) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
+    """Multi-source BFS from the roots over real (non-sink) edges: a queue
+    over packed integers.  ``parent[v] = (predecessor, bits)``."""
+    distance: Dict[int, int] = {root: 0 for root in graph.roots}
+    parent: Dict[int, Tuple[int, int]] = {}
+    frontier: List[int] = list(graph.roots)
+    while frontier:
+        next_frontier: List[int] = []
+        for vertex in frontier:
+            for bits, destination in graph.successors(vertex):
+                if destination >= 0 and destination not in distance:
+                    distance[destination] = distance[vertex] + 1
+                    parent[destination] = (vertex, bits)
+                    next_frontier.append(destination)
+        frontier = next_frontier
+    return distance, parent
+
+
+def _edge_path(parent: Dict[int, Tuple[int, int]], target: int) -> List[Tuple[int, int]]:
+    """The edge path root → target: a list of ``(source, bits)``."""
+    path: List[Tuple[int, int]] = []
+    vertex = target
+    while vertex in parent:
+        predecessor, bits = parent[vertex]
+        path.append((predecessor, bits))
+        vertex = predecessor
+    path.reverse()
+    return path
+
+
+def _nearest(candidates: Iterable[int], distance: Dict[int, int]) -> Optional[int]:
+    """The candidate closest to the roots (ties broken by packed value)."""
+    best: Optional[int] = None
+    for packed in candidates:
+        if packed not in distance:
+            continue
+        if best is None or (distance[packed], packed) < (distance[best], best):
+            best = packed
+    return best
+
+
+def _find_cycle(
+    graph: DictGraph, start: int, allowed: FrozenSet[int]
+) -> List[Tuple[int, int]]:
+    """A shortest cycle of real edges from ``start`` back to itself, inside
+    ``allowed``."""
+    parent: Dict[int, Tuple[int, int]] = {}
+    seen: Set[int] = {start}
+    frontier: List[int] = [start]
+    while frontier:
+        next_frontier: List[int] = []
+        for vertex in frontier:
+            for bits, destination in graph.successors(vertex):
+                if destination < 0:
+                    continue
+                if destination == start:
+                    path = _edge_path(parent, vertex)
+                    path.append((vertex, bits))
+                    return path
+                if destination in allowed and destination not in seen:
+                    seen.add(destination)
+                    parent[destination] = (vertex, bits)
+                    next_frontier.append(destination)
+        frontier = next_frontier
+    raise ValueError(f"no cycle through vertex {start} (not a cyclic vertex?)")
+
+
+def reference_witnesses(graph, classification, algorithm) -> Dict[str, Witness]:
+    """One minimal witness per failing class, searched over the dict views:
+    the oracle of the CSR search of :func:`repro.explore.witness.find_witnesses`.
+
+    A queue BFS over packed integers gives distances and parents; each class
+    ends at its candidate nearest to the roots (ties to the smallest packed
+    value), and a livelock appends a shortest cycle back.  The traces are
+    replayed by the same engine step as the fast path.
+    """
+    graph = dict_graph(graph)
+    distance, parent = _bfs_parents(graph)
+    witnesses: Dict[str, Witness] = {}
+
+    def materialize(path, target, kind, extra=(), cycle_start=None) -> Witness:
+        root = path[0][0] if path else target
+        rounds = [bits for _, bits in path] + list(extra)
+        return _materialize(rounds, root, kind, algorithm, graph.mode, cycle_start)
+
+    target = _nearest(
+        (p for p, kind in graph.terminal.items() if kind == TERMINAL_DEADLOCK), distance
+    )
+    if target is not None:
+        witnesses["deadlock"] = materialize(_edge_path(parent, target), target, "deadlock")
+
+    for kind, sink in (("collision", COLLISION_SINK), ("disconnected", DISCONNECT_SINK)):
+        sources = {
+            source: min(bits for bits, dst in edges if dst == sink)
+            for source, edges in graph.edges.items()
+            if any(dst == sink for _, dst in edges)
+        }
+        target = _nearest(sources, distance)
+        if target is not None:
+            witnesses[kind] = materialize(
+                _edge_path(parent, target), target, kind, (sources[target],)
+            )
+
+    cyclic = classification.cyclic_nodes
+    target = _nearest(cyclic, distance)
+    if target is not None:
+        path = _edge_path(parent, target)
+        cycle = _find_cycle(graph, target, cyclic)
+        witnesses["livelock"] = materialize(
+            path + cycle, target, "livelock", cycle_start=len(path)
+        )
+    return witnesses

@@ -310,6 +310,27 @@ def test_telemetry_manifest_trace_and_run_id_correlation(tmp_path, capsys):
     assert {record["run"] for record in records} == {manifest["run_id"]}
     assert any(record["name"] == "runner.batch" for record in records)
 
+    # An explore's telemetry covers all three of its stages.
+    telemetry.unlink()
+    trace.unlink()
+    status = main(
+        ["explore", "--size", "4", "--mode", "ssync",
+         "--telemetry", str(telemetry), "--trace", str(trace)]
+    )
+    assert status in (0, 1)  # 1: not every root gathers
+    capsys.readouterr()
+    histograms = json.loads(telemetry.read_text())["metrics"]["histograms"]
+    spans = {
+        record["name"]: record
+        for record in map(json.loads, trace.read_text().splitlines())
+        if record["kind"] == "span"
+    }
+    for stage in ("explore.build", "explore.classify", "explore.witness"):
+        assert histograms[f"span.{stage}.seconds"]["count"] >= 1
+        assert stage in spans
+    assert spans["explore.classify"]["attrs"]["vertices"] > 0
+    assert spans["explore.witness"]["attrs"]["witnesses"] >= 1
+
 
 @pytest.mark.parametrize(
     "argv",

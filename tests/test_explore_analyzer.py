@@ -12,14 +12,15 @@ from repro.explore.transitions import (
     DISCONNECT_SINK,
     TERMINAL_DEADLOCK,
     TERMINAL_GATHERED,
-    TransitionGraph,
     build_transition_graph,
 )
+
+from oracles import graph_from_dicts
 
 
 def synthetic(edges, terminal, roots, unexplored=frozenset(), mode="ssync"):
     """A hand-built graph over small integer vertex names."""
-    return TransitionGraph(
+    return graph_from_dicts(
         algorithm_name="synthetic",
         mode=mode,
         edges={src: tuple((1, dst) for dst in dsts) for src, dsts in edges.items()},
@@ -104,7 +105,7 @@ def test_classify_self_loop_is_livelock():
 
 
 def test_classify_sink_edges():
-    graph = TransitionGraph(
+    graph = graph_from_dicts(
         algorithm_name="synthetic",
         mode="ssync",
         edges={1: ((1, COLLISION_SINK), (2, 2)), 2: ((1, DISCONNECT_SINK),)},
@@ -120,7 +121,7 @@ def test_classify_sink_edges():
 
 
 def test_classify_severity_priority_collision_over_deadlock():
-    graph = TransitionGraph(
+    graph = graph_from_dicts(
         algorithm_name="synthetic",
         mode="ssync",
         edges={1: ((1, 2), (2, 3)), 3: ((1, COLLISION_SINK),)},

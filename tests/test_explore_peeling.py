@@ -23,11 +23,10 @@ from repro.explore.transitions import (
     DISCONNECT_SINK,
     TERMINAL_DEADLOCK,
     TERMINAL_GATHERED,
-    TransitionGraph,
     build_transition_graph,
 )
 
-from oracles import reference_classify
+from oracles import graph_from_dicts, reference_classify
 
 KINDS = ("edges", "edges", "edges", "edges", "gathered", "deadlock", "unexplored")
 
@@ -48,7 +47,7 @@ def graphs(draw):
         else:
             terminal[name] = TERMINAL_GATHERED if kind == "gathered" else TERMINAL_DEADLOCK
     roots = draw(st.lists(st.sampled_from(names), min_size=1, max_size=count))
-    return TransitionGraph(
+    return graph_from_dicts(
         algorithm_name="synthetic",
         mode=draw(st.sampled_from(["fsync", "ssync"])),
         edges=edges,

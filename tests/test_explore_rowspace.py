@@ -26,9 +26,7 @@ from repro.explore.transitions import (
 )
 from repro.grid.packing import pack_nodes
 
-from repro.synth.cegis import _won_roots
-
-from oracles import reference_classify, reference_exploration
+from oracles import dict_graph, reference_classify, reference_exploration, won_roots
 
 BUDGETS = (1, 50, 500, 2000)
 MODES = ("fsync", "ssync")
@@ -41,14 +39,16 @@ def algorithm():
 
 def _assert_same_graph(graph, oracle):
     # Dict order is discovery order: compare it too, not just the contents.
-    assert list(graph.edges.items()) == list(oracle.edges.items())
-    assert list(graph.terminal.items()) == list(oracle.terminal.items())
+    views = dict_graph(graph)
+    assert list(views.edges.items()) == list(oracle.edges.items())
+    assert list(views.terminal.items()) == list(oracle.terminal.items())
     assert graph.roots == oracle.roots
-    assert graph.unexplored == oracle.unexplored
+    assert views.unexplored == oracle.unexplored  # in discovery order
     assert graph.truncated == oracle.truncated
     assert graph.num_nodes == oracle.num_nodes
     assert graph.num_edges == oracle.num_edges
-    assert list(graph.nodes()) == list(oracle.nodes())
+    packed = graph.vertex_packed()
+    assert [packed[v] for v in graph.node_order().tolist()] == oracle.nodes()
 
 
 def _assert_same_verdicts(graph, oracle):
@@ -133,7 +133,7 @@ def test_exhaustive_roots_as_rows_equal_tuple_roots(algorithm, size, mode, kerne
     """``explore(roots=None)`` passes the position array; the graph, its
     verdicts and the won roots are those of the tuple roots."""
     rows = explore(algorithm=algorithm, size=size, mode=mode, kernel=kernel, with_witnesses=False)
-    won_rows = _won_roots(rows)  # names only the won roots: no vertex is named yet
+    won_rows = won_roots(rows)  # names only the won roots: no vertex is named yet
     tuples = explore(
         algorithm=algorithm,
         roots=enumerate_canonical_node_sets(size),
@@ -147,4 +147,7 @@ def test_exhaustive_roots_as_rows_equal_tuple_roots(algorithm, size, mode, kerne
     assert rows.root_census == tuples.root_census
     node_class = tuples.classification.node_class
     won = frozenset(p for p in tuples.graph.roots if node_class[p] in ("gathered", "safe"))
-    assert won_rows == won == _won_roots(rows)
+    assert won_rows == won == won_roots(rows)
+    assert np.array_equal(rows.won_mask(), tuples.won_mask())
+    won_mask = tuples.won_mask().tolist()
+    assert frozenset(p for p, w in zip(tuples.graph.roots, won_mask) if w) == won

@@ -8,12 +8,15 @@ from repro.enumeration.polyhex import enumerate_canonical_node_sets
 from repro.explore.transitions import (
     COLLISION_SINK,
     DISCONNECT_SINK,
+    STATE_UNEXPLORED,
     TERMINAL_GATHERED,
     TransitionGraph,
     build_transition_graph,
     expand_packed,
 )
 from repro.grid.packing import pack_nodes, unpack_nodes
+
+from oracles import assert_same_graph, dict_graph
 
 
 @pytest.fixture(scope="module")
@@ -182,21 +185,23 @@ def test_build_fsync_graph_is_functional(algorithm):
         enumerate_canonical_node_sets(5), algorithm=algorithm, mode="fsync"
     )
     assert not graph.truncated
-    for packed, edges in graph.edges.items():
+    views = dict_graph(graph)
+    for packed, edges in views.edges.items():
         assert len(edges) == 1
     # Every vertex is expanded exactly once: edges and terminals partition nodes.
-    assert graph.num_nodes == len(graph.edges) + len(graph.terminal)
-    assert set(graph.roots) <= set(graph.nodes())
+    assert graph.num_nodes == len(views.edges) + len(views.terminal)
+    assert set(graph.roots) <= set(views.nodes())
 
 
 def test_build_ssync_superset_of_fsync(algorithm):
     roots = enumerate_canonical_node_sets(5)
     fsync = build_transition_graph(roots, algorithm=algorithm, mode="fsync")
     ssync = build_transition_graph(roots, algorithm=algorithm, mode="ssync")
-    assert set(fsync.nodes()) <= set(ssync.nodes())
-    for packed, edges in fsync.edges.items():
+    fsync_views, ssync_views = dict_graph(fsync), dict_graph(ssync)
+    assert set(fsync_views.nodes()) <= set(ssync_views.nodes())
+    for packed, edges in fsync_views.edges.items():
         fsync_dst = edges[0][1]
-        assert fsync_dst in [dst for _, dst in ssync.edges[packed]]
+        assert fsync_dst in [dst for _, dst in ssync_views.edges[packed]]
     assert ssync.num_edges >= fsync.num_edges
 
 
@@ -206,11 +211,15 @@ def test_build_max_nodes_truncates(algorithm):
         roots, algorithm=algorithm, mode="ssync", max_nodes=50
     )
     assert graph.truncated
-    assert len(graph.edges) + len(graph.terminal) == 50
-    assert graph.unexplored
+    views = dict_graph(graph)
+    assert len(views.edges) + len(views.terminal) == 50
+    assert views.unexplored
     # Unexplored vertices have no stored edges.
-    for packed in graph.unexplored:
-        assert graph.successors(packed) == ()
+    arrays = graph.arrays
+    unexplored = arrays.state == STATE_UNEXPLORED
+    assert (arrays.indptr[1:] == arrays.indptr[:-1])[unexplored].all()
+    for packed in views.unexplored:
+        assert views.successors(packed) == ()
 
 
 def test_build_parallel_matches_serial():
@@ -225,8 +234,7 @@ def test_build_parallel_matches_serial():
         workers=2,
         chunk_size=16,
     )
-    assert serial.terminal == parallel.terminal
-    assert serial.edges == parallel.edges
+    assert_same_graph(parallel, serial)
     assert serial.roots == parallel.roots
 
 

@@ -16,6 +16,8 @@ from repro.explore import (
 from repro.grid.directions import Direction
 from repro.viz.ascii_art import render_witness
 
+from oracles import dict_graph
+
 
 @pytest.fixture(scope="module")
 def shibata_ssync_report():
@@ -64,7 +66,7 @@ def test_witness_minimality_deadlock(shibata_ssync_report):
     report = shibata_ssync_report
     witness = report.witnesses["deadlock"]
     # Breadth-first distances from all roots to the nearest deadlock terminal.
-    graph = report.graph
+    graph = dict_graph(report.graph)
     distance = {root: 0 for root in graph.roots}
     frontier = list(graph.roots)
     best = None

@@ -56,7 +56,7 @@ from repro.explore import explore
 from repro.obs import close_sink, configure_sink
 from repro.obs import metrics as _obs
 
-from oracles import byte_index_lookup, reference_resolve_rows
+from oracles import assert_same_graph, byte_index_lookup, reference_resolve_rows
 
 
 def _algorithm():
@@ -200,8 +200,7 @@ def test_sharded_explorer_graphs_identical(shard_cache, sharded_only_scope):
             with_witnesses=False, kernel="packed",
         )
         assert via_sharded.root_census == oracle.root_census
-        assert via_sharded.graph.edges == oracle.graph.edges
-        assert via_sharded.graph.terminal == oracle.graph.terminal
+        assert_same_graph(via_sharded.graph, oracle.graph)
 
 
 def test_sharded_traces_identical_to_packed(shard_cache, sharded_only_scope):

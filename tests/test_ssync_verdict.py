@@ -18,7 +18,8 @@ from repro.core.table_kernel import SuccessorTable, successor_table
 from repro.explore import explore
 from repro.explore.analyzer import CLASSES
 from repro.synth import OverrideAlgorithm, learned_amend_ruleset, ruleset_layers
-from repro.synth.cegis import _won_roots
+
+from oracles import won_roots
 
 #: The paper's algorithm, both synthesized compositions, and two range-1
 #: rules: ``centroid-pull`` livelocks and collides, ``southeast-drift``
@@ -52,7 +53,7 @@ def assert_matches_explorer(table, algorithm, roots=None):
         (int(rows[i]), CLASSES[got[i]], CLASSES[want[i]]) for i in mismatched[:5]
     ]
     assert verdict.root_census == report.root_census
-    won = _won_roots(report)
+    won = won_roots(report)
     mask = verdict.won_mask()
     assert mask.dtype == bool and len(mask) == table.view.count
     assert {table.packed_of_row(r) for r in np.flatnonzero(mask).tolist()} == won

@@ -203,6 +203,23 @@ def test_failing_ssync_validation_gets_witnesses_and_blames_a_rule(monkeypatch):
     assert table.explores == packed.explores == 5
 
 
+def test_spent_refinement_budget_still_validates_the_returned_rules():
+    """With only the colliding rule seeded there is one blame round.  It
+    removes the rule; the bare base the run returns is then validated, so
+    ``validated`` and ``ssync_census`` describe the returned (empty) rule
+    set, not the composition the round removed."""
+    base, roots, _, (colliding, onto) = _colliding_seed()
+    seed = overrides_to_ruleset({colliding: Direction[onto]}, "colliding-only", 2)
+    for kernel in ("table", "packed"):
+        result = synthesize(
+            base=base, roots=roots, max_iterations=0, seed_ruleset=seed, kernel=kernel
+        )
+        assert len(result.ruleset) == 0, kernel
+        assert result.blocked == {(colliding, onto)}, kernel
+        assert result.validated is True, kernel
+        assert result.ssync_census == {"deadlock": 1}, kernel
+
+
 def test_perfbench_synth_run_is_pinned(monkeypatch):
     """The benchmark's synth-cegis run (``perfbench/child.py``'s arguments)
     does exactly the work the benchmark checks for, and on the table path

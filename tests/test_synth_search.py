@@ -14,6 +14,8 @@ from repro.synth.search import (
 )
 from repro.synth.ruleset import OverrideAlgorithm
 
+from oracles import dict_graph
+
 #: A line of seven robots: gathers under the full algorithm.
 LINE7 = tuple((i, 0) for i in range(7))
 
@@ -137,7 +139,7 @@ def test_propose_chain_list_serial(ablated):
     report = explore(algorithm=ablated, mode="fsync", with_witnesses=False)
     terminals = [
         packed
-        for packed, kind in report.graph.terminal.items()
+        for packed, kind in dict_graph(report.graph).terminal.items()
         if kind == TERMINAL_DEADLOCK
     ][:5]
     chains, expansions = propose_chain_list(terminals, ablated, {})
@@ -164,7 +166,7 @@ def test_propose_chain_list_shares_candidate_lists(base, monkeypatch):
     report = explore(algorithm=base, mode="fsync", with_witnesses=False)
     terminals = sorted(
         packed
-        for packed, kind in report.graph.terminal.items()
+        for packed, kind in dict_graph(report.graph).terminal.items()
         if kind == TERMINAL_DEADLOCK
     )[:40]
     alone = [repair_chain(packed, base, {}, kernel="table") for packed in terminals]

@@ -25,9 +25,16 @@ from repro.core.table_kernel import (
 )
 from repro.enumeration.polyhex import enumerate_connected_configurations
 from repro.explore import explore
-from repro.synth.cegis import _counterexamples_by_mass, _won_roots, synthesize
+from repro.synth.cegis import synthesize
 from repro.synth.ruleset import OverrideAlgorithm, learned_amend_ruleset, ruleset_layers
 from repro.synth.search import simulate_outcome
+
+from oracles import (
+    assert_same_graph,
+    graph_from_dicts,
+    reference_counterexamples_by_mass,
+    won_roots,
+)
 
 SHIBATA_VARIANTS = (
     "shibata-visibility2",
@@ -154,8 +161,7 @@ def test_transition_graph_byte_identical(mode):
                      with_witnesses=False)
     table = explore(algorithm=create_algorithm("shibata-visibility2"), mode=mode,
                     with_witnesses=False, kernel="table")
-    assert table.graph.edges == packed.graph.edges
-    assert table.graph.terminal == packed.graph.terminal
+    assert_same_graph(table.graph, packed.graph)
     assert table.graph.roots == packed.graph.roots
     assert table.root_census == packed.root_census
     assert table.node_census == packed.node_census
@@ -227,17 +233,23 @@ def test_empty_derive_returns_same_table():
 
 
 def test_fsync_verdict_matches_explorer():
-    """The graph-free CEGIS verdict answers exactly like a full exploration."""
-    for name in ("shibata-visibility2", "shibata-visibility2[minus-R3c]"):
+    """The graph-free CEGIS verdict answers exactly like a full exploration
+    (``centroid-pull`` adds collisions and livelocks)."""
+    for name in ("shibata-visibility2", "shibata-visibility2[minus-R3c]", "range1:centroid-pull"):
         table = successor_table(create_algorithm(name), 7)
         verdict = table.fsync_verdict(np.arange(table.view.count, dtype=np.int32))
         report = explore(algorithm=create_algorithm(name), mode="fsync",
                          with_witnesses=False)
         assert verdict.root_census == report.root_census
-        assert verdict.won_roots() == _won_roots(report)
+        packed = table.view.packed
+        won = verdict.won_mask()
+        assert {packed[row] for row in np.flatnonzero(won).tolist()} == won_roots(report)
+        rows = [table.row_of_packed(root) for root in report.graph.roots]
+        assert np.array_equal(won[rows], report.won_mask())  # root by root
         for include_failures in (False, True):
-            assert verdict.counterexamples_by_mass(include_failures) == \
-                _counterexamples_by_mass(report.graph, include_failures)
+            want = reference_counterexamples_by_mass(report.graph, include_failures)
+            assert verdict.counterexamples_by_mass(include_failures) == want
+            assert report.counterexamples_by_mass(include_failures) == want
 
 
 def test_counterexample_attribution_matches_walker_on_multi_entry_cycles():
@@ -245,7 +257,8 @@ def test_counterexample_attribution_matches_walker_on_multi_entry_cycles():
     attribute to the first-resolved entry point, exactly like the graph
     walker's ``settles_in`` memoization — not each to its own entry."""
     from repro.core.table_kernel import KIND_STEP, TableFsyncVerdict
-    from repro.explore.transitions import TransitionGraph
+    from repro.explore.analyzer import classify
+    from repro.explore.report import ExplorationReport
 
     # Functional graph: 0 -> 1, 3 -> 2, and the cycle 1 <-> 2.
     class _StubView:
@@ -262,17 +275,19 @@ def test_counterexample_attribution_matches_walker_on_multi_entry_cycles():
         succ=np.array([1, 2, 1, 2], dtype=np.int32),
         collision_code=np.zeros(4, dtype=np.int8),
     )
-    graph = TransitionGraph(
+    graph = graph_from_dicts(
         algorithm_name="stub",
         mode="fsync",
         edges={100: ((1, 101),), 101: ((1, 102),), 102: ((1, 101),), 103: ((1, 102),)},
         terminal={},
         roots=(100, 103),
     )
+    report = ExplorationReport(graph=graph, classification=classify(graph))
     verdict = TableFsyncVerdict(table, np.array([0, 3], dtype=np.int32))
     for include_failures in (False, True):
-        assert verdict.counterexamples_by_mass(include_failures) == \
-            _counterexamples_by_mass(graph, include_failures)
+        want = reference_counterexamples_by_mass(graph, include_failures)
+        assert verdict.counterexamples_by_mass(include_failures) == want
+        assert report.counterexamples_by_mass(include_failures) == want
     # Both roots settle in root 0's cycle entry (vertex 101), mass 2.
     assert verdict.counterexamples_by_mass(True) == [101]
 
@@ -347,6 +362,5 @@ def test_views_wider_than_the_view_column_fall_back_to_packed(tmp_path):
         build_transition_graph(roots, algorithm=create_algorithm(name), kernel=kernel)
         for kernel in ("packed", "table")
     ]
-    assert graphs[1].edges == graphs[0].edges
-    assert graphs[1].terminal == graphs[0].terminal
+    assert_same_graph(graphs[1], graphs[0])
     assert graphs[1].roots == graphs[0].roots
